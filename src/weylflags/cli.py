@@ -381,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,12 @@ p <= 3.  The environment variables WEYLFLAGS_FF_MAX_N / WEYLFLAGS_FF_MAX_P
 raise the caps (with a warning).  The nu-sweeping checks (fiber dimension,
 weight map) additionally require n <= 3 since they enumerate p^(n^2)
 matrices per flag pair.
+
+The shortest-element check still visits every nu in b(F_p), but tests it
+by support masks: conjugating each basis matrix E_ab (a <= b) by dot(w)
+once per (w, blocks) marks the coordinates that Ad(dot(w)^{-1}) sends
+outside b and outside p, and each nu, whose support mask is computed
+once per (n, p), is then two integer ANDs.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cosets import min_rep_perm
+from .roots import block_index
 from .weyl import Perm, check_perm, inverse, length
 
 DEFAULT_MAX_N = 4
@@ -42,7 +49,10 @@ def _cap(env_name: str, default: int) -> Tuple[int, bool]:
     raw = os.environ.get(env_name)
     if raw is None:
         return default, False
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
     return value, value > default
 
 
@@ -284,13 +294,6 @@ def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqM
 # ---------------------------------------------------------------------------
 # adjoint membership masks
 
-def _block_of(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = []
-    for b, size in enumerate(blocks):
-        out.extend([b] * size)
-    return tuple(out)
-
-
 def in_b(m: Rows) -> bool:
     n = len(m)
     return all(m[i][j] == 0 for i in range(n) for j in range(i))
@@ -302,13 +305,13 @@ def in_u(m: Rows) -> bool:
 
 
 def in_p_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
-    bl = _block_of(blocks)
+    bl = block_index(blocks)
     n = len(m)
     return all(m[i][j] == 0 for i in range(n) for j in range(n) if bl[i] > bl[j])
 
 
 def in_nq_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
-    bl = _block_of(blocks)
+    bl = block_index(blocks)
     n = len(m)
     return all(m[i][j] == 0 for i in range(n) for j in range(n) if bl[i] >= bl[j])
 
@@ -609,11 +612,6 @@ def blowup_equation_check(p: int) -> bool:
     return True
 
 
-def _is_upper(rows) -> bool:
-    n = len(rows)
-    return all(rows[i][j] == 0 for i in range(n) for j in range(i))
-
-
 def good_form_conjugate(v, p: Optional[int] = None):
     """Conjugate an upper-triangular v by an upper unipotent b so that
     v' = b^{-1} v b has zero entries wherever the two diagonal values
@@ -647,7 +645,7 @@ def good_form_conjugate(v, p: Optional[int] = None):
             return x
 
     n = len(rows)
-    if not _is_upper(rows):
+    if not in_b(rows):
         raise ValueError("input is not upper triangular")
     original = [row[:] for row in rows]
     one = norm(1) if p is not None else Fraction(1)
@@ -748,35 +746,73 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     }
 
 
+def _b_positions(n: int) -> List[Tuple[int, int]]:
+    """The coordinates of b: (i, j) with i <= j, 0-indexed."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+@lru_cache(maxsize=None)
+def _b_supports(n: int, p: int) -> Tuple[int, ...]:
+    """For every nu in b(F_p), in itertools.product order over the
+    coordinates of b: the bitmask of its nonzero coordinates (bit k for
+    the k-th coordinate)."""
+    width = len(_b_positions(n))
+    out = []
+    for values in itertools.product(range(p), repeat=width):
+        mask = 0
+        for k, value in enumerate(values):
+            if value:
+                mask |= 1 << k
+        out.append(mask)
+    return tuple(out)
+
+
+def _ad_off_masks(w: Perm, blocks: Tuple[int, ...], p: int) -> Tuple[int, int]:
+    """The coordinates of b that Ad(dot(w)^{-1}) sends outside b, and
+    outside p, as bitmasks in the layout of _b_supports.  Each basis
+    matrix E_ab goes to a single entry 1, so Ad(dot(w)^{-1})nu lies in b
+    (or p) exactly when the support of nu misses the first (or second)
+    mask: Ad is linear and b, p are coordinate subspaces."""
+    n = len(w)
+    pm = perm_rows(w)
+    pmi = perm_rows(inverse(w))
+    off_b = off_p = 0
+    for k, (a, b) in enumerate(_b_positions(n)):
+        basis = tuple(tuple(int((i, j) == (a, b)) for j in range(n)) for i in range(n))
+        m = mat_mul(pmi, mat_mul(basis, pm, p), p)
+        support = [m[i][j] for i in range(n) for j in range(n) if m[i][j]]
+        assert support == [1], (w, (a, b), m)
+        if not in_b(m):
+            off_b |= 1 << k
+        if not in_p_blocks(m, blocks):
+            off_p |= 1 << k
+    return off_b, off_p
+
+
 def shortest_element_fq_check(w: Perm, blocks: Tuple[int, ...], p: int) -> bool:
     """Minimal coset representatives are exactly the w for which
     Ad(dot(w)^{-1}) maps b-membership onto p-membership over F_p: for
     w in W^P the two memberships agree for every nu in b; for w not in
-    W^P a counterexample nu (in p but not in b) must exist."""
+    W^P a counterexample nu (in p but not in b) must exist.
+
+    Every nu in b(F_p) is visited; each costs two mask tests against
+    the images of the basis matrices (see _ad_off_masks)."""
     w = check_perm(w)
     blocks = tuple(blocks)
     n = len(w)
     check_bounds(n, p)
-    pm = perm_rows(w)
-    pmi = perm_rows(inverse(w))
     is_rep = w == min_rep_perm(w, blocks)
-    positions = [(i, j) for i in range(n) for j in range(i, n)]
-    found_counterexample = False
-    for values in itertools.product(range(p), repeat=len(positions)):
-        nu = [[0] * n for _ in range(n)]
-        for (i, j), value in zip(positions, values):
-            nu[i][j] = value
-        m = mat_mul(pmi, mat_mul(tuple(map(tuple, nu)), pm, p), p)
-        inp = in_p_blocks(m, blocks)
-        inb = in_b(m)
+    off_b, off_p = _ad_off_masks(w, blocks, p)
+    for support in _b_supports(n, p):
+        inb = not support & off_b
+        inp = not support & off_p
         if inb and not inp:
             return False
         if is_rep and inp != inb:
             return False
         if not is_rep and inp and not inb:
-            found_counterexample = True
-            break
-    return found_counterexample if not is_rep else True
+            return True
+    return is_rep
 
 
 def covering_degree_check(blocks: Tuple[int, ...], p: int) -> Dict[str, object]:
@@ -813,6 +849,11 @@ def _min_reps(n: int, blocks: Tuple[int, ...]) -> List[Perm]:
     ]
 
 
+# run_suite skips (or, for explicit requests, refuses) sweeps whose cost
+# exceeds these gates
+BOREL_SWEEP_GATE = 3_000_000
+NU_SWEEP_GATE = 600_000
+
 SUITE_CHECKS = (
     "point_count",
     "incidence_zero",
@@ -846,7 +887,9 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
             {"check": name, "params": params, "expected": None, "observed": f"skipped: {reason}", "pass": True, "skipped": True}
         )
 
+    # n > 3 always exceeds the nu-sweep gate, so its note stays accurate
     nu_sweep_cost = p ** (n * n) * q_factorial(n, p)
+    nu_sweep_note = f"nu sweep cost {nu_sweep_cost} > {NU_SWEEP_GATE}"
     borel_sweep_cost = p ** (n * (n + 1) // 2) * math.factorial(n) * 2 ** (n - 1)
 
     for name in selected:
@@ -875,12 +918,16 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
                 }
             )
         elif name == "shortest_element":
-            if borel_sweep_cost > 3_000_000:
+            if borel_sweep_cost > BOREL_SWEEP_GATE:
                 if explicit:
                     raise ValueError(
                         f"shortest_element sweep too large at n={n}, p={p}"
                     )
-                skip(name, {"n": n, "p": p}, "borel sweep too large")
+                skip(
+                    name,
+                    {"n": n, "p": p},
+                    f"borel sweep cost {borel_sweep_cost} > {BOREL_SWEEP_GATE}",
+                )
                 continue
             ok = True
             for blocks in _compositions(n):
@@ -914,12 +961,12 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
                     }
                 )
         elif name == "fiber_dimension":
-            if n > 3 or nu_sweep_cost > 600_000:
+            if n > 3 or nu_sweep_cost > NU_SWEEP_GATE:
                 if explicit:
                     raise ValueError(
                         f"fiber_dimension sweep too large at n={n}, p={p}"
                     )
-                skip(name, {"n": n, "p": p}, "nu sweep too large")
+                skip(name, {"n": n, "p": p}, nu_sweep_note)
                 continue
             for blocks in _compositions(n):
                 for w in _min_reps(n, blocks):
@@ -934,10 +981,10 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
                         }
                     )
         elif name == "weight_map":
-            if n > 3 or nu_sweep_cost > 600_000:
+            if n > 3 or nu_sweep_cost > NU_SWEEP_GATE:
                 if explicit:
                     raise ValueError(f"weight_map sweep too large at n={n}, p={p}")
-                skip(name, {"n": n, "p": p}, "nu sweep too large")
+                skip(name, {"n": n, "p": p}, nu_sweep_note)
                 continue
             for blocks in _compositions(n):
                 for w in _min_reps(n, blocks):

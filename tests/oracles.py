@@ -185,3 +185,48 @@ def q_factorial(n, p):
     for k in range(1, n + 1):
         out *= sum(p**i for i in range(k))
     return out
+
+
+def _mat_mul_mod(a, b, p):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def _perm_matrix(w):
+    # column j carries e_{w(j)}
+    n = len(w)
+    return [[1 if w[j] == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def shortest_element_fq_brute(w, blocks, p, min_rep=min_coset_rep_brute):
+    """Per-point F_p sweep of the shortest-element lemma: for every nu in
+    b(F_p), compute Ad(dot(w)^{-1})nu by two matrix products and test
+    b- and p-membership entry by entry.  For w == min_rep(w, blocks) the
+    memberships must agree on every nu; otherwise some nu must land in p
+    but not in b.  min_rep is a parameter so tests can feed it a wrong
+    answer and see the verdict flip."""
+    n = len(w)
+    bl = block_of(blocks)
+    pm = _perm_matrix(w)
+    pmi = _perm_matrix(inverse(w))
+    is_rep = tuple(w) == tuple(min_rep(w, blocks))
+    positions = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in itertools.product(range(p), repeat=len(positions)):
+        nu = [[0] * n for _ in range(n)]
+        for (i, j), value in zip(positions, values):
+            nu[i][j] = value
+        m = _mat_mul_mod(pmi, _mat_mul_mod(nu, pm, p), p)
+        inb = all(m[i][j] == 0 for i in range(n) for j in range(i))
+        inp = all(
+            m[i][j] == 0
+            for i in range(n)
+            for j in range(n)
+            if bl[i + 1] > bl[j + 1]
+        )
+        if inb and not inp:
+            return False
+        if is_rep and inp != inb:
+            return False
+        if not is_rep and inp and not inb:
+            return True
+    return is_rep

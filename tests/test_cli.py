@@ -216,6 +216,22 @@ def test_companion_missing_file_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_companion_directory_scenario_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "companion", "--scenario", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_ff_verify_bad_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLFLAGS_FF_MAX_N", "abc")
+    code, out, err = run(capsys, "ff-verify", "--suite", "point_count", "--n", "2", "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert "WEYLFLAGS_FF_MAX_N" in err
+
+
 def test_walk_from_h(capsys):
     code, payload, _ = run_json(capsys, "walk", "--h", "[0,0,1]")
     assert code == 0

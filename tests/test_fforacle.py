@@ -288,6 +288,29 @@ def test_shortest_element_fq_spot_n3():
     assert ff.shortest_element_fq_check((3, 1, 2), (1, 2), 2)
 
 
+def test_shortest_element_fq_matches_brute_sweep():
+    for n in (1, 2, 3):
+        for p in (2, 3):
+            for blocks in oracles.compositions(n):
+                for w in perms(n):
+                    assert ff.shortest_element_fq_check(
+                        w, blocks, p
+                    ) == oracles.shortest_element_fq_brute(w, blocks, p), (w, blocks, p)
+
+
+def test_shortest_element_fq_flags_a_wrong_representative(monkeypatch):
+    # Declaring every w minimal must make the check fail exactly where w
+    # is not minimal, in agreement with the brute sweep fed the same lie.
+    monkeypatch.setattr(ff, "min_rep_perm", lambda w, blocks: w)
+    assert ff.shortest_element_fq_check((2, 1), (2,), 2) is False
+    assert ff.shortest_element_fq_check((1, 2), (2,), 2) is True
+    for blocks in oracles.compositions(3):
+        for w in perms(3):
+            expected = w == oracles.min_coset_rep_brute(w, blocks)
+            brute = oracles.shortest_element_fq_brute(w, blocks, 2, min_rep=lambda w, b: w)
+            assert ff.shortest_element_fq_check(w, blocks, 2) == brute == expected, (w, blocks)
+
+
 def test_covering_degree_pinned():
     assert ff.covering_degree_check((2, 1), 3) == {
         "expected": 3,
@@ -321,6 +344,12 @@ def test_check_bounds_env_override(monkeypatch):
         ff.check_bounds(2, 11)
 
 
+def test_check_bounds_names_a_bad_cap(monkeypatch):
+    monkeypatch.setenv(ff.ENV_MAX_N, "abc")
+    with pytest.raises(ValueError, match="WEYLFLAGS_FF_MAX_N.*'abc'"):
+        ff.check_bounds(2, 3)
+
+
 def test_run_suite_all_green_small():
     rows = ff.run_suite(2, 3)
     assert rows
@@ -340,3 +369,15 @@ def test_run_suite_skips_when_preconditions_fail():
         ff.run_suite(2, 2, checks=["blowup"])
     with pytest.raises(ValueError):
         ff.run_suite(2, 3, checks=["point_counting"])
+
+
+def test_run_suite_skip_notes_name_cost_and_gate():
+    rows = {row["check"]: row for row in ff.run_suite(4, 3, checks=None) if row.get("skipped")}
+    assert set(rows) == {"shortest_element", "covering_degree", "fiber_dimension", "weight_map"}
+    borel_cost = 3 ** 10 * 24 * 8
+    assert rows["shortest_element"]["observed"] == (
+        f"skipped: borel sweep cost {borel_cost} > {ff.BOREL_SWEEP_GATE}"
+    )
+    nu_cost = 3 ** 16 * ff.q_factorial(4, 3)
+    for name in ("fiber_dimension", "weight_map"):
+        assert rows[name]["observed"] == f"skipped: nu sweep cost {nu_cost} > {ff.NU_SWEEP_GATE}"
