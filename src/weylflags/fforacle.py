@@ -9,8 +9,11 @@ no claim beyond membership and cardinality is certified.
 Hard caps keep runtimes sane: n <= 4, p in {2,3,5,7}, and n = 4 only with
 p <= 3.  The environment variables WEYLFLAGS_FF_MAX_N / WEYLFLAGS_FF_MAX_P
 raise the caps (with a warning).  The nu-sweeping checks (fiber dimension,
-weight map) additionally require n <= 3 since they enumerate p^(n^2)
-matrices per flag pair.
+weight map) additionally require n <= 3 and stay behind the same cost gate.
+They build, for every flag g, the set {nu : Ad(g^{-1})nu in b} as the
+Ad(g)-image {g x g^{-1} : x in b(F_p)}, p^(dim b) points rather than a
+filter over all p^(n^2) matrices, and likewise for p; each set keeps its
+preimages x, so the checks never conjugate nu again.
 
 The shortest-element check still visits every nu in b(F_p), but tests it
 by support masks: conjugating each basis matrix E_ab (a <= b) by dot(w)
@@ -31,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cosets import min_rep_perm
+from .cosets import _min_reps_perm, min_rep_perm
 from .roots import block_index
 from .weyl import Perm, check_perm, inverse, length
 
@@ -41,6 +44,7 @@ ENV_MAX_N = "WEYLFLAGS_FF_MAX_N"
 ENV_MAX_P = "WEYLFLAGS_FF_MAX_P"
 
 
+@lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
@@ -112,63 +116,57 @@ def mat_mul(a: Rows, b: Rows, p: int) -> Rows:
     )
 
 
-def mat_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+def _eliminate(
+    rows: Sequence[Sequence[int]], p: int
+) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
+    """Gauss-Jordan elimination mod p, taking the columns left to right.
+
+    Rows are never swapped.  A column's pivot is the lowest row not yet
+    holding a pivot whose entry there is nonzero (bruhat_cell_of relies on
+    this choice; rank, inverse and RREF do not depend on it).  It is
+    scaled to 1 and cleared from every other row.  Returns the worked rows
+    and the (column, row) pivot pairs in column order, so the pivot rows,
+    read in that order, are the reduced row echelon form."""
     work = [list(r) for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][c] % p), None)
-        if pivot is None:
+    free = list(range(len(work) - 1, -1, -1))  # rows without a pivot, lowest first
+    pivots: List[Tuple[int, int]] = []
+    for c in range(len(work[0]) if work else 0):
+        for k, r in enumerate(free):
+            if work[r][c] % p:
+                break
+        else:
+            if not free:
+                break
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][c], p - 2, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][c] % p:
-                f = work[r][c]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        del free[k]
+        inv = pow(work[r][c], p - 2, p)
+        prow = work[r] = [x * inv % p for x in work[r]]
+        for s, row in enumerate(work):
+            if s != r:
+                f = row[c] % p
+                if f:
+                    work[s] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append((c, r))
+    return work, pivots
+
+
+def mat_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    return len(_eliminate(rows, p)[1])
 
 
 def mat_inv(a: Rows, p: int) -> Rows:
     n = len(a)
-    work = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c] % p), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = pow(work[c][c], p - 2, p)
-        work[c] = [x * inv % p for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] % p:
-                f = work[r][c]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[c])]
-    return tuple(tuple(row[n:]) for row in work)
+    augmented = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
+    work, pivots = _eliminate(augmented, p)
+    if [c for c, _ in pivots[:n]] != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(work[r][n:]) for _, r in pivots)
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
     """Canonical reduced row echelon form of the row space (zero rows dropped)."""
-    work = [list(r) for r in rows]
-    out = []
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][c] % p), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][c], p - 2, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][c] % p:
-                f = work[r][c]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return tuple(tuple(x % p for x in work[r]) for r in range(rank))
+    work, pivots = _eliminate(rows, p)
+    return tuple(tuple(x % p for x in work[r]) for _, r in pivots)
 
 
 def perm_rows(w: Perm) -> Rows:
@@ -231,28 +229,17 @@ def enumerate_flags(n: int, p: int) -> List[FlagPoint]:
 
 
 def bruhat_cell_of(g: FqMatrix) -> Perm:
-    """The unique w with g in B·dot(w)·B, from lower-left rank profiles."""
-    n = g.n
-    p = g.p
-    if mat_rank(g.entries, p) != n:
+    """The unique w with g in B·dot(w)·B, from lower-left rank profiles.
+
+    With r(i, j) the rank of rows i..n, columns 1..j, w(j) is the row i
+    where r(i, j) - r(i+1, j) - r(i, j-1) + r(i+1, j-1) = 1.  Eliminating
+    column by column with the lowest free row as pivot finds those rows in
+    one pass: the pivot of column j sits in row w(j), since free rows only
+    gain multiples of lower rows, as under left multiplication by B."""
+    _, pivots = _eliminate(g.entries, g.p)
+    if len(pivots) != g.n:
         raise ValueError("singular matrix")
-
-    def r(i: int, j: int) -> int:
-        # rank of rows i..n, columns 1..j (1-indexed); empty slabs rank 0
-        if i > n or j < 1:
-            return 0
-        return mat_rank([row[:j] for row in g.entries[i - 1 :]], p)
-
-    w = []
-    for j in range(1, n + 1):
-        hits = [
-            i
-            for i in range(1, n + 1)
-            if r(i, j) - r(i + 1, j) - r(i, j - 1) + r(i + 1, j - 1) == 1
-        ]
-        assert len(hits) == 1, (g.entries, j, hits)
-        w.append(hits[0])
-    return check_perm(tuple(w))
+    return check_perm(tuple(r + 1 for _, r in pivots))
 
 
 def _column_space_rows(g: FqMatrix, k: int) -> Rows:
@@ -293,6 +280,11 @@ def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqM
 
 # ---------------------------------------------------------------------------
 # adjoint membership masks
+
+def _b_positions(n: int) -> List[Tuple[int, int]]:
+    """The coordinates of b: (i, j) with i <= j, 0-indexed."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
 
 def in_b(m: Rows) -> bool:
     n = len(m)
@@ -403,42 +395,57 @@ def relative_position_pair(g1: FqMatrix, g2: FqMatrix, blocks: Tuple[int, ...]) 
 def _require_small_for_nu_sweep(n: int) -> None:
     if n > 3:
         raise ValueError(
-            f"nu sweep enumerates p^(n^2) matrices; n={n} is beyond the n<=3 bound"
+            f"nu sweep enumerates the Ad(g)-images of b and p for every flag; "
+            f"n={n} is beyond the n<=3 bound"
         )
 
 
-@lru_cache(maxsize=None)
-def _all_nu(n: int, p: int) -> Tuple[Rows, ...]:
-    out = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        out.append(tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n)))
-    return tuple(out)
-
-
-def _nu_indices_satisfying(flags: Sequence[FqMatrix], n: int, p: int, test):
-    """For each flag, the set of nu indices with test(Ad(g^{-1})nu)."""
-    nus = _all_nu(n, p)
+def _ad_images(flags: Sequence[FqMatrix], positions: Sequence[Tuple[int, int]], p: int):
+    """For each flag g, {index of nu: Ad(g^{-1})nu} over the nu with
+    Ad(g^{-1})nu supported on positions.  That set is exactly
+    {g x g^{-1} : x supported on positions}, so it is walked from x, one
+    coordinate at a time, adding multiples of the images g E_ij g^{-1}.
+    The index of nu is its base-p value read row by row, first entry most
+    significant."""
     out = []
     for g in flags:
+        n = g.n
         ginv = mat_inv(g.entries, p)
-        good = set()
-        for idx, nu in enumerate(nus):
-            if test(mat_mul(ginv, mat_mul(nu, g.entries, p), p)):
-                good.add(idx)
-        out.append(frozenset(good))
+        # (nu flattened, coordinates of x), in itertools.product order
+        points = [((0,) * (n * n), ())]
+        for i, j in positions:
+            # g E_ij g^{-1} is column i of g times row j of g^{-1}
+            basis = [g.entries[a][i] * ginv[j][b] for a in range(n) for b in range(n)]
+            points = [
+                (tuple((x + c * y) % p for x, y in zip(flat, basis)), coords + (c,))
+                for flat, coords in points
+                for c in range(p)
+            ]
+        image = {}
+        for flat, coords in points:
+            index = 0
+            for value in flat:
+                index = index * p + value
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), value in zip(positions, coords):
+                rows[i][j] = value
+            image[index] = tuple(map(tuple, rows))
+        assert len(image) == p ** len(positions), (g, positions)
+        out.append(image)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _in_b_sets(n: int, p: int):
     flags = [point.canonical_matrix for point in _flags_cached(n, p)]
-    return _nu_indices_satisfying(flags, n, p, in_b)
+    return _ad_images(flags, _b_positions(n), p)
 
 
 @lru_cache(maxsize=None)
 def _in_p_sets(n: int, p: int, blocks: Tuple[int, ...]):
-    partial = _partial_flags_cached(n, p, blocks)
-    return _nu_indices_satisfying(partial, n, p, lambda m: in_p_blocks(m, blocks))
+    bl = block_index(blocks)
+    positions = [(i, j) for i in range(n) for j in range(n) if bl[i] <= bl[j]]
+    return _ad_images(_partial_flags_cached(n, p, blocks), positions, p)
 
 
 @lru_cache(maxsize=None)
@@ -480,7 +487,7 @@ def fiber_dimension_check(w: Perm, blocks: Tuple[int, ...], p: int) -> FiberRepo
         for i2, s2 in enumerate(partial_sets):
             if positions[i1][i2] != w:
                 continue
-            size = len(s1 & s2)
+            size = len(s1.keys() & s2.keys())
             histogram[size] = histogram.get(size, 0) + 1
             pairs += 1
     passed = pairs > 0 and set(histogram) == {expected}
@@ -548,35 +555,49 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
     _require_small_for_nu_sweep(n)
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
-    nus = _all_nu(n, p)
-    full = [point.canonical_matrix for point in _flags_cached(n, p)]
-    partial = list(_partial_flags_cached(n, p, blocks))
     full_sets = _in_b_sets(n, p)
     partial_sets = _in_p_sets(n, p, blocks)
     positions = _position_table(n, p, blocks)
-    starts = [0] + list(itertools.accumulate(blocks))
-    for i1, (g1, s1) in enumerate(zip(full, full_sets)):
-        ginv1 = mat_inv(g1.entries, p)
-        for i2, (g2, s2) in enumerate(zip(partial, partial_sets)):
+    for i1, s1 in enumerate(full_sets):
+        for i2, s2 in enumerate(partial_sets):
             if positions[i1][i2] != w:
                 continue
-            ginv2 = mat_inv(g2.entries, p)
-            for idx in s1 & s2:
-                nu = nus[idx]
-                m1 = mat_mul(ginv1, mat_mul(nu, g1.entries, p), p)
-                m2 = mat_mul(ginv2, mat_mul(nu, g2.entries, p), p)
-                d = [m1[i][i] for i in range(n)]
-                for b, size in enumerate(blocks):
-                    lo, hi = starts[b], starts[b + 1]
-                    sub = tuple(tuple(m2[i][j] for j in range(lo, hi)) for i in range(lo, hi))
-                    observed = charpoly(sub, p)
-                    expected = (1,)
-                    for j in range(lo + 1, hi + 1):
-                        root = d[w[j - 1] - 1]
-                        expected = _poly_mul(expected, ((-root) % p, 1), p)
-                    if observed != tuple(expected) + (0,) * (size + 1 - len(expected)):
-                        return False
+            for idx in s1.keys() & s2.keys():
+                m1 = s1[idx]
+                weights = tuple(m1[k - 1][k - 1] for k in w)
+                if _levi_charpolys(s2[idx], blocks, p) != _block_root_polys(weights, blocks, p):
+                    return False
     return True
+
+
+def _block_slices(blocks: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    starts = [0] + list(itertools.accumulate(blocks))
+    return list(zip(starts, starts[1:]))
+
+
+# Both caches are keyed by value: every partial flag's Ad(g2^{-1})nu ranges
+# over the same p(F_p), so each x there has its Levi part expanded once,
+# however many flags and positions w share it.
+@lru_cache(maxsize=None)
+def _levi_charpolys(m: Rows, blocks: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], ...]:
+    """The characteristic polynomial of each diagonal block of m."""
+    return tuple(
+        charpoly(tuple(row[lo:hi] for row in m[lo:hi]), p) for lo, hi in _block_slices(blocks)
+    )
+
+
+@lru_cache(maxsize=None)
+def _block_root_polys(
+    roots: Tuple[int, ...], blocks: Tuple[int, ...], p: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """prod_{j in block}(X - roots[j]) for each block, in charpoly layout."""
+    out = []
+    for lo, hi in _block_slices(blocks):
+        poly = (1,)
+        for root in roots[lo:hi]:
+            poly = _poly_mul(poly, ((-root) % p, 1), p)
+        out.append(poly)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -746,11 +767,6 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     }
 
 
-def _b_positions(n: int) -> List[Tuple[int, int]]:
-    """The coordinates of b: (i, j) with i <= j, 0-indexed."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 @lru_cache(maxsize=None)
 def _b_supports(n: int, p: int) -> Tuple[int, ...]:
     """For every nu in b(F_p), in itertools.product order over the
@@ -839,14 +855,6 @@ def _compositions(n: int) -> List[Tuple[int, ...]]:
         for rest in _compositions(n - first):
             out.append((first,) + rest)
     return out
-
-
-def _min_reps(n: int, blocks: Tuple[int, ...]) -> List[Perm]:
-    return [
-        w
-        for w in map(tuple, itertools.permutations(range(1, n + 1)))
-        if w == min_rep_perm(w, blocks)
-    ]
 
 
 # run_suite skips (or, for explicit requests, refuses) sweeps whose cost
@@ -969,7 +977,7 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
                 skip(name, {"n": n, "p": p}, nu_sweep_note)
                 continue
             for blocks in _compositions(n):
-                for w in _min_reps(n, blocks):
+                for w in _min_reps_perm(blocks):
                     report = fiber_dimension_check(w, blocks, p)
                     rows.append(
                         {
@@ -987,7 +995,7 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
                 skip(name, {"n": n, "p": p}, nu_sweep_note)
                 continue
             for blocks in _compositions(n):
-                for w in _min_reps(n, blocks):
+                for w in _min_reps_perm(blocks):
                     ok = weight_map_check(blocks, w, p)
                     rows.append(
                         {

@@ -128,16 +128,27 @@ def levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
     return frozenset(out)
 
 
+def _check_shapes(a: Dict[str, int], b: Dict[str, int]) -> None:
+    """Raise unless two shapes carry the same labels with the same ranks."""
+    if a != b:
+        raise ValueError(f"shapes differ: {a} vs {b}")
+
+
 def pairing(alpha: Root, x: IntegralWeight) -> int:
     """<e_i - e_j, x> = x_i - x_j in the factor of alpha."""
-    v = x[alpha.tau]
-    return v[alpha.i - 1] - v[alpha.j - 1]
+    tau, i, j = alpha
+    try:
+        v = x[tau]
+        if i > 0 and j > 0:
+            return v[i - 1] - v[j - 1]
+    except (KeyError, IndexError):
+        pass
+    raise ValueError(f"root {alpha} does not fit the shape {shape_of(x)}")
 
 
 def act(w: MultiPerm, x: IntegralWeight) -> IntegralWeight:
     """Place permutation: (w·x)_i = x_{w^{-1}(i)}, so (uv)·x = u·(v·x)."""
-    if set(w) != set(x):
-        raise ValueError(f"embedding sets differ: {sorted(w)} vs {sorted(x)}")
+    _check_shapes(shape_of(w), shape_of(x))
     winv = multi_inverse(w)
     return {tau: tuple(x[tau][winv[tau][i] - 1] for i in range(len(x[tau]))) for tau in x}
 
@@ -227,8 +238,10 @@ def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
     >>> p_regular_antidominant({"t": (0, 0, 0)}, {"t": (2, 1)})
     False
     """
+    shape = shape_of(h)
+    _check_shapes(shape, {tau: sum(blocks) for tau, blocks in spec.items()})
     in_levi = set(spec_simple_roots(spec))
-    for alpha in simple_roots(shape_of(h)):
+    for alpha in simple_roots(shape):
         v = pairing(alpha, h)
         if alpha in in_levi:
             if v != 0:

@@ -198,6 +198,19 @@ def _perm_matrix(w):
     return [[1 if w[j] == i + 1 else 0 for j in range(n)] for i in range(n)]
 
 
+def in_b_brute(m):
+    n = len(m)
+    return all(m[i][j] == 0 for i in range(n) for j in range(i))
+
+
+def in_p_brute(blocks):
+    bl = block_of(blocks)
+    n = sum(blocks)
+    return lambda m: all(
+        m[i][j] == 0 for i in range(n) for j in range(n) if bl[i + 1] > bl[j + 1]
+    )
+
+
 def shortest_element_fq_brute(w, blocks, p, min_rep=min_coset_rep_brute):
     """Per-point F_p sweep of the shortest-element lemma: for every nu in
     b(F_p), compute Ad(dot(w)^{-1})nu by two matrix products and test
@@ -206,7 +219,7 @@ def shortest_element_fq_brute(w, blocks, p, min_rep=min_coset_rep_brute):
     but not in b.  min_rep is a parameter so tests can feed it a wrong
     answer and see the verdict flip."""
     n = len(w)
-    bl = block_of(blocks)
+    in_p = in_p_brute(blocks)
     pm = _perm_matrix(w)
     pmi = _perm_matrix(inverse(w))
     is_rep = tuple(w) == tuple(min_rep(w, blocks))
@@ -216,13 +229,8 @@ def shortest_element_fq_brute(w, blocks, p, min_rep=min_coset_rep_brute):
         for (i, j), value in zip(positions, values):
             nu[i][j] = value
         m = _mat_mul_mod(pmi, _mat_mul_mod(nu, pm, p), p)
-        inb = all(m[i][j] == 0 for i in range(n) for j in range(i))
-        inp = all(
-            m[i][j] == 0
-            for i in range(n)
-            for j in range(n)
-            if bl[i + 1] > bl[j + 1]
-        )
+        inb = in_b_brute(m)
+        inp = in_p(m)
         if inb and not inp:
             return False
         if is_rep and inp != inb:
@@ -230,3 +238,90 @@ def shortest_element_fq_brute(w, blocks, p, min_rep=min_coset_rep_brute):
         if not is_rep and inp and not inb:
             return True
     return is_rep
+
+
+def _det_mod(m, p):
+    """Leibniz expansion over all permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** inversion_count(perm)
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total % p
+
+
+def _inv_mod(m, p):
+    """Inverse by the adjugate: entry (i, j) is (-1)^(i+j) times the minor
+    without row j and column i, over det."""
+    n = len(m)
+    det = _det_mod(m, p)
+    assert det, m
+    dinv = pow(det, p - 2, p)
+
+    def minor(r, c):
+        return [[m[i][j] for j in range(n) if j != c] for i in range(n) if i != r]
+
+    return [
+        [(-1) ** (i + j) * _det_mod(minor(j, i), p) * dinv % p for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def nu_sets_brute(flags, n, p, test):
+    """For each flag matrix g, filter all p^(n^2) matrices nu: keep
+    {index: Ad(g^{-1})nu} for those with test(Ad(g^{-1})nu), the index
+    being nu's position in itertools.product order over its entries read
+    row by row."""
+    out = []
+    for g in flags:
+        g = [list(row) for row in g]
+        ginv = _inv_mod(g, p)
+        found = {}
+        for index, flat in enumerate(itertools.product(range(p), repeat=n * n)):
+            nu = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+            m = _mat_mul_mod(ginv, _mat_mul_mod(nu, g, p), p)
+            if test(m):
+                found[index] = tuple(map(tuple, m))
+        out.append(found)
+    return out
+
+
+def _rank_mod(rows, p):
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][c] * pow(work[rank][c], p - 2, p)
+            work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def bruhat_cell_rank_profile(g, p):
+    """The w with g in B·dot(w)·B, from a separate rank computation of
+    every lower-left slab: w(j) is the row i where
+    r(i, j) - r(i+1, j) - r(i, j-1) + r(i+1, j-1) = 1, r(i, j) being the
+    rank of rows i..n, columns 1..j."""
+    n = len(g)
+
+    def r(i, j):
+        if i > n or j < 1:
+            return 0
+        return _rank_mod([row[:j] for row in g[i - 1 :]], p)
+
+    w = []
+    for j in range(1, n + 1):
+        hits = [
+            i
+            for i in range(1, n + 1)
+            if r(i, j) - r(i + 1, j) - r(i, j - 1) + r(i + 1, j - 1) == 1
+        ]
+        assert len(hits) == 1, (g, j, hits)
+        w.append(hits[0])
+    return tuple(w)

@@ -164,6 +164,25 @@ def test_steinberg_rejects_bad_h(capsys):
     assert "P-regular" in err
 
 
+def test_steinberg_h_of_wrong_rank_exits_two(capsys):
+    code, out, err = run(
+        capsys,
+        "steinberg",
+        "--blocks",
+        "[2,1]",
+        "--qblocks",
+        "[3]",
+        "--perm",
+        "[1,3,2]",
+        "--h",
+        "[0,0]",
+    )
+    assert code == 2
+    assert out == ""
+    assert "shapes differ" in err
+    assert "Traceback" not in err
+
+
 def test_companion_generic_scenario(capsys, tmp_path):
     path = write_scenario(tmp_path, base_scenario())
     code, payload, _ = run_json(capsys, "companion", "--scenario", path)

@@ -106,6 +106,18 @@ def test_bruhat_cell_is_borel_biinvariant():
             assert ff.bruhat_cell_of(ff.FqMatrix(p, g)) == w
 
 
+def test_bruhat_cell_matches_rank_profile_route():
+    # every flag point, and the same coset moved by a random b in B
+    rng = random.Random(29)
+    for n, p in ((3, 3), (4, 2)):
+        for point in ff.enumerate_flags(n, p):
+            g = point.canonical_matrix.entries
+            moved = ff.mat_mul(g, rand_upper_invertible(rng, n, p), p)
+            for m in (g, moved):
+                assert ff.bruhat_cell_of(ff.FqMatrix(p, m)) == point.cell
+                assert oracles.bruhat_cell_rank_profile(m, p) == point.cell
+
+
 def test_bruhat_cell_rejects_singular():
     with pytest.raises(ValueError):
         ff.bruhat_cell_of(ff.FqMatrix(3, ((1, 1), (2, 2))))
@@ -209,6 +221,19 @@ def test_charpoly_against_closed_forms():
     for d in (1, 2, 1):
         expected = ff._poly_mul(expected, ((-d) % 5, 1), 5)
     assert ff.charpoly(m3, 5) == expected
+
+
+def test_nu_sets_match_brute_sweep():
+    for n, p in ((2, 2), (2, 3), (2, 5), (3, 2)):
+        flags = [point.canonical_matrix.entries for point in ff.enumerate_flags(n, p)]
+        assert list(ff._in_b_sets(n, p)) == oracles.nu_sets_brute(
+            flags, n, p, oracles.in_b_brute
+        ), (n, p)
+        for blocks in oracles.compositions(n):
+            partial = [g.entries for g in ff.enumerate_partial_flags(n, p, blocks)]
+            assert list(ff._in_p_sets(n, p, blocks)) == oracles.nu_sets_brute(
+                partial, n, p, oracles.in_p_brute(blocks)
+            ), (n, p, blocks)
 
 
 def test_fiber_dimension_small_cases():

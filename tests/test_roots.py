@@ -41,6 +41,20 @@ def test_levi_roots_blocks():
     assert roots.levi_roots(spec) == plus | {a.negate() for a in plus}
 
 
+def test_shape_mismatches_raise_value_error():
+    with pytest.raises(ValueError, match="shapes differ"):
+        roots.act({"t": (2, 1)}, {"s": (0, 1)})
+    with pytest.raises(ValueError, match="shapes differ"):
+        roots.act({"t": (1, 3, 2)}, {"t": (0, 0)})
+    for alpha in (roots.Root("t", 1, 3), roots.Root("t", 0, 1), roots.Root("s", 1, 2)):
+        with pytest.raises(ValueError, match="does not fit the shape"):
+            roots.pairing(alpha, {"t": (0, 1)})
+    with pytest.raises(ValueError, match="shapes differ"):
+        roots.p_regular_antidominant({"t": (0, 0)}, {"t": (2, 1)})
+    with pytest.raises(ValueError, match="shapes differ"):
+        roots.p_regular_antidominant({"t": (0, 0, 1)}, {"s": (2, 1)})
+
+
 @given(weight_with_perm)
 def test_act_is_inverse_indexing(data):
     w, vec = data
