@@ -5,8 +5,11 @@ algebraic weight lambda and the block structure P of its stabilizer;
 from a character's weight it recovers the coset position w relative to h;
 and from a starting position w_R it enumerates the companion characters
 delta_{R,w} = twisted z^{w(h)} times the unramified part, for w running
-over the upper order ideal of w_R in W/W_P.  A certified walk upgrades
-the enumeration with an explicit saturated chain from w_R to the top.
+over the upper order ideal of w_R in W/W_P.  That ideal, like the lower
+ideals behind Jordan-Holder cosets, is walked by covering steps from its
+end point, so the work follows the size of the answer rather than of the
+quotient.  A certified walk upgrades the enumeration with an explicit
+saturated chain from w_R to the top.
 
 Characters are symbolic: the smooth part is an ordered tuple of opaque
 eigenvalue labels, and only weights are computed on.
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import weyl
-from .cosets import CosetRep, enumerate_quotient, quotient_leq
+from .cosets import CosetRep, _interval
 from .roots import IntegralWeight, ParabolicSpec, act, shape_of
 from .steinberg import InductionStep, find_induction_step
 
@@ -62,7 +65,7 @@ class RefinementSpec:
             raise ValueError("embedding labels are not distinct across places")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CharacterSymbol:
     """delta_{R,w} reduced to its computable shadow.
 
@@ -75,28 +78,14 @@ class CharacterSymbol:
     smooth_labels: Tuple[Tuple[str, Tuple[str, ...]], ...]
     twisted: bool = True
 
-    def __eq__(self, other):
-        if not isinstance(other, CharacterSymbol):
-            return NotImplemented
-        return (
-            self.algebraic_weight == other.algebraic_weight
-            and self.smooth_labels == other.smooth_labels
-            and self.twisted == other.twisted
-        )
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompanionCertificate:
     """A saturated certified chain w_R = u_0 < u_1 < ... < u_k = top."""
 
     start: CosetRep
     end: CosetRep
     chain: Tuple[InductionStep, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, CompanionCertificate):
-            return NotImplemented
-        return (self.start, self.end, self.chain) == (other.start, other.end, other.chain)
 
 
 def runs_composition(vec: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -201,7 +190,8 @@ def companion_set(
 ) -> List[Tuple[CosetRep, CharacterSymbol]]:
     """All (w, delta_{R,w}) with w >= w_R in W/W_P.
 
-    Sorted by (lg_P, one-line notation, embedding label).
+    Sorted by (lg_P, one-line notation, embedding label); found by
+    covering steps upward from w_R.
 
     >>> r = RefinementSpec((PlaceRefinement("v", 3, ("t",), ("a", "b")),))
     >>> h = {"t": (0, 1)}
@@ -212,12 +202,7 @@ def companion_set(
     spec = hodge_spec(h)
     if w_R != CosetRep(w_R.rep, spec):
         raise ValueError("w_R does not live in the quotient derived from h")
-    out = []
-    for w in enumerate_quotient(spec):
-        if quotient_leq(w_R, w):
-            out.append((w, character_for(w, h, refinement)))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+    return [(w, character_for(w, h, refinement)) for w in _interval(w_R, up=True)]
 
 
 def jordan_holder_cosets(
@@ -226,17 +211,11 @@ def jordan_holder_cosets(
     """The lower order ideal {w' <= w} in W/W_P, optionally cut below by
     at_least (giving the Bruhat interval [at_least, w]).
 
-    The unique maximal element of the returned list is w itself.
+    Sorted by (lg_P, one-line notation, embedding label); found by
+    covering steps downward from w.  The unique maximal element of the
+    returned list is w itself.
     """
-    out = []
-    for cand in enumerate_quotient(w.spec):
-        if not quotient_leq(cand, w):
-            continue
-        if at_least is not None and not quotient_leq(at_least, cand):
-            continue
-        out.append(cand)
-    out.sort(key=CosetRep.sort_key)
-    return out
+    return _interval(w, up=False, at_least=at_least)
 
 
 def certify_walk(w_R: CosetRep, h: IntegralWeight) -> CompanionCertificate:

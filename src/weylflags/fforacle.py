@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cosets import _min_reps_perm, min_rep_perm
+from .cosets import _cap, _min_reps_perm, min_rep_perm
 from .roots import block_index
 from .weyl import Perm, check_perm, inverse, length
 
@@ -47,17 +46,6 @@ ENV_MAX_P = "WEYLFLAGS_FF_MAX_P"
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
-
-
-def _cap(env_name: str, default: int) -> Tuple[int, bool]:
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return default, False
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
-    return value, value > default
 
 
 def check_bounds(n: int, p: int) -> None:
@@ -336,6 +324,17 @@ def _condition_test(condition, blocks, qblocks):
     raise ValueError(f"unknown condition {condition!r}; pick one of {CONDITIONS}")
 
 
+@lru_cache(maxsize=None)
+def _flag_inverses(n: int, p: int, blocks: Optional[Tuple[int, ...]]) -> Tuple[Rows, ...]:
+    """g^{-1} for every cached full flag (blocks None) or partial flag g,
+    in cache order, so incidence_count conjugates without inverting."""
+    if blocks is None:
+        mats = [point.canonical_matrix for point in _flags_cached(n, p)]
+    else:
+        mats = _partial_flags_cached(n, p, blocks)
+    return tuple(mat_inv(g.entries, p) for g in mats)
+
+
 @dataclass(frozen=True)
 class IncidenceReport:
     count: int
@@ -356,23 +355,20 @@ def incidence_count(
     p = nu.p
     check_bounds(n, p)
     test = _condition_test(condition, blocks, qblocks)
+    if space == "partial_flag" and blocks is None:
+        raise ValueError("partial_flag space needs blocks")
+    if space not in SPACES:
+        raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
+    partial = None if space == "full_flag" else tuple(blocks)
+    points = _flags_cached(n, p) if partial is None else _partial_flags_cached(n, p, partial)
     witnesses = []
     by_cell: Dict[Perm, int] = {}
-    if space == "full_flag":
-        for point in _flags_cached(n, p):
-            if test(adjoint(point.canonical_matrix, nu)):
-                witnesses.append(point)
-                by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
-    elif space == "partial_flag":
-        if blocks is None:
-            raise ValueError("partial_flag space needs blocks")
-        for g in _partial_flags_cached(n, p, tuple(blocks)):
-            if test(adjoint(g, nu)):
-                witnesses.append(g)
-                cell = min_rep_perm(bruhat_cell_of(g), tuple(blocks))
-                by_cell[cell] = by_cell.get(cell, 0) + 1
-    else:
-        raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
+    for point, ginv in zip(points, _flag_inverses(n, p, partial)):
+        g = point.canonical_matrix if partial is None else point
+        if test(mat_mul(ginv, mat_mul(nu.entries, g.entries, p), p)):
+            witnesses.append(point)
+            cell = point.cell if partial is None else min_rep_perm(bruhat_cell_of(g), partial)
+            by_cell[cell] = by_cell.get(cell, 0) + 1
     return IncidenceReport(
         count=len(witnesses),
         witnesses=tuple(witnesses),

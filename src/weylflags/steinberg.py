@@ -16,7 +16,8 @@ from typing import Dict, List, Union
 from . import weyl
 from .cosets import (
     CosetRep,
-    enumerate_left_quotient,
+    _left_quotient,
+    _sorted_by_length,
     longest_in_levi,
     quotient_leq,
     shortest_double_coset_rep,
@@ -135,12 +136,14 @@ def component_in_ZQP_roots(w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSp
 def steinberg_components_full_flag(qspec: ParabolicSpec) -> List[weyl.MultiPerm]:
     """Indices w of the full-flag components lying in the Q-locus.
 
-    These are exactly w_{Q,0}·w' for w' ranging over ^QW.
+    These are exactly w_{Q,0}·w' for w' ranging over ^QW.  The product
+    has length l(w_{Q,0}) + l(w'), since w' is minimal in W_Q·w', so the
+    lengths of w' order the list by length.
     """
     wq0 = longest_in_levi(qspec)
-    out = [weyl.multi_compose(wq0, wprime) for wprime in enumerate_left_quotient(qspec)]
-    out.sort(key=weyl.sort_key)
-    return out
+    return _sorted_by_length(
+        [(lg, weyl.multi_compose(wq0, wprime)) for lg, wprime in _left_quotient(qspec)]
+    )
 
 
 def components_through_point(w_x: CosetRep, w: CosetRep) -> bool:
@@ -149,7 +152,7 @@ def components_through_point(w_x: CosetRep, w: CosetRep) -> bool:
     return quotient_leq(w_x, w)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InductionStep:
     """One certified covering step of the walk: s_alpha · w_from = w_to
     with lg_P going up by one, and Q the minimal parabolic of alpha."""
@@ -158,16 +161,6 @@ class InductionStep:
     Q: ParabolicSpec
     w_from: CosetRep
     w_to: CosetRep
-
-    def __eq__(self, other):
-        if not isinstance(other, InductionStep):
-            return NotImplemented
-        return (
-            self.alpha == other.alpha
-            and self.Q == other.Q
-            and self.w_from == other.w_from
-            and self.w_to == other.w_to
-        )
 
 
 def minimal_parabolic(shape: Dict[str, int], alpha: Root) -> ParabolicSpec:

@@ -135,8 +135,57 @@ def min_coset_rep_brute(w, blocks):
     return min(coset, key=inversion_count)
 
 
+def min_reps_brute(blocks):
+    """W^P by definition, sorted by (length, one-line notation): the w with
+    l(w s_i) > l(w) for every simple s_i inside a block."""
+    n = sum(blocks)
+    bl = block_of(blocks)
+    reps = [
+        w for w in all_perms(n)
+        if all(
+            inversion_count(apply_simple_right(w, i)) > inversion_count(w)
+            for i in range(1, n)
+            if bl[i] == bl[i + 1]
+        )
+    ]
+    return sorted(reps, key=lambda w: (inversion_count(w), w))
+
+
 def double_coset(qblocks, w, pblocks):
     return {compose(a, compose(w, b)) for a in wp_elements(qblocks) for b in wp_elements(pblocks)}
+
+
+def double_coset_minima(qblocks, pblocks):
+    """perm -> the minimal-length element of its double coset W_Q w W_P.
+
+    Each double coset is materialized whole, as the closure of one member
+    under left multiplication by the simple reflections of Q and right
+    multiplication by those of P, and its minimum is asserted unique.
+    """
+    n = sum(pblocks)
+    left = [i for i in range(1, n) if block_of(qblocks)[i] == block_of(qblocks)[i + 1]]
+    right = [i for i in range(1, n) if block_of(pblocks)[i] == block_of(pblocks)[i + 1]]
+    out = {}
+    for w in all_perms(n):
+        if w in out:
+            continue
+        coset = {w}
+        frontier = [w]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                moves = [apply_simple_right(u, i) for i in right]
+                moves += [inverse(apply_simple_right(inverse(u), i)) for i in left]
+                for v in moves:
+                    if v not in coset:
+                        coset.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        lengths = sorted(inversion_count(u) for u in coset)
+        assert len(lengths) == 1 or lengths[0] < lengths[1], (w, qblocks, pblocks)
+        best = min(coset, key=inversion_count)
+        out.update(dict.fromkeys(coset, best))
+    return out
 
 
 def levi_positive_roots(blocks):

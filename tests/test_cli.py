@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -249,6 +253,44 @@ def test_ff_verify_bad_cap_names_the_variable(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "WEYLFLAGS_FF_MAX_N" in err
+
+
+def test_coset_enumerate_over_the_quotient_cap_exits_two():
+    # 11! cosets: refused from the multinomial before any enumeration
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("WEYLFLAGS_MAX_QUOTIENT", None)
+    argv = ["coset", "--perm", json.dumps(list(range(1, 12))), "--blocks", json.dumps([1] * 11), "--enumerate"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylflags.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "WEYLFLAGS_MAX_QUOTIENT" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 1.0
+
+
+def test_quotient_cap_applies_to_every_enumerating_subcommand(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("WEYLFLAGS_MAX_QUOTIENT", "2")
+    path = write_scenario(tmp_path, base_scenario())  # W/W_P has 3 cosets
+    for argv in (
+        ["coset", "--perm", "[1,2,3]", "--blocks", "[1,1,1]", "--enumerate"],
+        ["steinberg", "--blocks", "[1,1,1]", "--qblocks", "[1,1,1]", "--list-components"],
+        ["companion", "--scenario", path],
+        ["companion", "--scenario", path, "--jordan-holder"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "WEYLFLAGS_MAX_QUOTIENT" in err
+    monkeypatch.setenv("WEYLFLAGS_MAX_QUOTIENT", "3")
+    code, out, err = run(capsys, "companion", "--scenario", path, "--jordan-holder")
+    assert code == 0
+    monkeypatch.setenv("WEYLFLAGS_MAX_QUOTIENT", "x")
+    code, out, err = run(capsys, "coset", "--perm", "[1,2]", "--blocks", "[1,1]", "--enumerate")
+    assert code == 2 and "WEYLFLAGS_MAX_QUOTIENT" in err
 
 
 def test_walk_from_h(capsys):

@@ -177,3 +177,62 @@ def test_character_symbol_equality_is_structural():
     c = CharacterSymbol({"t": (2, 1)}, (("v", ("a", "b")),))
     assert a == b
     assert a != c
+
+
+def interval_cases():
+    """(spec, h, quotient as label -> perm dicts sorted by the library's
+    key) for every composition with n <= 4 and two labels at n = 3."""
+    specs = [{"t": b} for n in (1, 2, 3, 4) for b in oracles.compositions(n)]
+    specs += [{"a": a, "b": b} for a in oracles.compositions(3) for b in oracles.compositions(3)]
+    for spec in specs:
+        labels = sorted(spec)
+        h = {tau: tuple(k for k, size in enumerate(spec[tau]) for _ in range(size)) for tau in labels}
+        quotient = [
+            dict(zip(labels, parts))
+            for parts in itertools.product(*(oracles.min_reps_brute(spec[tau]) for tau in labels))
+        ]
+        quotient.sort(key=lambda w: (sum(map(oracles.inversion_count, w.values())), weyl.freeze(w)))
+        yield spec, h, quotient
+
+
+def leq(u, v):
+    return all(oracles.bruhat_leq_subword(u[tau], v[tau]) for tau in u)
+
+
+def test_companion_set_matches_filter_oracle():
+    for spec, h, quotient in interval_cases():
+        for start in quotient:
+            w_R = CosetRep(start, spec)
+            got = companion_set(refinement(), h, w_R)
+            assert [w.rep for w, _ in got] == [v for v in quotient if leq(start, v)], (spec, start)
+            for w, c in got:
+                assert w.lg == sum(map(oracles.inversion_count, w.rep.values()))
+                assert c == companion.character_for(CosetRep(w.rep, spec), h, refinement())
+
+
+def test_jordan_holder_cosets_match_filter_oracle():
+    for spec, h, quotient in interval_cases():
+        for top in quotient:
+            w = CosetRep(top, spec)
+            below = [v for v in quotient if leq(v, top)]
+            got = jordan_holder_cosets(w)
+            assert [c.rep for c in got] == below, (spec, top)
+            assert [c.lg for c in got] == [weyl.multi_length(v) for v in below]
+            for bottom in quotient:
+                cut = jordan_holder_cosets(w, at_least=CosetRep(bottom, spec))
+                assert [c.rep for c in cut] == [v for v in below if leq(bottom, v)], (
+                    spec, top, bottom,
+                )
+
+
+def test_intervals_refuse_quotients_over_the_cap(monkeypatch):
+    monkeypatch.setenv(cosets.ENV_MAX_QUOTIENT, "5")
+    h = {"t": (0, 1, 2)}
+    top = CosetRep({"t": (3, 2, 1)}, {"t": (1, 1, 1)})
+    with pytest.raises(ValueError, match="6 cosets"):
+        companion_set(refinement(), h, top)
+    with pytest.raises(ValueError, match="6 cosets"):
+        jordan_holder_cosets(top)
+    with pytest.raises(ValueError, match="different quotients"):
+        monkeypatch.delenv(cosets.ENV_MAX_QUOTIENT)
+        jordan_holder_cosets(top, at_least=CosetRep({"t": (1, 2, 3)}, {"t": (2, 1)}))

@@ -136,6 +136,19 @@ def test_shortest_double_coset_methods_agree():
         cosets.shortest_double_coset_rep({"t": (1, 2)}, {"t": (2,)}, {"t": (2,)}, "magic")
 
 
+def test_normalising_double_coset_route_matches_oracle():
+    # every (w, Q, P) with n <= 5, against the materialized double coset
+    for n in range(1, 6):
+        for qblocks in oracles.compositions(n):
+            for pblocks in oracles.compositions(n):
+                minima = oracles.double_coset_minima(qblocks, pblocks)
+                for w in perms(n):
+                    got = cosets.shortest_double_coset_rep(
+                        {"t": w}, {"t": qblocks}, {"t": pblocks}, "normalize"
+                    )
+                    assert got == {"t": minima[w]}, (w, qblocks, pblocks)
+
+
 def test_length_split_stats_pinned_and_total():
     assert cosets.length_split_stats((3, 2, 1), (2, 1)) == (1, 2)
     for sigma in perms(4):
@@ -145,3 +158,63 @@ def test_length_split_stats_pinned_and_total():
             rep, inside = cosets.decompose({"t": sigma}, {"t": blocks})
             assert within == weyl.multi_length(inside)
             assert across == weyl.multi_length(rep)
+
+
+def test_min_reps_perm_is_lexicographic():
+    for n in range(1, 7):
+        for blocks in oracles.compositions(n):
+            reps = cosets._min_reps_perm(blocks)
+            assert reps == sorted(oracles.min_reps_brute(blocks)), blocks
+
+
+def test_enumerate_quotient_matches_filter_oracle():
+    for n in range(1, 7):
+        for blocks in oracles.compositions(n):
+            quo = cosets.enumerate_quotient({"t": blocks})
+            assert [c.rep for c in quo] == [{"t": w} for w in oracles.min_reps_brute(blocks)]
+            assert [c.lg for c in quo] == [oracles.inversion_count(c.rep["t"]) for c in quo]
+            assert all(c == CosetRep(c.rep, {"t": blocks}) for c in quo)
+
+
+def test_enumerate_quotient_two_labels_matches_filter_oracle():
+    specs = [
+        {"b": qb, "a": pb}
+        for m in (1, 2, 3) for k in (1, 2, 3)
+        for qb in oracles.compositions(m) for pb in oracles.compositions(k)
+    ]
+    for spec in specs:
+        expected = [
+            (oracles.inversion_count(u) + oracles.inversion_count(v), (u, v))
+            for u in oracles.min_reps_brute(spec["a"])
+            for v in oracles.min_reps_brute(spec["b"])
+        ]
+        expected.sort()
+        quo = cosets.enumerate_quotient(spec)
+        assert [(c.lg, (c.rep["a"], c.rep["b"])) for c in quo] == expected, spec
+        assert [c.sort_key() for c in quo] == [weyl.sort_key(c.rep) for c in quo]
+
+
+def test_coset_rep_length_is_cached_and_lazy():
+    c = CosetRep({"t": (3, 1, 2, 4)}, {"t": (1, 1, 2)})
+    assert c._lg is None
+    assert c.lg == 2
+    assert c._lg == 2
+    assert c.sort_key() == weyl.sort_key(c.rep)
+
+
+def test_quotient_cap(monkeypatch):
+    monkeypatch.delenv(cosets.ENV_MAX_QUOTIENT, raising=False)
+    cosets._require_quotient_cap({"t": (1,) * 9})  # rank 9 is admitted
+    with pytest.raises(ValueError, match="3628800.*WEYLFLAGS_MAX_QUOTIENT"):
+        cosets.enumerate_quotient({"t": (1,) * 10})
+    with pytest.raises(ValueError, match="3628800"):
+        cosets.enumerate_left_quotient({"t": (1,) * 10})
+    monkeypatch.setenv(cosets.ENV_MAX_QUOTIENT, "10")
+    assert len(cosets.enumerate_quotient({"t": (1, 1, 1)})) == 6
+    with pytest.raises(ValueError, match="24 cosets"):
+        cosets.enumerate_quotient({"t": (1, 1, 1, 1)})
+    with pytest.raises(ValueError, match="18 cosets"):
+        cosets.enumerate_quotient({"a": (2, 2), "b": (1, 2)})
+    monkeypatch.setenv(cosets.ENV_MAX_QUOTIENT, "abc")
+    with pytest.raises(ValueError, match="WEYLFLAGS_MAX_QUOTIENT.*'abc'"):
+        cosets.enumerate_quotient({"t": (1, 1)})

@@ -406,3 +406,41 @@ def test_run_suite_skip_notes_name_cost_and_gate():
     nu_cost = 3 ** 16 * ff.q_factorial(4, 3)
     for name in ("fiber_dimension", "weight_map"):
         assert rows[name]["observed"] == f"skipped: nu sweep cost {nu_cost} > {ff.NU_SWEEP_GATE}"
+
+
+def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
+    """incidence_count's answer, re-inverting every flag through adjoint."""
+    test = ff._condition_test(condition, blocks, qblocks)
+    full = space == "full_flag"
+    points = ff.enumerate_flags(nu.n, nu.p) if full else ff.enumerate_partial_flags(nu.n, nu.p, blocks)
+    witnesses, by_cell = [], {}
+    for point in points:
+        g = point.canonical_matrix if full else point
+        if test(ff.adjoint(g, nu)):
+            witnesses.append(point)
+            cell = point.cell if full else min_rep_perm(ff.bruhat_cell_of(g), blocks)
+            by_cell[cell] = by_cell.get(cell, 0) + 1
+    return len(witnesses), tuple(witnesses), sorted(by_cell.items(), key=lambda kv: (oracles.inversion_count(kv[0]), kv[0]))
+
+
+def test_incidence_count_matches_adjoint_route():
+    rng = random.Random(11)
+    for n, p in ((3, 2), (3, 3), (4, 2)):
+        nus = [ff.FqMatrix(p, tuple(tuple(0 for _ in range(n)) for _ in range(n)))]
+        nus += [ff.FqMatrix(p, tuple(tuple(int(i == j) * (i % p) for j in range(n)) for i in range(n)))]
+        nus += [ff.FqMatrix(p, rand_matrix(rng, n, p)) for _ in range(2)]
+        blocks = (2,) + (1,) * (n - 2)
+        for nu in nus:
+            for args in (
+                ("in_b", "full_flag"),
+                ("in_u", "full_flag"),
+                ("in_p", "full_flag", blocks),
+                ("in_nQ", "full_flag", None, blocks),
+                ("in_p", "partial_flag", blocks),
+                ("in_b", "partial_flag", (1, n - 1)),
+            ):
+                report = ff.incidence_count(nu, *args)
+                count, witnesses, by_cell = incidence_by_adjoint(nu, *args)
+                assert report.count == count, (n, p, args)
+                assert report.witnesses == witnesses
+                assert list(report.by_cell) == by_cell

@@ -134,3 +134,20 @@ def test_find_induction_step_exhaustive_contains_default():
     one = steinberg.find_induction_step(coset, pspec, h)
     assert one in all_steps
     assert len({s.alpha for s in all_steps}) == len(all_steps)
+
+
+def test_component_lists_keep_sort_key_order():
+    qspecs = [{"t": q} for n in range(1, 6) for q in oracles.compositions(n)]
+    qspecs += [{"a": (1, 2), "b": (2, 1)}, {"a": (1, 1, 1), "b": (1, 1)}]
+    for qspec in qspecs:
+        left = cosets.enumerate_left_quotient(qspec)
+        expected = sorted(
+            (weyl.multi_inverse(c.rep) for c in cosets.enumerate_quotient(qspec)),
+            key=weyl.sort_key,
+        )
+        assert left == expected, qspec
+        comps = steinberg.steinberg_components_full_flag(qspec)
+        wq0 = cosets.longest_in_levi(qspec)
+        assert comps == sorted(
+            (weyl.multi_compose(wq0, w) for w in left), key=weyl.sort_key
+        ), qspec
