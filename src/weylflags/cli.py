@@ -287,7 +287,7 @@ def cmd_walk(args) -> int:
 def cmd_ff_verify(args) -> int:
     n, p = args.n, args.p
     checks: Optional[List[str]] = None
-    if args.suite and args.suite != "all":
+    if args.suite != "all":
         checks = [name.strip() for name in args.suite.split(",") if name.strip()]
     if args.scenario:
         sc = jsonio.load_scenario(args.scenario)
@@ -375,14 +375,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, jsonio.ScenarioError) as err:
+    except (CliError, jsonio.ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

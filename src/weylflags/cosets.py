@@ -447,9 +447,7 @@ def length_split_stats(sigma: Perm, blocks: Tuple[int, ...]) -> Tuple[int, int]:
     sigma = weyl.check_perm(sigma)
     if sum(blocks) != len(sigma):
         raise ValueError(f"composition {blocks} does not sum to rank {len(sigma)}")
-    bl = []
-    for b, size in enumerate(blocks):
-        bl.extend([b] * size)
+    bl = block_index(blocks)
     within = across = 0
     n = len(sigma)
     for m in range(n):

@@ -258,13 +258,7 @@ def p_regular_witness(spec: ParabolicSpec) -> IntegralWeight:
     >>> p_regular_witness({"t": (2, 1)})
     {'t': (0, 0, 1)}
     """
-    out = {}
-    for tau in spec:
-        vec = []
-        for b, size in enumerate(spec[tau]):
-            vec.extend([b] * size)
-        out[tau] = tuple(vec)
-    return out
+    return {tau: block_index(blocks) for tau, blocks in spec.items()}
 
 
 if __name__ == "__main__":

@@ -153,11 +153,6 @@ def check_multi(w: MultiPerm) -> MultiPerm:
     return {tau: check_perm(part) for tau, part in w.items()}
 
 
-def taus(w: MultiPerm) -> Tuple[str, ...]:
-    """Embedding labels in the fixed (sorted) total order."""
-    return tuple(sorted(w))
-
-
 def _check_same_shape(u: MultiPerm, v: MultiPerm) -> None:
     if set(u) != set(v):
         raise ValueError(f"embedding sets differ: {sorted(u)} vs {sorted(v)}")

@@ -5,8 +5,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from weylflags import cli
+from weylflags import cli, fforacle
 
 
 def run(capsys, *argv):
@@ -369,3 +370,99 @@ def test_ff_verify_out_of_bounds_exits_two(capsys):
     code, _, err = run(capsys, "ff-verify", "--suite", "all", "--n", "9", "--p", "2")
     assert code == 2
     assert "enumeration cap" in err
+
+
+@pytest.mark.parametrize("suite", [",", " , ,", ""])
+def test_ff_verify_empty_selection_exits_two(capsys, suite):
+    code, out, err = run(capsys, "ff-verify", "--n", "2", "--p", "3", "--suite", suite)
+    assert code == 2
+    assert out == ""
+    assert "no checks selected" in err
+    assert "Traceback" not in err
+
+
+def test_ff_verify_huge_p_exits_two(capsys):
+    # refused by the cap before the primality test, which would overflow
+    # converting p to a float (or, for a large prime, never finish)
+    code, out, err = run(capsys, "ff-verify", "--n", "2", "--p", str(10**400))
+    assert code == 2
+    assert out == ""
+    assert "enumeration cap" in err
+
+
+# fuzzing: every input ends in exit 0, 1 or 2 with no traceback
+
+_LABEL = st.sampled_from(["tau", "t", "u", ""])
+_ENTRY = st.one_of(
+    st.integers(-2, 5), st.booleans(), st.floats(-3, 3), st.text(max_size=2), st.none()
+)
+_VECTOR = st.one_of(
+    st.integers(1, 3).flatmap(lambda k: st.permutations(range(1, k + 1))).map(list),
+    st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    st.lists(st.integers(-1, 4), max_size=5),
+    st.lists(_ENTRY, max_size=4),
+)
+_JSON_ARG = st.one_of(
+    # bare arrays twice, so that valid inputs reach the commands often
+    _VECTOR.map(json.dumps),
+    _VECTOR.map(json.dumps),
+    st.dictionaries(_LABEL, _VECTOR, max_size=2).map(json.dumps),
+    _ENTRY.map(json.dumps),
+    st.sampled_from(["", "[", "[1,2", '{"t": [1,', "nope", "[1,2]]", "{}", "[]"]),
+)
+_SUITE = st.one_of(
+    st.lists(st.sampled_from(fforacle.SUITE_CHECKS + ("bogus", "", " ")), max_size=3).map(",".join),
+    st.sampled_from(["all", ",", ",,", " , "]),
+)
+
+
+def _options(draw, *flags):
+    out = []
+    for flag in flags:
+        if draw(st.booleans()):
+            out += [flag] if flag in ("--pretty", "--enumerate", "--list-components") else [flag, draw(_JSON_ARG)]
+    return out
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["weyl", "coset", "steinberg", "walk", "ff-verify"]))
+    if command == "weyl":
+        return ["weyl", "--perm", draw(_JSON_ARG)] + _options(draw, "--other", "--pretty")
+    if command == "coset":
+        return ["coset", "--perm", draw(_JSON_ARG), "--blocks", draw(_JSON_ARG)] + _options(
+            draw, "--other", "--qblocks", "--enumerate", "--pretty"
+        )
+    if command == "steinberg":
+        return ["steinberg", "--blocks", draw(_JSON_ARG), "--qblocks", draw(_JSON_ARG)] + _options(
+            draw, "--perm", "--h", "--list-components", "--pretty"
+        )
+    if command == "walk":
+        return ["walk"] + _options(draw, "--h", "--perm", "--pretty")
+    n = draw(st.one_of(st.integers(1, 2), st.integers(max_value=2)))
+    p = draw(st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers()))
+    argv = ["ff-verify", "--n", str(n), "--p", str(p)]
+    if draw(st.booleans()):
+        argv += ["--suite", draw(_SUITE)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["ff-verify", "--n", "2", "--p", "3", "--suite", ","])
+@example(argv=["ff-verify", "--n", "2", "--p", str(10**400)])
+def test_cli_fuzz_keeps_the_exit_contract(capsys, argv):
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejecting the command line
+        assert exc.code == 2
+        code = 2
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert argv[0] == "ff-verify"
+    if code == 0 and argv[0] == "ff-verify":
+        assert json.loads(out)["results"]

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -406,6 +408,42 @@ def test_run_suite_skip_notes_name_cost_and_gate():
     nu_cost = 3 ** 16 * ff.q_factorial(4, 3)
     for name in ("fiber_dimension", "weight_map"):
         assert rows[name]["observed"] == f"skipped: nu sweep cost {nu_cost} > {ff.NU_SWEEP_GATE}"
+
+
+@pytest.mark.parametrize(
+    "name, n, p, reason",
+    [
+        ("shortest_element", 4, 3, "borel sweep cost 11337408 > 3000000"),
+        # 3^9 * [3]_3! = 19683 * 52
+        ("fiber_dimension", 3, 3, "nu sweep cost 1023516 > 600000"),
+        ("weight_map", 3, 3, "nu sweep cost 1023516 > 600000"),
+        ("covering_degree", 3, 2, "needs p >= n"),
+        ("blowup", 2, 2, "needs p != 2"),
+    ],
+)
+def test_run_suite_refusals_name_the_reason(name, n, p, reason):
+    with pytest.raises(ValueError) as info:
+        ff.run_suite(n, p, checks=[name])
+    assert str(info.value) == f"{name} refused at n={n}, p={p}: {reason}"
+    # the same reason is the skip note of --suite all
+    rows = [row for row in ff.run_suite(n, p) if row["check"] == name]
+    assert [row["observed"] for row in rows] == [f"skipped: {reason}"]
+
+
+def test_run_suite_refuses_an_empty_selection():
+    with pytest.raises(ValueError, match="no checks selected"):
+        ff.run_suite(2, 3, checks=[])
+
+
+def test_run_suite_rows_match_the_recorded_stream():
+    # every row of run_suite at four (n, p), skip rows included, recorded
+    # in JSON form (what ff-verify prints): any change to a row shows here
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "run_suite_rows.json")
+    with open(path) as handle:
+        recorded = json.load(handle)
+    for key, rows in recorded.items():
+        n, p = map(int, key.split(","))
+        assert json.loads(json.dumps(ff.run_suite(n, p))) == rows, key
 
 
 def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
