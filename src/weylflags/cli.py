@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import companion, cosets, fforacle, jsonio, roots, steinberg, weyl
+from . import companion, cosets, jsonio, roots, steinberg, weyl
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -285,6 +285,9 @@ def cmd_walk(args) -> int:
 
 
 def cmd_ff_verify(args) -> int:
+    # only this command needs the oracle, so only it pays for the import
+    from . import fforacle
+
     n, p = args.n, args.p
     checks: Optional[List[str]] = None
     if args.suite != "all":

@@ -1,10 +1,15 @@
 """Exhaustive flag-variety checks over small prime fields.
 
-Enumerates G/B and G/P pointwise for GL_n over F_p, classifies points into
-Bruhat cells by lower-left rank profiles, and brute-forces the adjoint
-incidence conditions (Ad(g^-1)nu lying in b, p, u or n_Q) that the rest of
-the package reasons about combinatorially.  Everything here is counting;
-no claim beyond membership and cardinality is certified.
+Enumerates G/P pointwise for GL_n over F_p, one enumeration for every
+parabolic: the Borel is the block composition (1,...,1), and G/P is built
+from its minimal Schubert cells, the points u·dot(w) of B·dot(w)·B/B for w
+in W^P, which map isomorphically onto B·dot(w)·P/P.  Every point carries
+its cell.  Bruhat cells of arbitrary matrices are read from elimination
+pivots.  Membership of Ad(g^-1)nu in b, p, u or n_Q is one test: the
+entries below the block diagonal (and, for u and n_Q, on it) vanish.  The
+rest of the package reasons about these incidences combinatorially.
+Everything here is counting; no claim beyond membership and cardinality
+is certified.
 
 Hard caps keep runtimes sane: n <= 4, p in {2,3,5,7}, and n = 4 only with
 p <= 3.  The environment variables WEYLFLAGS_FF_MAX_N / WEYLFLAGS_FF_MAX_P
@@ -28,12 +33,13 @@ import itertools
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cosets import _cap, _min_reps_perm, min_rep_perm
+from .cosets import _cap, _min_reps_perm, _min_reps_with_length, min_rep_perm
 from .roots import block_index
 from .weyl import Perm, check_perm, inverse, length
 
@@ -98,7 +104,6 @@ def mat_identity(n: int) -> Rows:
 
 
 def mat_mul(a: Rows, b: Rows, p: int) -> Rows:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
@@ -173,6 +178,9 @@ def perm_matrix(w: Perm, p: int) -> FqMatrix:
 
 @dataclass(frozen=True)
 class FlagPoint:
+    """A point of G/P: canonical_matrix is u·dot(cell), u upper unipotent
+    with cell_coords at the free positions of the cell, cell in W^P."""
+
     cell: Perm
     cell_coords: Tuple[int, ...]
     canonical_matrix: FqMatrix
@@ -194,11 +202,22 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
     return out
 
 
+def _check_blocks(blocks: Tuple[int, ...], n: int) -> None:
+    if sum(blocks) != n:
+        raise ValueError(f"blocks {blocks} do not sum to {n}")
+    if min(blocks) < 1:
+        raise ValueError(f"blocks must be positive: {blocks}")
+
+
 @lru_cache(maxsize=None)
-def _flags_cached(n: int, p: int) -> Tuple[FlagPoint, ...]:
+def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, ...]:
+    """One point u·dot(w) per coset gP, the cell of each minimal
+    representative w of W/W_P in turn, sorted by (length(w), w).  For w in
+    W^P the cell B·dot(w)·B/B maps isomorphically onto B·dot(w)·P/P, and
+    G/P is the disjoint union of these cells; the Borel is blocks (1,)*n."""
+    _check_blocks(blocks, n)
     points = []
-    perms = sorted(itertools.permutations(range(1, n + 1)), key=lambda w: (length(w), w))
-    for w in perms:
+    for _, w in sorted(_min_reps_with_length(blocks)):
         pm = perm_rows(w)
         free = cell_free_positions(w)
         for coords in itertools.product(range(p), repeat=len(free)):
@@ -214,7 +233,7 @@ def enumerate_flags(n: int, p: int) -> List[FlagPoint]:
     """Every Borel coset of GL_n(F_p) exactly once, as u·dot(w) cell
     representatives; sorted by (cell length, cell, coordinates)."""
     check_bounds(n, p)
-    return list(_flags_cached(n, p))
+    return list(_flags_cached(n, p, (1,) * n))
 
 
 def bruhat_cell_of(g: FqMatrix) -> Perm:
@@ -231,70 +250,67 @@ def bruhat_cell_of(g: FqMatrix) -> Perm:
     return check_perm(tuple(r + 1 for _, r in pivots))
 
 
-def _column_space_rows(g: FqMatrix, k: int) -> Rows:
-    cols = tuple(zip(*g.entries))
-    return rref(cols[:k], g.p)
-
-
 def flag_key(g: FqMatrix) -> Tuple[Rows, ...]:
     """Canonical label of the full flag of g: RREF of the span of the
     first k columns for k = 1..n-1.  Equal keys <=> equal cosets gB."""
-    return tuple(_column_space_rows(g, k) for k in range(1, g.n))
+    return partial_flag_key(g, (1,) * g.n)
 
 
 def partial_flag_key(g: FqMatrix, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
     """Canonical label of the partial flag of g for the block composition:
-    subspace spans at the proper prefix sums of the blocks."""
+    the same spans at the proper prefix sums of the blocks."""
     if sum(blocks) != g.n:
         raise ValueError(f"blocks {blocks} do not sum to {g.n}")
-    prefixes = list(itertools.accumulate(blocks))[:-1]
-    return tuple(_column_space_rows(g, k) for k in prefixes)
-
-
-@lru_cache(maxsize=None)
-def _partial_flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FqMatrix, ...]:
-    seen = {}
-    for point in _flags_cached(n, p):
-        key = partial_flag_key(point.canonical_matrix, blocks)
-        if key not in seen:
-            seen[key] = point.canonical_matrix
-    return tuple(seen.values())
+    cols = tuple(zip(*g.entries))
+    return tuple(rref(cols[:k], g.p) for k in itertools.accumulate(blocks[:-1]))
 
 
 def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqMatrix]:
-    """One representative matrix per coset gP, in first-seen cell order."""
+    """One representative matrix per coset gP: the points of the cells of
+    the minimal representatives, in the order of enumerate_flags."""
     check_bounds(n, p)
-    return list(_partial_flags_cached(n, p, tuple(blocks)))
+    return [point.canonical_matrix for point in _flags_cached(n, p, tuple(blocks))]
 
 
 # ---------------------------------------------------------------------------
 # adjoint membership masks
 
-def _b_positions(n: int) -> List[Tuple[int, int]]:
-    """The coordinates of b: (i, j) with i <= j, 0-indexed."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+@lru_cache(maxsize=None)
+def _zero_positions(blocks: Tuple[int, ...], diagonal: bool) -> Tuple[Tuple[int, int], ...]:
+    """The entries (i, j), 0-indexed, that vanish on p for the block
+    composition: i's block after j's, and with diagonal also i and j in
+    one block (the nilradical).  b and u are blocks (1,)*n."""
+    bl = block_index(blocks)
+    return tuple(
+        (i, j) for i, a in enumerate(bl) for j, b in enumerate(bl) if a > b or diagonal and a == b
+    )
+
+
+def _p_positions(blocks: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """The coordinates of p, 0-indexed, row by row: (i, j) with i's block
+    not after j's."""
+    bl = block_index(blocks)
+    return [(i, j) for i, a in enumerate(bl) for j, b in enumerate(bl) if a <= b]
+
+
+def _in_blocks(m: Rows, blocks: Tuple[int, ...], diagonal: bool) -> bool:
+    return not any(m[i][j] for i, j in _zero_positions(blocks, diagonal))
 
 
 def in_b(m: Rows) -> bool:
-    n = len(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(i))
+    return _in_blocks(m, (1,) * len(m), False)
 
 
 def in_u(m: Rows) -> bool:
-    n = len(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(i + 1))
+    return _in_blocks(m, (1,) * len(m), True)
 
 
 def in_p_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
-    bl = block_index(blocks)
-    n = len(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(n) if bl[i] > bl[j])
+    return _in_blocks(m, tuple(blocks), False)
 
 
 def in_nq_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
-    bl = block_index(blocks)
-    n = len(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(n) if bl[i] >= bl[j])
+    return _in_blocks(m, tuple(blocks), True)
 
 
 def adjoint(g: FqMatrix, nu: FqMatrix) -> Rows:
@@ -310,30 +326,23 @@ SPACES = ("full_flag", "partial_flag")
 
 
 def _condition_test(condition, blocks, qblocks):
-    if condition == "in_b":
-        return in_b
-    if condition == "in_u":
-        return in_u
-    if condition == "in_p":
-        if blocks is None:
-            raise ValueError("condition in_p needs blocks")
-        return lambda m: in_p_blocks(m, blocks)
-    if condition == "in_nQ":
-        if qblocks is None:
-            raise ValueError("condition in_nQ needs qblocks")
-        return lambda m: in_nq_blocks(m, qblocks)
-    raise ValueError(f"unknown condition {condition!r}; pick one of {CONDITIONS}")
+    """m -> whether m lies in the subalgebra the condition names: p or n_Q
+    for their blocks, b or u for blocks (1,)*n."""
+    if condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}; pick one of {CONDITIONS}")
+    name, parabolic = {"in_p": ("blocks", blocks), "in_nQ": ("qblocks", qblocks)}.get(condition, ("", ()))
+    if parabolic is None:
+        raise ValueError(f"condition {condition} needs {name}")
+    parabolic = tuple(parabolic)
+    diagonal = condition in ("in_u", "in_nQ")
+    return lambda m: _in_blocks(m, parabolic or (1,) * len(m), diagonal)
 
 
 @lru_cache(maxsize=None)
-def _flag_inverses(n: int, p: int, blocks: Optional[Tuple[int, ...]]) -> Tuple[Rows, ...]:
-    """g^{-1} for every cached full flag (blocks None) or partial flag g,
-    in cache order, so incidence_count conjugates without inverting."""
-    if blocks is None:
-        mats = [point.canonical_matrix for point in _flags_cached(n, p)]
-    else:
-        mats = _partial_flags_cached(n, p, blocks)
-    return tuple(mat_inv(g.entries, p) for g in mats)
+def _flag_inverses(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
+    """g^{-1} for every cached flag g of G/P, in cache order, so
+    incidence_count conjugates without inverting."""
+    return tuple(mat_inv(point.canonical_matrix.entries, p) for point in _flags_cached(n, p, blocks))
 
 
 @dataclass(frozen=True)
@@ -351,30 +360,29 @@ def incidence_count(
     qblocks: Optional[Tuple[int, ...]] = None,
 ) -> IncidenceReport:
     """Count flag (or partial-flag) points g with Ad(g^{-1})nu in the
-    requested subalgebra; witnesses and a per-cell breakdown ride along."""
+    requested subalgebra; the witnesses (FlagPoints in both spaces) and a
+    per-cell breakdown ride along."""
     n = nu.n
     p = nu.p
     check_bounds(n, p)
     test = _condition_test(condition, blocks, qblocks)
+    for parabolic in (blocks, qblocks):
+        if parabolic is not None:
+            _check_blocks(tuple(parabolic), n)
     if space == "partial_flag" and blocks is None:
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
-    partial = None if space == "full_flag" else tuple(blocks)
-    points = _flags_cached(n, p) if partial is None else _partial_flags_cached(n, p, partial)
+    flag_blocks = (1,) * n if space == "full_flag" else tuple(blocks)
+    points = _flags_cached(n, p, flag_blocks)
     witnesses = []
     by_cell: Dict[Perm, int] = {}
-    for point, ginv in zip(points, _flag_inverses(n, p, partial)):
-        g = point.canonical_matrix if partial is None else point
-        if test(mat_mul(ginv, mat_mul(nu.entries, g.entries, p), p)):
+    for point, ginv in zip(points, _flag_inverses(n, p, flag_blocks)):
+        if test(mat_mul(ginv, mat_mul(nu.entries, point.canonical_matrix.entries, p), p)):
             witnesses.append(point)
-            cell = point.cell if partial is None else min_rep_perm(bruhat_cell_of(g), partial)
-            by_cell[cell] = by_cell.get(cell, 0) + 1
-    return IncidenceReport(
-        count=len(witnesses),
-        witnesses=tuple(witnesses),
-        by_cell=tuple(sorted(by_cell.items(), key=lambda kv: (length(kv[0]), kv[0]))),
-    )
+            by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
+    # the points come sorted by (length, cell), so by_cell is too
+    return IncidenceReport(count=len(witnesses), witnesses=tuple(witnesses), by_cell=tuple(by_cell.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +441,38 @@ def _ad_images(flags: Sequence[FqMatrix], positions: Sequence[Tuple[int, int]], 
 
 
 @lru_cache(maxsize=None)
-def _in_b_sets(n: int, p: int):
-    flags = [point.canonical_matrix for point in _flags_cached(n, p)]
-    return _ad_images(flags, _b_positions(n), p)
-
-
-@lru_cache(maxsize=None)
 def _in_p_sets(n: int, p: int, blocks: Tuple[int, ...]):
-    bl = block_index(blocks)
-    positions = [(i, j) for i in range(n) for j in range(n) if bl[i] <= bl[j]]
-    return _ad_images(_partial_flags_cached(n, p, blocks), positions, p)
+    flags = [point.canonical_matrix for point in _flags_cached(n, p, blocks)]
+    return _ad_images(flags, _p_positions(blocks), p)
 
 
 @lru_cache(maxsize=None)
 def _position_table(n: int, p: int, blocks: Tuple[int, ...]):
     """positions[full_index][partial_index] over the cached enumerations."""
-    full = [point.canonical_matrix for point in _flags_cached(n, p)]
-    partial = _partial_flags_cached(n, p, blocks)
+    full = [point.canonical_matrix for point in _flags_cached(n, p, (1,) * n)]
+    partial = [point.canonical_matrix for point in _flags_cached(n, p, blocks)]
     return tuple(
         tuple(relative_position_pair(g1, g2, blocks) for g2 in partial) for g1 in full
+    )
+
+
+def _pairs_in_position(w: Perm, blocks: Tuple[int, ...], p: int):
+    """The Ad-image sets (s1, s2) of the flags g1 B and g2 P of every pair
+    in relative position w.  The inputs are checked at once; the pairs
+    are generated as they are read."""
+    n = len(w)
+    check_bounds(n, p)
+    _require_small_for_nu_sweep(n)
+    if w != min_rep_perm(w, blocks):
+        raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
+    full_sets = _in_p_sets(n, p, (1,) * n)
+    partial_sets = _in_p_sets(n, p, blocks)
+    positions = _position_table(n, p, blocks)
+    return (
+        (s1, s2)
+        for row, s1 in zip(positions, full_sets)
+        for position, s2 in zip(row, partial_sets)
+        if position == w
     )
 
 
@@ -468,31 +489,16 @@ def fiber_dimension_check(w: Perm, blocks: Tuple[int, ...], p: int) -> FiberRepo
     fiber {nu : Ad(g1^{-1})nu in b, Ad(g2^{-1})nu in p} must have exactly
     p^(dim b - lg_P(w)) points, dim b = n(n+1)/2."""
     w = check_perm(w)
-    blocks = tuple(blocks)
+    pairs = _pairs_in_position(w, tuple(blocks), p)
     n = len(w)
-    check_bounds(n, p)
-    _require_small_for_nu_sweep(n)
-    if w != min_rep_perm(w, blocks):
-        raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
     expected = p ** (n * (n + 1) // 2 - length(w))
-    full_sets = _in_b_sets(n, p)
-    partial_sets = _in_p_sets(n, p, blocks)
-    positions = _position_table(n, p, blocks)
-    histogram: Dict[int, int] = {}
-    pairs = 0
-    for i1, s1 in enumerate(full_sets):
-        for i2, s2 in enumerate(partial_sets):
-            if positions[i1][i2] != w:
-                continue
-            size = len(s1.keys() & s2.keys())
-            histogram[size] = histogram.get(size, 0) + 1
-            pairs += 1
-    passed = pairs > 0 and set(histogram) == {expected}
+    histogram = Counter(len(s1.keys() & s2.keys()) for s1, s2 in pairs)
+    count = sum(histogram.values())
     return FiberReport(
-        passed=passed,
+        passed=count > 0 and set(histogram) == {expected},
         expected=expected,
         histogram=tuple(sorted(histogram.items())),
-        pairs=pairs,
+        pairs=count,
     )
 
 
@@ -547,23 +553,11 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
     diagonal of Ad(g1^{-1})nu."""
     w = check_perm(w)
     blocks = tuple(blocks)
-    n = len(w)
-    check_bounds(n, p)
-    _require_small_for_nu_sweep(n)
-    if w != min_rep_perm(w, blocks):
-        raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
-    full_sets = _in_b_sets(n, p)
-    partial_sets = _in_p_sets(n, p, blocks)
-    positions = _position_table(n, p, blocks)
-    for i1, s1 in enumerate(full_sets):
-        for i2, s2 in enumerate(partial_sets):
-            if positions[i1][i2] != w:
-                continue
-            for idx in s1.keys() & s2.keys():
-                m1 = s1[idx]
-                weights = tuple(m1[k - 1][k - 1] for k in w)
-                if _levi_charpolys(s2[idx], blocks, p) != _block_root_polys(weights, blocks, p):
-                    return False
+    for s1, s2 in _pairs_in_position(w, blocks, p):
+        for idx in s1.keys() & s2.keys():
+            weights = tuple(s1[idx][k - 1][k - 1] for k in w)
+            if _levi_charpolys(s2[idx], blocks, p) != _block_root_polys(weights, blocks, p):
+                return False
     return True
 
 
@@ -738,7 +732,7 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     order quotient); points must be pairwise distinct cosets and each
     must classify back into its own cell."""
     check_bounds(n, p)
-    flags = _flags_cached(n, p)
+    flags = _flags_cached(n, p, (1,) * n)
     by_cells = sum(
         p ** length(w) for w in itertools.permutations(range(1, n + 1))
     )
@@ -769,7 +763,7 @@ def _b_supports(n: int, p: int) -> Tuple[int, ...]:
     """For every nu in b(F_p), in itertools.product order over the
     coordinates of b: the bitmask of its nonzero coordinates (bit k for
     the k-th coordinate)."""
-    width = len(_b_positions(n))
+    width = n * (n + 1) // 2
     out = []
     for values in itertools.product(range(p), repeat=width):
         mask = 0
@@ -790,7 +784,7 @@ def _ad_off_masks(w: Perm, blocks: Tuple[int, ...], p: int) -> Tuple[int, int]:
     pm = perm_rows(w)
     pmi = perm_rows(inverse(w))
     off_b = off_p = 0
-    for k, (a, b) in enumerate(_b_positions(n)):
+    for k, (a, b) in enumerate(_p_positions((1,) * n)):
         basis = tuple(tuple(int((i, j) == (a, b)) for j in range(n)) for i in range(n))
         m = mat_mul(pmi, mat_mul(basis, pm, p), p)
         support = [m[i][j] for i in range(n) for j in range(n) if m[i][j]]

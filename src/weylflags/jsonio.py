@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 
 from .companion import PlaceRefinement, RefinementSpec, CharacterSymbol, CompanionCertificate
 from .cosets import CosetRep
-from .fforacle import SUITE_CHECKS
 from .roots import IntegralWeight, ParabolicSpec, Root
 from .steinberg import InductionStep
 from .weyl import MultiPerm, check_multi, multi_longest
@@ -285,6 +284,8 @@ def parse_scenario(data: object) -> Scenario:
             character_weight[tau] = vec
     checks = None
     if "checks" in data:
+        from .fforacle import SUITE_CHECKS  # imported here to keep fforacle off other commands
+
         raw = data["checks"]
         if not isinstance(raw, list):
             _fail("scenario.checks", "expected an array of check names")

@@ -62,15 +62,6 @@ def check_spec(spec: ParabolicSpec) -> ParabolicSpec:
     return out
 
 
-def full_spec(shape: Dict[str, int]) -> ParabolicSpec:
-    """The group itself: one block per embedding."""
-    return {tau: (n,) for tau, n in shape.items()}
-
-
-def borel_spec(shape: Dict[str, int]) -> ParabolicSpec:
-    return {tau: (1,) * n for tau, n in shape.items()}
-
-
 def block_index(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
     """Block number of each position, 0-indexed; position i is entry i-1."""
     out = []

@@ -337,6 +337,16 @@ def nu_sets_brute(flags, n, p, test):
     return out
 
 
+def partial_flags_dedup(full_flags, blocks, key):
+    """One matrix per coset gP: of the full flags, in their order, the
+    first with each label key(g, blocks).  Every full flag is visited,
+    and the label costs one RREF per prefix of the blocks."""
+    seen = {}
+    for g in full_flags:
+        seen.setdefault(key(g, blocks), g)
+    return list(seen.values())
+
+
 def _rank_mod(rows, p):
     work = [[x % p for x in row] for row in rows]
     rank = 0

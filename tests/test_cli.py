@@ -420,13 +420,72 @@ def _options(draw, *flags):
     out = []
     for flag in flags:
         if draw(st.booleans()):
-            out += [flag] if flag in ("--pretty", "--enumerate", "--list-components") else [flag, draw(_JSON_ARG)]
+            out += [flag] if flag in ("--pretty", "--enumerate", "--list-components", "--jordan-holder") else [flag, draw(_JSON_ARG)]
     return out
+
+
+# the file path that the fuzz test substitutes for the written scenario
+_SCENARIO = "<scenario>"
+_EIGENVALUE = st.one_of(
+    st.sampled_from(["1", "3", "5", "28", "1/3", "-2"]), st.sampled_from(["0", "1/0", "x", "", "2.5"])
+)
+
+
+@st.composite
+def _place(draw, k, n):
+    order = [f"phi{k}_{j}" for j in range(n)]
+    place = {
+        "label": f"v{k}",
+        "q": draw(st.integers(2, 7)),
+        "embeddings": [f"t{k}"],
+        "hodge_weights": {f"t{k}": sorted(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)))},
+        "refinement_order": order,
+    }
+    if draw(st.booleans()):
+        place["eigenvalues"] = {label: draw(_EIGENVALUE) for label in order}
+    return place
+
+
+@st.composite
+def _scenario_file(draw):
+    """Scenario file bytes: valid, with one field changed or dropped, or
+    not a scenario at all."""
+    kind = draw(st.sampled_from(["valid", "valid", "near", "malformed"]))
+    if kind == "malformed":
+        return draw(st.one_of(
+            st.sampled_from([b"", b"{", b"[]", b"null", b'{"places": [', b"\xff\xfe", b'{"places": []}']),
+            st.binary(max_size=8),
+        ))
+    n = draw(st.integers(1, 4))
+    places = [draw(_place(k, n)) for k in range(draw(st.integers(1, 2)))]
+    embeddings = [place["embeddings"][0] for place in places]
+    data = {"places": places}
+    if draw(st.booleans()):
+        data["position"] = {tau: list(draw(st.permutations(range(1, n + 1)))) for tau in embeddings}
+    if draw(st.booleans()):
+        # sometimes a rearrangement of the hodge weights, as relative_position wants
+        data["character_weight"] = {
+            tau: draw(st.one_of(
+                st.permutations(place["hodge_weights"][tau]).map(list),
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            ))
+            for tau, place in zip(embeddings, places)
+        }
+    if kind == "near":
+        target = draw(st.sampled_from([data] + places))
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(st.one_of(_ENTRY, _VECTOR, st.dictionaries(_LABEL, _VECTOR, max_size=2)))
+    return json.dumps(data).encode()
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["weyl", "coset", "steinberg", "walk", "ff-verify"]))
+    command = draw(st.sampled_from(["weyl", "coset", "steinberg", "walk", "ff-verify", "companion"]))
+    if command == "companion":
+        return ["companion", "--scenario", _SCENARIO] + _options(draw, "--jordan-holder", "--pretty")
     if command == "weyl":
         return ["weyl", "--perm", draw(_JSON_ARG)] + _options(draw, "--other", "--pretty")
     if command == "coset":
@@ -447,12 +506,15 @@ def _argv(draw):
     return argv
 
 
-@settings(derandomize=True, deadline=None, max_examples=400,
+@settings(derandomize=True, deadline=None, max_examples=500,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_argv())
-@example(argv=["ff-verify", "--n", "2", "--p", "3", "--suite", ","])
-@example(argv=["ff-verify", "--n", "2", "--p", str(10**400)])
-def test_cli_fuzz_keeps_the_exit_contract(capsys, argv):
+@given(argv=_argv(), scenario=_scenario_file())
+@example(argv=["ff-verify", "--n", "2", "--p", "3", "--suite", ","], scenario=b"")
+@example(argv=["ff-verify", "--n", "2", "--p", str(10**400)], scenario=b"")
+def test_cli_fuzz_keeps_the_exit_contract(capsys, tmp_path, argv, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(scenario)
+    argv = [str(path) if arg == _SCENARIO else arg for arg in argv]
     capsys.readouterr()
     try:
         code = cli.main(argv)
@@ -462,7 +524,9 @@ def test_cli_fuzz_keeps_the_exit_contract(capsys, argv):
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    if code == 1:
-        assert argv[0] == "ff-verify"
+    if code == 1:  # a failed check: a suite row, or a non-generic companion scenario
+        assert argv[0] in ("ff-verify", "companion")
+        if argv[0] == "companion" and "--pretty" not in argv:
+            assert json.loads(out)["generic"] is False
     if code == 0 and argv[0] == "ff-verify":
         assert json.loads(out)["results"]

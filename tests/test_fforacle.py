@@ -148,6 +148,44 @@ def test_partial_flag_enumeration_counts():
         assert len(keys) == expected
 
 
+# the ff-grid points of the benchmark, and (3, 7)
+GRID = ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (3, 7), (4, 2), (4, 3))
+
+
+def test_partial_flags_match_the_dedup_route():
+    # the minimal cells give, in the same order, the first full flag of
+    # each coset gP
+    for n, p in GRID:
+        full = [point.canonical_matrix for point in ff.enumerate_flags(n, p)]
+        for blocks in oracles.compositions(n):
+            assert ff.enumerate_partial_flags(n, p, blocks) == oracles.partial_flags_dedup(
+                full, blocks, ff.partial_flag_key
+            ), (n, p, blocks)
+
+
+def test_partial_flag_points_carry_their_cell():
+    for n, p in GRID:
+        for blocks in oracles.compositions(n):
+            for point in ff._flags_cached(n, p, blocks):
+                g = point.canonical_matrix
+                assert point.cell == min_rep_perm(ff.bruhat_cell_of(g), blocks), (n, p, blocks)
+
+
+def test_flag_enumeration_and_incidence_refuse_bad_blocks():
+    # (3, -1) sums to 2 but is no composition, and the blocks of a
+    # condition must have the rank of nu, as the flag blocks must
+    zero = ff.FqMatrix(3, ((0, 0), (0, 0)))
+    for blocks, message in (((1,), "do not sum to 2"), ((3, -1), "must be positive"), ((0, 2), "must be positive")):
+        with pytest.raises(ValueError, match=message):
+            ff.enumerate_partial_flags(2, 3, blocks)
+        with pytest.raises(ValueError, match=message):
+            ff.incidence_count(zero, "in_p", "partial_flag", blocks=blocks)
+        with pytest.raises(ValueError, match=message):
+            ff.incidence_count(zero, "in_p", "full_flag", blocks=blocks)
+    with pytest.raises(ValueError, match="do not sum to 2"):
+        ff.incidence_count(zero, "in_nQ", "full_flag", qblocks=(2, 1))
+
+
 def test_point_count_identity_pinned():
     assert ff.point_count_identity(3, 2)["enumerated"] == 21
     report = ff.point_count_identity(3, 3)
@@ -228,7 +266,7 @@ def test_charpoly_against_closed_forms():
 def test_nu_sets_match_brute_sweep():
     for n, p in ((2, 2), (2, 3), (2, 5), (3, 2)):
         flags = [point.canonical_matrix.entries for point in ff.enumerate_flags(n, p)]
-        assert list(ff._in_b_sets(n, p)) == oracles.nu_sets_brute(
+        assert list(ff._in_p_sets(n, p, (1,) * n)) == oracles.nu_sets_brute(
             flags, n, p, oracles.in_b_brute
         ), (n, p)
         for blocks in oracles.compositions(n):
@@ -450,10 +488,10 @@ def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
     """incidence_count's answer, re-inverting every flag through adjoint."""
     test = ff._condition_test(condition, blocks, qblocks)
     full = space == "full_flag"
-    points = ff.enumerate_flags(nu.n, nu.p) if full else ff.enumerate_partial_flags(nu.n, nu.p, blocks)
+    points = ff.enumerate_flags(nu.n, nu.p) if full else ff._flags_cached(nu.n, nu.p, blocks)
     witnesses, by_cell = [], {}
     for point in points:
-        g = point.canonical_matrix if full else point
+        g = point.canonical_matrix
         if test(ff.adjoint(g, nu)):
             witnesses.append(point)
             cell = point.cell if full else min_rep_perm(ff.bruhat_cell_of(g), blocks)
