@@ -30,7 +30,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from . import weyl
-from .roots import ParabolicSpec, block_index, check_spec
+from .roots import ParabolicSpec, block_index, block_slices, check_spec
 from .weyl import MultiPerm, Perm
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
@@ -39,13 +39,12 @@ ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
 
 def min_rep_perm(w: Perm, blocks: Tuple[int, ...]) -> Perm:
     """Minimal representative of w·W_P for one symmetric group factor."""
-    if sum(blocks) != len(w):
-        raise ValueError(f"blocks {blocks} do not sum to rank {len(w)}")
     out = []
-    start = 0
-    for size in blocks:
-        out.extend(sorted(w[start : start + size]))
-        start += size
+    hi = 0  # after the loop, the sum of the blocks
+    for lo, hi in block_slices(tuple(blocks)):
+        out += sorted(w[lo:hi])
+    if hi != len(w):
+        raise ValueError(f"blocks {blocks} do not sum to rank {len(w)}")
     return tuple(out)
 
 
@@ -333,12 +332,9 @@ def wp_elements(spec: ParabolicSpec) -> List[MultiPerm]:
     labels = sorted(spec)
     per_tau = []
     for tau in labels:
-        blocks = spec[tau]
-        per_block = []
-        start = 1
-        for size in blocks:
-            per_block.append(list(itertools.permutations(range(start, start + size))))
-            start += size
+        per_block = [
+            itertools.permutations(range(lo + 1, hi + 1)) for lo, hi in block_slices(spec[tau])
+        ]
         per_tau.append(
             [tuple(x for blk in combo for x in blk) for combo in itertools.product(*per_block)]
         )
@@ -351,15 +347,10 @@ def wp_elements(spec: ParabolicSpec) -> List[MultiPerm]:
 def longest_in_levi(spec: ParabolicSpec) -> MultiPerm:
     """w_{P,0}: the longest element of W_P, reversing each block."""
     spec = check_spec(spec)
-    out = {}
-    for tau, blocks in spec.items():
-        vec = []
-        start = 1
-        for size in blocks:
-            vec.extend(range(start + size - 1, start - 1, -1))
-            start += size
-        out[tau] = tuple(vec)
-    return out
+    return {
+        tau: tuple(v for lo, hi in block_slices(blocks) for v in range(hi, lo, -1))
+        for tau, blocks in spec.items()
+    }
 
 
 def left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
@@ -447,6 +438,7 @@ def length_split_stats(sigma: Perm, blocks: Tuple[int, ...]) -> Tuple[int, int]:
     sigma = weyl.check_perm(sigma)
     if sum(blocks) != len(sigma):
         raise ValueError(f"composition {blocks} does not sum to rank {len(sigma)}")
+    block_slices(tuple(blocks))  # refuses non-positive sizes
     bl = block_index(blocks)
     within = across = 0
     n = len(sigma)

@@ -18,7 +18,11 @@ weight map) additionally require n <= 3 and stay behind the same cost gate.
 They build, for every flag g, the set {nu : Ad(g^{-1})nu in b} as the
 Ad(g)-image {g x g^{-1} : x in b(F_p)}, p^(dim b) points rather than a
 filter over all p^(n^2) matrices, and likewise for p; each set keeps its
-preimages x, so the checks never conjugate nu again.
+preimages x, so the checks never conjugate nu again.  Every enumerated
+flag is inverted exactly once, in _flag_inverses; the incidence counts,
+the Ad(g)-images and the relative-position table read that cache.  The
+weight map compares Levi-block characteristic polynomials, computed by
+Faddeev-LeVerrier over the integers and reduced mod p.
 
 The shortest-element check still visits every nu in b(F_p), but tests it
 by support masks: conjugating each basis matrix E_ab (a <= b) by dot(w)
@@ -40,7 +44,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cosets import _cap, _min_reps_perm, _min_reps_with_length, min_rep_perm
-from .roots import block_index
+from .roots import block_index, block_slices
 from .weyl import Perm, check_perm, inverse, length
 
 DEFAULT_MAX_N = 4
@@ -205,8 +209,7 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
 def _check_blocks(blocks: Tuple[int, ...], n: int) -> None:
     if sum(blocks) != n:
         raise ValueError(f"blocks {blocks} do not sum to {n}")
-    if min(blocks) < 1:
-        raise ValueError(f"blocks must be positive: {blocks}")
+    block_slices(blocks)  # refuses non-positive sizes
 
 
 @lru_cache(maxsize=None)
@@ -259,8 +262,7 @@ def flag_key(g: FqMatrix) -> Tuple[Rows, ...]:
 def partial_flag_key(g: FqMatrix, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
     """Canonical label of the partial flag of g for the block composition:
     the same spans at the proper prefix sums of the blocks."""
-    if sum(blocks) != g.n:
-        raise ValueError(f"blocks {blocks} do not sum to {g.n}")
+    _check_blocks(tuple(blocks), g.n)
     cols = tuple(zip(*g.entries))
     return tuple(rref(cols[:k], g.p) for k in itertools.accumulate(blocks[:-1]))
 
@@ -313,14 +315,6 @@ def in_nq_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
     return _in_blocks(m, tuple(blocks), True)
 
 
-def adjoint(g: FqMatrix, nu: FqMatrix) -> Rows:
-    """Ad(g^{-1}) nu = g^{-1} nu g."""
-    if g.p != nu.p:
-        raise ValueError("field mismatch")
-    ginv = mat_inv(g.entries, g.p)
-    return mat_mul(ginv, mat_mul(nu.entries, g.entries, g.p), g.p)
-
-
 CONDITIONS = ("in_b", "in_p", "in_u", "in_nQ")
 SPACES = ("full_flag", "partial_flag")
 
@@ -340,8 +334,8 @@ def _condition_test(condition, blocks, qblocks):
 
 @lru_cache(maxsize=None)
 def _flag_inverses(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
-    """g^{-1} for every cached flag g of G/P, in cache order, so
-    incidence_count conjugates without inverting."""
+    """g^{-1} for every cached flag g of G/P, in cache order: the only
+    place a flag is inverted, so every flag is inverted once."""
     return tuple(mat_inv(point.canonical_matrix.entries, p) for point in _flags_cached(n, p, blocks))
 
 
@@ -393,34 +387,30 @@ def relative_position_pair(g1: FqMatrix, g2: FqMatrix, blocks: Tuple[int, ...]) 
     cell of g1^{-1} g2."""
     if g1.p != g2.p:
         raise ValueError("field mismatch")
-    m = FqMatrix(g1.p, mat_mul(mat_inv(g1.entries, g1.p), g2.entries, g1.p))
-    return min_rep_perm(bruhat_cell_of(m), tuple(blocks))
+    return _position(mat_inv(g1.entries, g1.p), g2.entries, tuple(blocks), g1.p)
 
 
-def _require_small_for_nu_sweep(n: int) -> None:
-    if n > 3:
-        raise ValueError(
-            f"nu sweep enumerates the Ad(g)-images of b and p for every flag; "
-            f"n={n} is beyond the n<=3 bound"
-        )
+def _position(g1inv: Rows, g2: Rows, blocks: Tuple[int, ...], p: int) -> Perm:
+    """relative_position_pair for a g1 given by its inverse."""
+    return min_rep_perm(bruhat_cell_of(FqMatrix(p, mat_mul(g1inv, g2, p))), blocks)
 
 
-def _ad_images(flags: Sequence[FqMatrix], positions: Sequence[Tuple[int, int]], p: int):
-    """For each flag g, {index of nu: Ad(g^{-1})nu} over the nu with
-    Ad(g^{-1})nu supported on positions.  That set is exactly
-    {g x g^{-1} : x supported on positions}, so it is walked from x, one
-    coordinate at a time, adding multiples of the images g E_ij g^{-1}.
-    The index of nu is its base-p value read row by row, first entry most
-    significant."""
+@lru_cache(maxsize=None)
+def _in_p_sets(n: int, p: int, blocks: Tuple[int, ...]):
+    """For each flag g of G/P, {index of nu: Ad(g^{-1})nu} over the nu
+    with Ad(g^{-1})nu in p.  That set is exactly {g x g^{-1} : x in p},
+    so it is walked from x, one coordinate of p at a time, adding
+    multiples of the images g E_ij g^{-1}.  The index of nu is its base-p
+    value read row by row, first entry most significant."""
+    positions = _p_positions(blocks)
     out = []
-    for g in flags:
-        n = g.n
-        ginv = mat_inv(g.entries, p)
+    for point, ginv in zip(_flags_cached(n, p, blocks), _flag_inverses(n, p, blocks)):
+        g = point.canonical_matrix.entries
         # (nu flattened, coordinates of x), in itertools.product order
         points = [((0,) * (n * n), ())]
         for i, j in positions:
             # g E_ij g^{-1} is column i of g times row j of g^{-1}
-            basis = [g.entries[a][i] * ginv[j][b] for a in range(n) for b in range(n)]
+            basis = [g[a][i] * ginv[j][b] for a in range(n) for b in range(n)]
             points = [
                 (tuple((x + c * y) % p for x, y in zip(flat, basis)), coords + (c,))
                 for flat, coords in points
@@ -441,18 +431,13 @@ def _ad_images(flags: Sequence[FqMatrix], positions: Sequence[Tuple[int, int]], 
 
 
 @lru_cache(maxsize=None)
-def _in_p_sets(n: int, p: int, blocks: Tuple[int, ...]):
-    flags = [point.canonical_matrix for point in _flags_cached(n, p, blocks)]
-    return _ad_images(flags, _p_positions(blocks), p)
-
-
-@lru_cache(maxsize=None)
 def _position_table(n: int, p: int, blocks: Tuple[int, ...]):
-    """positions[full_index][partial_index] over the cached enumerations."""
-    full = [point.canonical_matrix for point in _flags_cached(n, p, (1,) * n)]
-    partial = [point.canonical_matrix for point in _flags_cached(n, p, blocks)]
+    """positions[full_index][partial_index] over the cached enumerations,
+    conjugating by the cached inverses of the full flags."""
+    partial = [point.canonical_matrix.entries for point in _flags_cached(n, p, blocks)]
     return tuple(
-        tuple(relative_position_pair(g1, g2, blocks) for g2 in partial) for g1 in full
+        tuple(_position(g1inv, g2, blocks, p) for g2 in partial)
+        for g1inv in _flag_inverses(n, p, (1,) * n)
     )
 
 
@@ -462,7 +447,11 @@ def _pairs_in_position(w: Perm, blocks: Tuple[int, ...], p: int):
     are generated as they are read."""
     n = len(w)
     check_bounds(n, p)
-    _require_small_for_nu_sweep(n)
+    if n > 3:
+        raise ValueError(
+            f"nu sweep enumerates the Ad(g)-images of b and p for every flag; "
+            f"n={n} is beyond the n<=3 bound"
+        )
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
     full_sets = _in_p_sets(n, p, (1,) * n)
@@ -513,37 +502,22 @@ def _poly_mul(a, b, p):
     return tuple(out)
 
 
-def _poly_add(a, b, p, sign=1):
-    size = max(len(a), len(b))
-    a = tuple(a) + (0,) * (size - len(a))
-    b = tuple(b) + (0,) * (size - len(b))
-    return tuple((x + sign * y) % p for x, y in zip(a, b))
-
-
 def charpoly(m: Rows, p: int) -> Tuple[int, ...]:
-    """det(X·I - m) as a coefficient tuple, constant term first."""
+    """det(X·I - m) as a coefficient tuple mod p, constant term first.
+
+    Faddeev-LeVerrier over the integers, reduced mod p at the end: with
+    A_1 = m, c_{n-k} = -tr(A_k)/k and A_{k+1} = m (A_k + c_{n-k} I).  The
+    division by k is exact for an integer matrix."""
     n = len(m)
-    entries = [
-        [((-m[i][j]) % p, 1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-
-    def det(rows_idx, cols_idx):
-        if not rows_idx:
-            return (1,)
-        r = rows_idx[0]
-        total = (0,)
-        for pos, c in enumerate(cols_idx):
-            if entries[r][c] == (0, 0):
-                continue
-            minor = det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1 :])
-            term = _poly_mul(entries[r][c], minor, p)
-            total = _poly_add(total, term, p, sign=-1 if pos % 2 else 1)
-        return total
-
-    out = det(tuple(range(n)), tuple(range(n)))
-    out = tuple(out) + (0,) * (n + 1 - len(out))
-    assert out[n] == 1 % p
-    return out[: n + 1]
+    coeffs = [0] * n + [1]
+    a = m
+    for k in range(1, n + 1):
+        c = coeffs[n - k] = -sum(a[i][i] for i in range(n)) // k
+        if k < n:
+            shifted = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+            cols = tuple(zip(*shifted))
+            a = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in m]
+    return tuple(x % p for x in coeffs)
 
 
 def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
@@ -561,11 +535,6 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
     return True
 
 
-def _block_slices(blocks: Tuple[int, ...]) -> List[Tuple[int, int]]:
-    starts = [0] + list(itertools.accumulate(blocks))
-    return list(zip(starts, starts[1:]))
-
-
 # Both caches are keyed by value: every partial flag's Ad(g2^{-1})nu ranges
 # over the same p(F_p), so each x there has its Levi part expanded once,
 # however many flags and positions w share it.
@@ -573,7 +542,7 @@ def _block_slices(blocks: Tuple[int, ...]) -> List[Tuple[int, int]]:
 def _levi_charpolys(m: Rows, blocks: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], ...]:
     """The characteristic polynomial of each diagonal block of m."""
     return tuple(
-        charpoly(tuple(row[lo:hi] for row in m[lo:hi]), p) for lo, hi in _block_slices(blocks)
+        charpoly(tuple(row[lo:hi] for row in m[lo:hi]), p) for lo, hi in block_slices(blocks)
     )
 
 
@@ -583,7 +552,7 @@ def _block_root_polys(
 ) -> Tuple[Tuple[int, ...], ...]:
     """prod_{j in block}(X - roots[j]) for each block, in charpoly layout."""
     out = []
-    for lo, hi in _block_slices(blocks):
+    for lo, hi in block_slices(blocks):
         poly = (1,)
         for root in roots[lo:hi]:
             poly = _poly_mul(poly, ((-root) % p, 1), p)
@@ -627,17 +596,20 @@ def blowup_equation_check(p: int) -> bool:
 def good_form_conjugate(v, p: Optional[int] = None):
     """Conjugate an upper-triangular v by an upper unipotent b so that
     v' = b^{-1} v b has zero entries wherever the two diagonal values
-    differ.  Works over F_p (pass an FqMatrix) or exact rationals.
+    differ.  Works over F_p (pass an FqMatrix) or exact rationals; only
+    the unit, the normalisation and the division depend on the field.
 
     Sweeps columns left to right, rows bottom-up inside a column,
     conjugating by I + v_kj/(v_jj - v_kk)·E_kj; each step clears (k, j)
     without touching entries already cleared.  Returns (b, v').
     """
-    if isinstance(v, FqMatrix):
+    modular = isinstance(v, FqMatrix)
+    if modular:
         if p is not None and p != v.p:
             raise ValueError("p disagrees with the matrix field")
         p = v.p
         rows = [list(r) for r in v.entries]
+        one = 1
 
         def div(a, b):
             return a * pow(b % p, p - 2, p) % p
@@ -649,6 +621,7 @@ def good_form_conjugate(v, p: Optional[int] = None):
         if p is not None:
             raise ValueError("pass an FqMatrix for mod-p input")
         rows = [[Fraction(x) for x in row] for row in v]
+        one = Fraction(1)
 
         def div(a, b):
             return a / b
@@ -660,10 +633,9 @@ def good_form_conjugate(v, p: Optional[int] = None):
     if not in_b(rows):
         raise ValueError("input is not upper triangular")
     original = [row[:] for row in rows]
-    one = norm(1) if p is not None else Fraction(1)
-    zero = norm(0) if p is not None else Fraction(0)
-    b = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    binv = [row[:] for row in b]
+    ident = [[one * (i == j) for j in range(n)] for i in range(n)]
+    b = [row[:] for row in ident]
+    binv = [row[:] for row in ident]
     for j in range(2, n + 1):
         for k in range(j - 1, 0, -1):
             if rows[k - 1][k - 1] == rows[j - 1][j - 1]:
@@ -680,30 +652,20 @@ def good_form_conjugate(v, p: Optional[int] = None):
                 b[r][j - 1] = norm(b[r][j - 1] + c * b[r][k - 1])
             for l in range(n):
                 binv[k - 1][l] = norm(binv[k - 1][l] - c * binv[j - 1][l])
+
+    def mul(x, y):
+        return [[norm(sum(x[i][t] * y[t][j] for t in range(n))) for j in range(n)] for i in range(n)]
+
     # postconditions: entries across distinct diagonal values vanish and
     # the result really is the conjugate
     for i in range(n):
         for j in range(n):
             if original[i][i] != original[j][j]:
-                assert rows[i][j] == zero
-    if p is not None:
-        product = mat_mul(mat_mul(tuple(map(tuple, binv)), tuple(map(tuple, original)), p),
-                          tuple(map(tuple, b)), p)
-        assert product == tuple(map(tuple, rows))
-        return FqMatrix(p, tuple(map(tuple, b))), FqMatrix(p, tuple(map(tuple, rows)))
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    check = _frac_mul(_frac_mul(binv, original), b)
-    assert check == rows
-    assert _frac_mul(binv, b) == ident
-    return tuple(map(tuple, b)), tuple(map(tuple, rows))
-
-
-def _frac_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
+                assert rows[i][j] == 0
+    assert mul(mul(binv, original), b) == rows
+    assert mul(binv, b) == ident
+    b, rows = tuple(map(tuple, b)), tuple(map(tuple, rows))
+    return (FqMatrix(p, b), FqMatrix(p, rows)) if modular else (b, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,12 @@ def _fail(path: str, message: str) -> None:
 # encoders (plain dict/list output, ready for json.dumps)
 
 def perm_to_json(w: MultiPerm) -> Dict[str, list]:
+    """A label-keyed map of integer tuples (a multi-permutation, a weight
+    or a block spec) as lists, labels sorted."""
     return {tau: list(w[tau]) for tau in sorted(w)}
 
 
-def weight_to_json(x: IntegralWeight) -> Dict[str, list]:
-    return {tau: list(x[tau]) for tau in sorted(x)}
-
-
-def spec_to_json(spec: ParabolicSpec) -> Dict[str, list]:
-    return {tau: list(spec[tau]) for tau in sorted(spec)}
+weight_to_json = spec_to_json = perm_to_json
 
 
 def root_to_json(alpha: Root) -> Dict[str, object]:

@@ -20,6 +20,7 @@ makes the action a left action and gives w(e_i - e_j) = e_{w(i)} - e_{w(j)}.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .weyl import MultiPerm, multi_inverse
@@ -60,6 +61,21 @@ def check_spec(spec: ParabolicSpec) -> ParabolicSpec:
             raise ValueError(f"blocks at embedding {tau!r} must be positive: {blocks}")
         out[tau] = blocks
     return out
+
+
+@lru_cache(maxsize=None)
+def block_slices(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """(start, stop) of each block, 0-indexed, so block k of w is
+    w[start:stop].  Refuses a block size below 1; the per-factor block
+    checks go through here, and the cache keeps them off the hot path."""
+    if any(size < 1 for size in blocks):
+        raise ValueError(f"blocks must be positive: {blocks}")
+    out = []
+    start = 0
+    for size in blocks:
+        out.append((start, start + size))
+        start += size
+    return tuple(out)
 
 
 def block_index(blocks: Tuple[int, ...]) -> Tuple[int, ...]:

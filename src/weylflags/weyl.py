@@ -107,18 +107,7 @@ def reduced_word(w: Perm) -> Tuple[int, ...]:
     >>> reduced_word((1, 2, 3))
     ()
     """
-    rev = []
-    cur = w
-    while True:
-        desc = right_descents(cur)
-        if not desc:
-            break
-        i = desc[0]
-        rev.append(i)
-        lst = list(cur)
-        lst[i - 1], lst[i] = lst[i], lst[i - 1]
-        cur = tuple(lst)
-    return tuple(reversed(rev))
+    return tuple(i for _, i in multi_reduced_word({"": w}))
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:

@@ -318,6 +318,58 @@ def _inv_mod(m, p):
     ]
 
 
+def adjoint(g, nu):
+    """Ad(g^{-1}) nu = g^{-1} nu g for two FqMatrix values, g inverted
+    afresh by the adjugate on every call."""
+    if g.p != nu.p:
+        raise ValueError("field mismatch")
+    p = g.p
+    m = _mat_mul_mod(_inv_mod(g.entries, p), _mat_mul_mod(nu.entries, g.entries, p), p)
+    return tuple(map(tuple, m))
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _poly_add(a, b, p, sign=1):
+    size = max(len(a), len(b))
+    a = tuple(a) + (0,) * (size - len(a))
+    b = tuple(b) + (0,) * (size - len(b))
+    return tuple((x + sign * y) % p for x, y in zip(a, b))
+
+
+def charpoly_laplace(m, p):
+    """det(X·I - m) mod p, constant term first, by Laplace expansion along
+    the first row over entries that are polynomials in X."""
+    n = len(m)
+    entries = [
+        [((-m[i][j]) % p, 1 if i == j else 0) for j in range(n)] for i in range(n)
+    ]
+
+    def det(rows_idx, cols_idx):
+        if not rows_idx:
+            return (1,)
+        r = rows_idx[0]
+        total = (0,)
+        for pos, c in enumerate(cols_idx):
+            if entries[r][c] == (0, 0):
+                continue
+            minor = det(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1 :])
+            term = _poly_mul(entries[r][c], minor, p)
+            total = _poly_add(total, term, p, sign=-1 if pos % 2 else 1)
+        return total
+
+    out = det(tuple(range(n)), tuple(range(n)))
+    out = tuple(out) + (0,) * (n + 1 - len(out))
+    assert out[n] == 1 % p
+    return out[: n + 1]
+
+
 def nu_sets_brute(flags, n, p, test):
     """For each flag matrix g, filter all p^(n^2) matrices nu: keep
     {index: Ad(g^{-1})nu} for those with test(Ad(g^{-1})nu), the index

@@ -37,6 +37,17 @@ def test_min_rep_validates_shape():
         cosets.min_rep({"t": (2, 1)}, {"s": (1, 1)})
 
 
+def test_non_positive_blocks_are_refused():
+    # (4, -1) sums to the rank 3 but is no composition
+    for blocks in ((4, -1), (3, 0), (0, 3)):
+        with pytest.raises(ValueError, match="must be positive"):
+            cosets.min_rep_perm((3, 1, 2), blocks)
+        with pytest.raises(ValueError, match="must be positive"):
+            cosets.length_split_stats((3, 1, 2), blocks)
+    with pytest.raises(ValueError, match="do not sum to"):
+        cosets.min_rep_perm((3, 1, 2), (1, 1))
+
+
 def test_decompose_is_length_additive():
     spec = {"t": (1, 2, 1)}
     for w in perms(4):

@@ -186,6 +186,11 @@ def test_flag_enumeration_and_incidence_refuse_bad_blocks():
         ff.incidence_count(zero, "in_nQ", "full_flag", qblocks=(2, 1))
 
 
+def test_shortest_element_check_refuses_non_positive_blocks():
+    with pytest.raises(ValueError, match="must be positive"):
+        ff.shortest_element_fq_check((2, 1, 3), (3, 0), 2)
+
+
 def test_point_count_identity_pinned():
     assert ff.point_count_identity(3, 2)["enumerated"] == 21
     report = ff.point_count_identity(3, 3)
@@ -261,6 +266,41 @@ def test_charpoly_against_closed_forms():
     for d in (1, 2, 1):
         expected = ff._poly_mul(expected, ((-d) % 5, 1), 5)
     assert ff.charpoly(m3, 5) == expected
+
+
+def test_charpoly_matches_laplace_expansion():
+    # every matrix with n <= 2 at p <= 7 and every 3x3 matrix at p <= 3,
+    # then random 4x4 matrices
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            if n == 3 and p > 3:
+                continue
+            for flat in itertools.product(range(p), repeat=n * n):
+                m = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+                assert ff.charpoly(m, p) == oracles.charpoly_laplace(m, p), (m, p)
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for _ in range(200):
+            m = rand_matrix(rng, 4, p)
+            assert ff.charpoly(m, p) == oracles.charpoly_laplace(m, p), (m, p)
+
+
+def test_cold_run_suite_inverts_each_flag_once(monkeypatch):
+    for obj in vars(ff).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    calls = []
+    real = ff.mat_inv
+
+    def counted(a, p):
+        calls.append(a)
+        return real(a, p)
+
+    monkeypatch.setattr(ff, "mat_inv", counted)
+    ff.run_suite(3, 2)
+    flags = sum(len(ff._flags_cached(3, 2, blocks)) for blocks in oracles.compositions(3))
+    assert flags == 36
+    assert len(calls) == flags
 
 
 def test_nu_sets_match_brute_sweep():
@@ -492,7 +532,7 @@ def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
     witnesses, by_cell = [], {}
     for point in points:
         g = point.canonical_matrix
-        if test(ff.adjoint(g, nu)):
+        if test(oracles.adjoint(g, nu)):
             witnesses.append(point)
             cell = point.cell if full else min_rep_perm(ff.bruhat_cell_of(g), blocks)
             by_cell[cell] = by_cell.get(cell, 0) + 1

@@ -27,6 +27,19 @@ def test_spec_validation():
     assert roots.check_spec({"t": (2, 1)}) == {"t": (2, 1)}
 
 
+def test_block_slices():
+    assert roots.block_slices((2, 1, 3)) == ((0, 2), (2, 3), (3, 6))
+    assert roots.block_slices(()) == ()
+    for blocks in ((2, 0, 1), (3, -1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            roots.block_slices(blocks)
+    for n in range(1, 6):
+        for blocks in oracles.compositions(n):
+            bl = roots.block_index(blocks)
+            for k, (lo, hi) in enumerate(roots.block_slices(blocks)):
+                assert [i for i in range(n) if bl[i] == k] == list(range(lo, hi))
+
+
 def test_root_counts():
     shape = {"a": 3, "b": 2}
     assert len(roots.positive_roots(shape)) == 3 + 1
