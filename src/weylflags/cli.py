@@ -262,9 +262,7 @@ def cmd_walk(args) -> int:
         if args.perm:
             start = cosets.CosetRep(_parse_perm(args.perm, "--perm"), spec)
         else:
-            start = cosets.CosetRep(
-                weyl.multi_identity({tau: len(v) for tau, v in h.items()}), spec
-            )
+            start = cosets.CosetRep(weyl.multi_identity(weyl.shape_of(h)), spec)
     else:
         raise CliError("walk: pass --scenario or --h")
     cert = companion.certify_walk(start, h)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import weyl
 from .cosets import CosetRep, _interval
-from .roots import IntegralWeight, ParabolicSpec, act, shape_of
+from .roots import IntegralWeight, ParabolicSpec, act, check_spec, shape_of
 from .steinberg import InductionStep, find_induction_step
 
 
@@ -89,7 +89,10 @@ class CompanionCertificate:
 
 
 def runs_composition(vec: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Block sizes of maximal equal runs of a weakly increasing vector."""
+    """Block sizes of maximal equal runs of a non-empty weakly increasing
+    vector."""
+    if not vec:
+        raise ValueError("vector is empty")
     blocks = []
     run = 1
     for a, b in zip(vec, vec[1:]):
@@ -136,11 +139,7 @@ def relative_position(char_weight: IntegralWeight, h: IntegralWeight) -> CosetRe
     >>> relative_position({"t": (2, 1, 1)}, {"t": (1, 1, 2)}).rep
     {'t': (2, 3, 1)}
     """
-    if set(char_weight) != set(h):
-        raise ValueError(
-            f"embedding sets differ: {sorted(char_weight)} vs {sorted(h)}"
-        )
-    spec = hodge_spec(h)
+    spec = check_spec(hodge_spec(h), shape_of(char_weight))
     rep = {}
     for tau, hvec in h.items():
         cw = char_weight[tau]

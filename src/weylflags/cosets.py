@@ -30,7 +30,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from . import weyl
-from .roots import ParabolicSpec, block_index, block_slices, check_spec
+from .roots import ParabolicSpec, block_index, block_slices, check_blocks, check_spec, shape_of
 from .weyl import MultiPerm, Perm
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
@@ -40,24 +40,14 @@ ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
 def min_rep_perm(w: Perm, blocks: Tuple[int, ...]) -> Perm:
     """Minimal representative of w·W_P for one symmetric group factor."""
     out = []
-    hi = 0  # after the loop, the sum of the blocks
-    for lo, hi in block_slices(tuple(blocks)):
+    for lo, hi in check_blocks(blocks, len(w)):
         out += sorted(w[lo:hi])
-    if hi != len(w):
-        raise ValueError(f"blocks {blocks} do not sum to rank {len(w)}")
     return tuple(out)
 
 
 def min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
-    spec = _match(w, spec)
+    spec = check_spec(spec, shape_of(w))
     return {tau: min_rep_perm(w[tau], spec[tau]) for tau in w}
-
-
-def _match(w, spec: ParabolicSpec) -> ParabolicSpec:
-    spec = check_spec(spec)
-    if set(w) != set(spec):
-        raise ValueError(f"embedding sets differ: {sorted(w)} vs {sorted(spec)}")
-    return spec
 
 
 def is_min_rep(w: MultiPerm, spec: ParabolicSpec) -> bool:
@@ -94,7 +84,7 @@ class CosetRep:
 
     def __init__(self, w: MultiPerm, spec: ParabolicSpec):
         w = weyl.check_multi(w)
-        self.spec = _match(w, spec)
+        self.spec = check_spec(spec, shape_of(w))
         self.rep = min_rep(w, self.spec)
         self._frozen = (weyl.freeze(self.rep), tuple(sorted(self.spec.items())))
         self._lg = None
@@ -397,15 +387,17 @@ def shortest_double_coset_rep(
     until stable.  "auto" picks exhaustive up to rank 6.  The result lies
     in W^P intersected with ^QW.
     """
-    qspec = _match(w, qspec)
-    pspec = _match(w, pspec)
+    shape = shape_of(w)
+    qspec = check_spec(qspec, shape)
+    pspec = check_spec(pspec, shape)
     if method == "auto":
-        method = "exhaustive" if max(len(p) for p in w.values()) <= 6 else "normalize"
+        method = "exhaustive" if max(shape.values()) <= 6 else "normalize"
     if method == "exhaustive":
+        right = wp_elements(pspec)
         coset = {
             weyl.freeze(weyl.multi_compose(a, weyl.multi_compose(w, b)))
             for a in wp_elements(qspec)
-            for b in wp_elements(pspec)
+            for b in right
         }
         elems = [dict(f) for f in coset]
         elems.sort(key=weyl.sort_key)
@@ -436,10 +428,8 @@ def length_split_stats(sigma: Perm, blocks: Tuple[int, ...]) -> Tuple[int, int]:
     (1, 2)
     """
     sigma = weyl.check_perm(sigma)
-    if sum(blocks) != len(sigma):
-        raise ValueError(f"composition {blocks} does not sum to rank {len(sigma)}")
-    block_slices(tuple(blocks))  # refuses non-positive sizes
-    bl = block_index(blocks)
+    check_blocks(blocks, len(sigma))
+    bl = block_index(tuple(blocks))
     within = across = 0
     n = len(sigma)
     for m in range(n):

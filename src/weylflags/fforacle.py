@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cosets import _cap, _min_reps_perm, _min_reps_with_length, min_rep_perm
-from .roots import block_index, block_slices
+from .roots import block_index, block_slices, check_blocks
 from .weyl import Perm, check_perm, inverse, length
 
 DEFAULT_MAX_N = 4
@@ -206,19 +206,13 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
     return out
 
 
-def _check_blocks(blocks: Tuple[int, ...], n: int) -> None:
-    if sum(blocks) != n:
-        raise ValueError(f"blocks {blocks} do not sum to {n}")
-    block_slices(blocks)  # refuses non-positive sizes
-
-
 @lru_cache(maxsize=None)
 def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, ...]:
     """One point u·dot(w) per coset gP, the cell of each minimal
     representative w of W/W_P in turn, sorted by (length(w), w).  For w in
     W^P the cell B·dot(w)·B/B maps isomorphically onto B·dot(w)·P/P, and
     G/P is the disjoint union of these cells; the Borel is blocks (1,)*n."""
-    _check_blocks(blocks, n)
+    check_blocks(blocks, n)
     points = []
     for _, w in sorted(_min_reps_with_length(blocks)):
         pm = perm_rows(w)
@@ -262,7 +256,7 @@ def flag_key(g: FqMatrix) -> Tuple[Rows, ...]:
 def partial_flag_key(g: FqMatrix, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
     """Canonical label of the partial flag of g for the block composition:
     the same spans at the proper prefix sums of the blocks."""
-    _check_blocks(tuple(blocks), g.n)
+    check_blocks(blocks, g.n)
     cols = tuple(zip(*g.entries))
     return tuple(rref(cols[:k], g.p) for k in itertools.accumulate(blocks[:-1]))
 
@@ -362,7 +356,7 @@ def incidence_count(
     test = _condition_test(condition, blocks, qblocks)
     for parabolic in (blocks, qblocks):
         if parabolic is not None:
-            _check_blocks(tuple(parabolic), n)
+            check_blocks(parabolic, n)
     if space == "partial_flag" and blocks is None:
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:

@@ -21,7 +21,7 @@ from .companion import PlaceRefinement, RefinementSpec, CharacterSymbol, Compani
 from .cosets import CosetRep
 from .roots import IntegralWeight, ParabolicSpec, Root
 from .steinberg import InductionStep
-from .weyl import MultiPerm, check_multi, multi_longest
+from .weyl import MultiPerm, multi_longest, shape_of
 
 
 class ScenarioError(ValueError):
@@ -107,8 +107,7 @@ class Scenario:
         """The pinned position, or the longest-element coset by default."""
         if self.position is not None:
             return CosetRep(self.position, spec)
-        ranks = {tau: len(v) for tau, v in self.hodge_weights.items()}
-        return CosetRep(multi_longest(ranks), spec)
+        return CosetRep(multi_longest(shape_of(self.hodge_weights)), spec)
 
 
 def _require_keys(obj: dict, path: str, required, optional=()) -> None:
@@ -129,6 +128,31 @@ def _int_vector(value, path: str) -> Tuple[int, ...]:
     return tuple(value)
 
 
+def _labels(value, path: str) -> Tuple[str, ...]:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty array of labels")
+    if any(not isinstance(x, str) or not x for x in value):
+        _fail(path, "labels must be non-empty strings")
+    if len(set(value)) != len(value):
+        _fail(path, "labels must be distinct")
+    return tuple(value)
+
+
+def _labelled_vectors(obj, path: str, labels, n: int) -> Dict[str, Tuple[int, ...]]:
+    """An object keyed by exactly the labels, each value an integer
+    n-vector; checked in the order of labels."""
+    if not isinstance(obj, dict):
+        _fail(path, "expected an object keyed by embedding label")
+    if set(obj) != set(labels):
+        _fail(path, f"keys must be exactly the embeddings {sorted(labels)}")
+    out = {}
+    for tau in labels:
+        out[tau] = _int_vector(obj[tau], f"{path}.{tau}")
+        if len(out[tau]) != n:
+            _fail(f"{path}.{tau}", f"expected {n} entries")
+    return out
+
+
 def _parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, bool):
         _fail(path, "expected an integer or a fraction string like '4/3'")
@@ -142,7 +166,8 @@ def _parse_fraction(value, path: str) -> Fraction:
     _fail(path, "expected an integer or a fraction string like '4/3'")
 
 
-def _parse_place(obj, path: str, n_expected: Optional[int]) -> PlaceRefinement:
+def _parse_place(obj, path: str, n_expected: Optional[int]) -> Tuple[PlaceRefinement, IntegralWeight]:
+    """The place and its validated Hodge weights."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     _require_keys(
@@ -157,35 +182,13 @@ def _parse_place(obj, path: str, n_expected: Optional[int]) -> PlaceRefinement:
     q = obj["q"]
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         _fail(f"{path}.q", "expected an integer >= 2")
-    embeddings = obj["embeddings"]
-    if not isinstance(embeddings, list) or not embeddings:
-        _fail(f"{path}.embeddings", "expected a non-empty array of labels")
-    if any(not isinstance(tau, str) or not tau for tau in embeddings):
-        _fail(f"{path}.embeddings", "labels must be non-empty strings")
-    if len(set(embeddings)) != len(embeddings):
-        _fail(f"{path}.embeddings", "labels must be distinct")
-    order = obj["refinement_order"]
-    if not isinstance(order, list) or not order:
-        _fail(f"{path}.refinement_order", "expected a non-empty array of labels")
-    if any(not isinstance(lbl, str) or not lbl for lbl in order):
-        _fail(f"{path}.refinement_order", "labels must be non-empty strings")
-    if len(set(order)) != len(order):
-        _fail(f"{path}.refinement_order", "labels must be distinct")
+    embeddings = _labels(obj["embeddings"], f"{path}.embeddings")
+    order = _labels(obj["refinement_order"], f"{path}.refinement_order")
     n = len(order)
     if n_expected is not None and n != n_expected:
         _fail(f"{path}.refinement_order", f"expected {n_expected} labels, got {n}")
-    weights = obj["hodge_weights"]
-    if not isinstance(weights, dict):
-        _fail(f"{path}.hodge_weights", "expected an object keyed by embedding label")
-    if set(weights) != set(embeddings):
-        _fail(
-            f"{path}.hodge_weights",
-            f"keys must be exactly the embeddings {sorted(embeddings)}",
-        )
-    for tau in embeddings:
-        vec = _int_vector(weights[tau], f"{path}.hodge_weights.{tau}")
-        if len(vec) != n:
-            _fail(f"{path}.hodge_weights.{tau}", f"expected {n} entries")
+    weights = _labelled_vectors(obj["hodge_weights"], f"{path}.hodge_weights", embeddings, n)
+    for tau, vec in weights.items():
         if any(a > b for a, b in zip(vec, vec[1:])):
             _fail(f"{path}.hodge_weights.{tau}", "entries must be weakly increasing")
     values = None
@@ -201,23 +204,8 @@ def _parse_place(obj, path: str, n_expected: Optional[int]) -> PlaceRefinement:
         values = tuple(
             _parse_fraction(raw[lbl], f"{path}.eigenvalues.{lbl}") for lbl in order
         )
-    return PlaceRefinement(
-        place=label, q=q, embeddings=tuple(embeddings), labels=tuple(order), values=values
-    )
-
-
-def _parse_perm_map(obj, path: str, embeddings, n: int) -> MultiPerm:
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object keyed by embedding label")
-    if set(obj) != set(embeddings):
-        _fail(path, f"keys must be exactly the embeddings {sorted(embeddings)}")
-    out = {}
-    for tau in sorted(obj):
-        vec = _int_vector(obj[tau], f"{path}.{tau}")
-        if sorted(vec) != list(range(1, n + 1)):
-            _fail(f"{path}.{tau}", f"expected a permutation of 1..{n} in one-line form")
-        out[tau] = vec
-    return check_multi(out)
+    place = PlaceRefinement(place=label, q=q, embeddings=embeddings, labels=order, values=values)
+    return place, weights
 
 
 def parse_scenario(data: object) -> Scenario:
@@ -237,8 +225,9 @@ def parse_scenario(data: object) -> Scenario:
     n: Optional[int] = None
     seen_labels: Dict[str, int] = {}
     seen_embeddings: Dict[str, int] = {}
+    hodge: Dict[str, Tuple[int, ...]] = {}
     for k, raw in enumerate(raw_places):
-        place = _parse_place(raw, f"scenario.places[{k}]", n)
+        place, weights = _parse_place(raw, f"scenario.places[{k}]", n)
         n = len(place.labels)
         if place.place in seen_labels:
             _fail(
@@ -254,31 +243,22 @@ def parse_scenario(data: object) -> Scenario:
                 )
             seen_embeddings[tau] = k
         places.append(place)
+        hodge.update(weights)
     refinement = RefinementSpec(places=tuple(places))
-    hodge: Dict[str, Tuple[int, ...]] = {}
-    for raw, place in zip(raw_places, places):
-        for tau in place.embeddings:
-            hodge[tau] = tuple(raw["hodge_weights"][tau])
     embeddings = sorted(hodge)
     position = None
     if "position" in data:
-        position = _parse_perm_map(data["position"], "scenario.position", embeddings, n)
+        position = _labelled_vectors(data["position"], "scenario.position", embeddings, n)
+        for tau, vec in position.items():
+            if sorted(vec) != list(range(1, n + 1)):
+                _fail(
+                    f"scenario.position.{tau}", f"expected a permutation of 1..{n} in one-line form"
+                )
     character_weight = None
     if "character_weight" in data:
-        raw = data["character_weight"]
-        if not isinstance(raw, dict):
-            _fail("scenario.character_weight", "expected an object keyed by embedding label")
-        if set(raw) != set(embeddings):
-            _fail(
-                "scenario.character_weight",
-                f"keys must be exactly the embeddings {embeddings}",
-            )
-        character_weight = {}
-        for tau in embeddings:
-            vec = _int_vector(raw[tau], f"scenario.character_weight.{tau}")
-            if len(vec) != n:
-                _fail(f"scenario.character_weight.{tau}", f"expected {n} entries")
-            character_weight[tau] = vec
+        character_weight = _labelled_vectors(
+            data["character_weight"], "scenario.character_weight", embeddings, n
+        )
     checks = None
     if "checks" in data:
         from .fforacle import SUITE_CHECKS  # imported here to keep fforacle off other commands

@@ -7,6 +7,11 @@ from embedding label to an integer n-vector.  A parabolic subgroup is
 described by its per-embedding block composition; its Levi's simple roots
 are the pairs (i, i+1) inside a block.
 
+Each input kind has one check, raising ValueError: block_slices refuses
+block sizes below 1 (block_index is cached on it, so every reader of block
+numbers refuses them too), check_blocks fits a composition to a rank, and
+check_spec fits a spec to a shape through weyl.check_shapes.
+
 The Weyl group acts by place permutation, (w·x)_i = x_{w^{-1}(i)}, which
 makes the action a left action and gives w(e_i - e_j) = e_{w(i)} - e_{w(j)}.
 
@@ -16,6 +21,10 @@ makes the action a left action and gives w(e_i - e_j) = e_{w(i)} - e_{w(j)}.
 {'t': (1, 3, 3)}
 >>> pairing(Root("t", 1, 2), {"t": (1, 3, 3)})
 -2
+>>> check_spec({"t": (2, 1)}, {"t": 4})
+Traceback (most recent call last):
+    ...
+ValueError: shapes differ: {'t': 4} vs {'t': 3}
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .weyl import MultiPerm, multi_inverse
+from .weyl import MultiPerm, check_shapes, multi_inverse, shape_of
 
 IntegralWeight = Dict[str, Tuple[int, ...]]
 ParabolicSpec = Dict[str, Tuple[int, ...]]
@@ -48,26 +57,26 @@ class Root(NamedTuple):
         return self.j == self.i + 1
 
 
-def shape_of(x) -> Dict[str, int]:
-    """Embedding label -> rank, for weights, specs and multi-permutations."""
-    return {tau: len(v) for tau, v in x.items()}
-
-
-def check_spec(spec: ParabolicSpec) -> ParabolicSpec:
-    out = {}
-    for tau, blocks in spec.items():
-        blocks = tuple(blocks)
-        if not blocks or any(b <= 0 for b in blocks):
-            raise ValueError(f"blocks at embedding {tau!r} must be positive: {blocks}")
-        out[tau] = blocks
+def check_spec(spec: ParabolicSpec, shape: Optional[Dict[str, int]] = None) -> ParabolicSpec:
+    """The spec with tuple blocks, refusing an empty or non-positive
+    composition; given a shape, also refusing labels or block sums that
+    differ from it."""
+    out = {tau: tuple(blocks) for tau, blocks in spec.items()}
+    sums = {}
+    for tau, blocks in out.items():
+        if not blocks:
+            raise ValueError(f"blocks at embedding {tau!r} must be positive: ()")
+        sums[tau] = block_slices(blocks)[-1][1]
+    if shape is not None:
+        check_shapes(shape, sums)
     return out
 
 
 @lru_cache(maxsize=None)
 def block_slices(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     """(start, stop) of each block, 0-indexed, so block k of w is
-    w[start:stop].  Refuses a block size below 1; the per-factor block
-    checks go through here, and the cache keeps them off the hot path."""
+    w[start:stop].  The one refusal of a block size below 1; the cache
+    keeps it off the hot path."""
     if any(size < 1 for size in blocks):
         raise ValueError(f"blocks must be positive: {blocks}")
     out = []
@@ -78,12 +87,18 @@ def block_slices(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
+def check_blocks(blocks: Tuple[int, ...], n: int) -> Tuple[Tuple[int, int], ...]:
+    """The slices of blocks, refusing anything but a composition of n."""
+    slices = block_slices(tuple(blocks))
+    if (slices[-1][1] if slices else 0) != n:
+        raise ValueError(f"blocks {tuple(blocks)} do not sum to {n}")
+    return slices
+
+
+@lru_cache(maxsize=None)
 def block_index(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
     """Block number of each position, 0-indexed; position i is entry i-1."""
-    out = []
-    for b, size in enumerate(blocks):
-        out.extend([b] * size)
-    return tuple(out)
+    return tuple(b for b, (lo, hi) in enumerate(block_slices(blocks)) for _ in range(lo, hi))
 
 
 def simple_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
@@ -112,7 +127,7 @@ def spec_simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
     """
     out = []
     for tau in sorted(spec):
-        bl = block_index(spec[tau])
+        bl = block_index(tuple(spec[tau]))
         n = len(bl)
         for i in range(1, n):
             if bl[i - 1] == bl[i]:
@@ -124,7 +139,7 @@ def levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
     """R_P (or R_P^+): roots with both endpoints in one block."""
     out = []
     for tau in sorted(spec):
-        bl = block_index(spec[tau])
+        bl = block_index(tuple(spec[tau]))
         n = len(bl)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -133,12 +148,6 @@ def levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
                     if not positive_only:
                         out.append(Root(tau, j, i))
     return frozenset(out)
-
-
-def _check_shapes(a: Dict[str, int], b: Dict[str, int]) -> None:
-    """Raise unless two shapes carry the same labels with the same ranks."""
-    if a != b:
-        raise ValueError(f"shapes differ: {a} vs {b}")
 
 
 def pairing(alpha: Root, x: IntegralWeight) -> int:
@@ -155,7 +164,7 @@ def pairing(alpha: Root, x: IntegralWeight) -> int:
 
 def act(w: MultiPerm, x: IntegralWeight) -> IntegralWeight:
     """Place permutation: (w·x)_i = x_{w^{-1}(i)}, so (uv)·x = u·(v·x)."""
-    _check_shapes(shape_of(w), shape_of(x))
+    check_shapes(shape_of(w), shape_of(x))
     winv = multi_inverse(w)
     return {tau: tuple(x[tau][winv[tau][i] - 1] for i in range(len(x[tau]))) for tau in x}
 
@@ -203,7 +212,7 @@ def inversion_set(w: MultiPerm, relative_to: Optional[ParabolicSpec] = None) -> 
         if not act_root(w, alpha).positive
     }
     if relative_to is not None:
-        inv -= levi_roots(relative_to, positive_only=True)
+        inv -= levi_roots(check_spec(relative_to, shape_of(w)), positive_only=True)
     return frozenset(inv)
 
 
@@ -223,7 +232,7 @@ def dominance(x: IntegralWeight, spec: ParabolicSpec, mode: str) -> bool:
     """
     if mode not in DOMINANCE_MODES:
         raise ValueError(f"unknown dominance mode {mode!r}")
-    for alpha in spec_simple_roots(spec):
+    for alpha in spec_simple_roots(check_spec(spec, shape_of(x))):
         v = pairing(alpha, x)
         if mode == "dominant" and v < 0:
             return False
@@ -246,8 +255,7 @@ def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
     False
     """
     shape = shape_of(h)
-    _check_shapes(shape, {tau: sum(blocks) for tau, blocks in spec.items()})
-    in_levi = set(spec_simple_roots(spec))
+    in_levi = set(spec_simple_roots(check_spec(spec, shape)))
     for alpha in simple_roots(shape):
         v = pairing(alpha, h)
         if alpha in in_levi:
@@ -265,7 +273,7 @@ def p_regular_witness(spec: ParabolicSpec) -> IntegralWeight:
     >>> p_regular_witness({"t": (2, 1)})
     {'t': (0, 0, 1)}
     """
-    return {tau: block_index(blocks) for tau, blocks in spec.items()}
+    return {tau: block_index(tuple(blocks)) for tau, blocks in spec.items()}
 
 
 if __name__ == "__main__":

@@ -41,27 +41,19 @@ from .roots import (
 
 @dataclass(frozen=True)
 class RootSpaceSet:
-    """A sum of root spaces inside the Lie algebra, tracked as a root set.
-
-    includes_torus records whether the Cartan is part of the space; the
-    subsets this module manipulates (u, n_Q, Ad(w)m_P n u) never include
-    it, so the flag only matters to finite-field consumers reusing the
-    type for b, p and m_P.
-    """
+    """A sum of root spaces inside the Lie algebra, tracked as a root set;
+    the Cartan is never part of it."""
 
     roots: frozenset
-    includes_torus: bool = False
 
     def intersect(self, other: "RootSpaceSet") -> "RootSpaceSet":
-        return RootSpaceSet(self.roots & other.roots, self.includes_torus and other.includes_torus)
+        return RootSpaceSet(self.roots & other.roots)
 
     def issubset(self, other: "RootSpaceSet") -> bool:
-        if self.includes_torus and not other.includes_torus:
-            return False
         return self.roots <= other.roots
 
     def apply(self, w: weyl.MultiPerm) -> "RootSpaceSet":
-        return RootSpaceSet(frozenset(act_root(w, a) for a in self.roots), self.includes_torus)
+        return RootSpaceSet(frozenset(act_root(w, a) for a in self.roots))
 
 
 def nilradical_roots(spec: ParabolicSpec) -> RootSpaceSet:
@@ -73,8 +65,8 @@ def nilradical_roots(spec: ParabolicSpec) -> RootSpaceSet:
 
 
 def levi_root_space(spec: ParabolicSpec) -> RootSpaceSet:
-    """m_P: all roots inside blocks; the Cartan rides along."""
-    return RootSpaceSet(levi_roots(spec), includes_torus=True)
+    """The roots of m_P: all roots inside blocks."""
+    return RootSpaceSet(levi_roots(spec))
 
 
 def unipotent_roots(shape: Dict[str, int]) -> RootSpaceSet:
@@ -90,20 +82,22 @@ def levi_cap_u_in_nQ(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSp
     double coset is a whole component of the Q-locus.  The inclusion
     test for a single coset wW_P is component_in_ZQP_roots.
     """
-    shape = shape_of(w)
-    translated = levi_root_space(pspec).apply(w)
-    in_u = translated.intersect(unipotent_roots(shape))
-    return in_u.issubset(nilradical_roots(qspec))
+    in_u, n_q = _translated_levi_in_u(w, pspec, qspec)
+    return in_u.issubset(n_q)
 
 
 def z_dimension_defect(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> int:
     """dim(u n Ad(w)m_P) - dim(n_Q n Ad(w)m_P); zero iff the inclusion holds."""
+    in_u, n_q = _translated_levi_in_u(w, pspec, qspec)
+    return len(in_u.roots) - len(in_u.intersect(n_q).roots)
+
+
+def _translated_levi_in_u(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec):
+    """(u n Ad(w)m_P, n_Q), once both specs are checked against w; n_Q
+    lies in u, so n_Q n Ad(w)m_P is the intersection of the two."""
     shape = shape_of(w)
-    translated = levi_root_space(pspec).apply(w)
-    in_u = len(translated.intersect(unipotent_roots(shape)).roots)
-    in_nq = len(translated.intersect(nilradical_roots(qspec)).roots)
-    assert in_u >= in_nq
-    return in_u - in_nq
+    translated = levi_root_space(check_spec(pspec, shape)).apply(w)
+    return translated.intersect(unipotent_roots(shape)), nilradical_roots(check_spec(qspec, shape))
 
 
 def component_in_ZQP(

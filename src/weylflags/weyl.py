@@ -142,12 +142,17 @@ def check_multi(w: MultiPerm) -> MultiPerm:
     return {tau: check_perm(part) for tau, part in w.items()}
 
 
-def _check_same_shape(u: MultiPerm, v: MultiPerm) -> None:
-    if set(u) != set(v):
-        raise ValueError(f"embedding sets differ: {sorted(u)} vs {sorted(v)}")
-    for tau in u:
-        if len(u[tau]) != len(v[tau]):
-            raise ValueError(f"rank mismatch at embedding {tau!r}")
+def shape_of(x) -> Dict[str, int]:
+    """Embedding label -> rank, for multi-permutations and weights."""
+    return {tau: len(v) for tau, v in x.items()}
+
+
+def check_shapes(a: Dict[str, int], b: Dict[str, int]) -> None:
+    """Raise unless two shapes carry the same labels with the same ranks:
+    the one test that the permutations, weights and specs of a statement
+    fit together."""
+    if a != b:
+        raise ValueError(f"shapes differ: {a} vs {b}")
 
 
 def multi_identity(ranks: Dict[str, int]) -> MultiPerm:
@@ -155,7 +160,7 @@ def multi_identity(ranks: Dict[str, int]) -> MultiPerm:
 
 
 def multi_compose(u: MultiPerm, v: MultiPerm) -> MultiPerm:
-    _check_same_shape(u, v)
+    check_shapes(shape_of(u), shape_of(v))
     return {tau: compose(u[tau], v[tau]) for tau in u}
 
 
@@ -173,7 +178,7 @@ def multi_longest(ranks: Dict[str, int]) -> MultiPerm:
 
 def multi_bruhat_leq(u: MultiPerm, v: MultiPerm) -> bool:
     """Componentwise Bruhat order on a product of symmetric groups."""
-    _check_same_shape(u, v)
+    check_shapes(shape_of(u), shape_of(v))
     return all(bruhat_leq(u[tau], v[tau]) for tau in u)
 
 

@@ -32,6 +32,14 @@ def test_runs_composition():
         companion.runs_composition((2, 1))
 
 
+def test_empty_vectors_get_no_block():
+    # a rank-0 weight has no stabilizer blocks, not one block of size 1
+    with pytest.raises(ValueError, match="empty"):
+        companion.runs_composition(())
+    with pytest.raises(ValueError, match="empty"):
+        weights_from_hodge({"t": ()})
+
+
 def test_weights_from_hodge_pinned():
     lam, spec = weights_from_hodge({"t": (1, 1, 2)})
     assert lam == {"t": (2, 2, 3)}

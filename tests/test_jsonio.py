@@ -140,6 +140,14 @@ def test_two_places_share_global_rank():
         (lambda d: d.update(position={"t": [1, 1, 2]}), "scenario.position.t"),
         (lambda d: d.update(position={"s": [1, 2, 3]}), "scenario.position"),
         (lambda d: d.update(character_weight={"t": [1, 2]}), "scenario.character_weight.t"),
+        (
+            lambda d: d["places"][0].update(hodge_weights={"t": [1, 1]}),
+            "scenario.places[0].hodge_weights.t: expected 3 entries",
+        ),
+        (
+            lambda d: d.update(character_weight=[1, 2, 3]),
+            "scenario.character_weight: expected an object keyed by embedding label",
+        ),
         (lambda d: d.update(checks=["point_counting"]), "scenario.checks[0]"),
         (lambda d: d.update(ff={"n": 2}), "scenario.ff: missing required field 'p'"),
         (lambda d: d.update(ff={"n": 2, "p": "3"}), "scenario.ff.p"),
