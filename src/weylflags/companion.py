@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import weyl
 from .cosets import CosetRep, _interval
@@ -132,9 +132,10 @@ def weights_from_hodge(h: IntegralWeight) -> Tuple[IntegralWeight, ParabolicSpec
 def relative_position(char_weight: IntegralWeight, h: IntegralWeight) -> CosetRep:
     """The unique coset w in W/W_P with w(h) = char_weight.
 
-    Ties among equal h-entries are matched stably (increasing positions
-    to increasing positions), which lands exactly on the minimal coset
-    representative.
+    w lists the positions of char_weight in increasing order of their
+    entries; a stable sort matches ties among equal h-entries increasing
+    positions to increasing positions, which lands exactly on the minimal
+    coset representative.
 
     >>> relative_position({"t": (2, 1, 1)}, {"t": (1, 1, 2)}).rep
     {'t': (2, 3, 1)}
@@ -147,16 +148,7 @@ def relative_position(char_weight: IntegralWeight, h: IntegralWeight) -> CosetRe
             raise ValueError(
                 f"weight at embedding {tau!r} is not a rearrangement of h: {cw} vs {hvec}"
             )
-        slots: Dict[int, List[int]] = {}
-        for pos, value in enumerate(hvec, start=1):
-            slots.setdefault(value, []).append(pos)
-        used: Dict[int, int] = {}
-        winv = []
-        for value in cw:
-            k = used.get(value, 0)
-            used[value] = k + 1
-            winv.append(slots[value][k])
-        rep[tau] = weyl.inverse(tuple(winv))
+        rep[tau] = tuple(sorted(range(1, len(cw) + 1), key=lambda i: cw[i - 1]))
     return CosetRep(rep, spec)
 
 
@@ -164,13 +156,6 @@ def twist(weight: IntegralWeight) -> IntegralWeight:
     """Add the per-embedding staircase (0, 1, ..., n-1) to a weight."""
     return {
         tau: tuple(x + i for i, x in enumerate(v))
-        for tau, v in weight.items()
-    }
-
-
-def untwist(weight: IntegralWeight) -> IntegralWeight:
-    return {
-        tau: tuple(x - i for i, x in enumerate(v))
         for tau, v in weight.items()
     }
 

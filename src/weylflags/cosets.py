@@ -118,11 +118,6 @@ class CosetRep:
             self._lg = weyl.multi_length(self.rep)
         return self._lg
 
-    def sort_key(self):
-        """weyl.sort_key of the representative, with the cached length."""
-        frozen = self._frozen[0]
-        return (self.lg, tuple(w for _, w in frozen), tuple(tau for tau, _ in frozen))
-
     def _check_comparable(self, other: "CosetRep") -> None:
         if self._frozen[1] != other._frozen[1]:
             raise ValueError(

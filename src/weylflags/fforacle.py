@@ -14,7 +14,8 @@ is certified.
 Hard caps keep runtimes sane: n <= 4, p in {2,3,5,7}, and n = 4 only with
 p <= 3.  The environment variables WEYLFLAGS_FF_MAX_N / WEYLFLAGS_FF_MAX_P
 raise the caps (with a warning).  The nu-sweeping checks (fiber dimension,
-weight map) additionally require n <= 3 and stay behind the same cost gate.
+weight map) are refused, on every entry, when their cost exceeds
+NU_SWEEP_GATE; every n >= 4 exceeds it, and so does n = 3 from p = 3 on.
 They build, for every flag g, the set {nu : Ad(g^{-1})nu in b} as the
 Ad(g)-image {g x g^{-1} : x in b(F_p)}, p^(dim b) points rather than a
 filter over all p^(n^2) matrices, and likewise for p; each set keeps its
@@ -297,33 +298,15 @@ def in_b(m: Rows) -> bool:
     return _in_blocks(m, (1,) * len(m), False)
 
 
-def in_u(m: Rows) -> bool:
-    return _in_blocks(m, (1,) * len(m), True)
-
-
-def in_p_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
-    return _in_blocks(m, tuple(blocks), False)
-
-
-def in_nq_blocks(m: Rows, blocks: Tuple[int, ...]) -> bool:
-    return _in_blocks(m, tuple(blocks), True)
-
-
-CONDITIONS = ("in_b", "in_p", "in_u", "in_nQ")
+# condition -> (the argument naming its parabolic, None for the Borel;
+#               whether the block diagonal must vanish too)
+CONDITIONS = {
+    "in_b": (None, False),
+    "in_p": ("blocks", False),
+    "in_u": (None, True),
+    "in_nQ": ("qblocks", True),
+}
 SPACES = ("full_flag", "partial_flag")
-
-
-def _condition_test(condition, blocks, qblocks):
-    """m -> whether m lies in the subalgebra the condition names: p or n_Q
-    for their blocks, b or u for blocks (1,)*n."""
-    if condition not in CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}; pick one of {CONDITIONS}")
-    name, parabolic = {"in_p": ("blocks", blocks), "in_nQ": ("qblocks", qblocks)}.get(condition, ("", ()))
-    if parabolic is None:
-        raise ValueError(f"condition {condition} needs {name}")
-    parabolic = tuple(parabolic)
-    diagonal = condition in ("in_u", "in_nQ")
-    return lambda m: _in_blocks(m, parabolic or (1,) * len(m), diagonal)
 
 
 @lru_cache(maxsize=None)
@@ -353,10 +336,16 @@ def incidence_count(
     n = nu.n
     p = nu.p
     check_bounds(n, p)
-    test = _condition_test(condition, blocks, qblocks)
-    for parabolic in (blocks, qblocks):
-        if parabolic is not None:
-            check_blocks(parabolic, n)
+    if condition not in CONDITIONS:
+        raise ValueError(f"unknown condition {condition!r}; pick one of {tuple(CONDITIONS)}")
+    arg, diagonal = CONDITIONS[condition]
+    parabolic = (1,) * n if arg is None else {"blocks": blocks, "qblocks": qblocks}[arg]
+    if parabolic is None:
+        raise ValueError(f"condition {condition} needs {arg}")
+    parabolic = tuple(parabolic)
+    for given in (blocks, qblocks):
+        if given is not None:
+            check_blocks(given, n)
     if space == "partial_flag" and blocks is None:
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:
@@ -366,7 +355,8 @@ def incidence_count(
     witnesses = []
     by_cell: Dict[Perm, int] = {}
     for point, ginv in zip(points, _flag_inverses(n, p, flag_blocks)):
-        if test(mat_mul(ginv, mat_mul(nu.entries, point.canonical_matrix.entries, p), p)):
+        ad = mat_mul(ginv, mat_mul(nu.entries, point.canonical_matrix.entries, p), p)
+        if _in_blocks(ad, parabolic, diagonal):
             witnesses.append(point)
             by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
     # the points come sorted by (length, cell), so by_cell is too
@@ -437,15 +427,14 @@ def _position_table(n: int, p: int, blocks: Tuple[int, ...]):
 
 def _pairs_in_position(w: Perm, blocks: Tuple[int, ...], p: int):
     """The Ad-image sets (s1, s2) of the flags g1 B and g2 P of every pair
-    in relative position w.  The inputs are checked at once; the pairs
-    are generated as they are read."""
+    in relative position w.  The inputs, and the sweep's cost against
+    NU_SWEEP_GATE, are checked at once; the pairs are generated as they
+    are read."""
     n = len(w)
     check_bounds(n, p)
-    if n > 3:
-        raise ValueError(
-            f"nu sweep enumerates the Ad(g)-images of b and p for every flag; "
-            f"n={n} is beyond the n<=3 bound"
-        )
+    reason = _nu_sweep_refusal(n, p)
+    if reason is not None:
+        raise ValueError(f"nu sweep refused at n={n}, p={p}: {reason}")
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
     full_sets = _in_p_sets(n, p, (1,) * n)
@@ -587,7 +576,7 @@ def blowup_equation_check(p: int) -> bool:
     return True
 
 
-def good_form_conjugate(v, p: Optional[int] = None):
+def good_form_conjugate(v):
     """Conjugate an upper-triangular v by an upper unipotent b so that
     v' = b^{-1} v b has zero entries wherever the two diagonal values
     differ.  Works over F_p (pass an FqMatrix) or exact rationals; only
@@ -599,8 +588,6 @@ def good_form_conjugate(v, p: Optional[int] = None):
     """
     modular = isinstance(v, FqMatrix)
     if modular:
-        if p is not None and p != v.p:
-            raise ValueError("p disagrees with the matrix field")
         p = v.p
         rows = [list(r) for r in v.entries]
         one = 1
@@ -612,8 +599,6 @@ def good_form_conjugate(v, p: Optional[int] = None):
             return x % p
 
     else:
-        if p is not None:
-            raise ValueError("pass an FqMatrix for mod-p input")
         rows = [[Fraction(x) for x in row] for row in v]
         one = Fraction(1)
 
@@ -747,7 +732,7 @@ def _ad_off_masks(w: Perm, blocks: Tuple[int, ...], p: int) -> Tuple[int, int]:
         assert support == [1], (w, (a, b), m)
         if not in_b(m):
             off_b |= 1 << k
-        if not in_p_blocks(m, blocks):
+        if not _in_blocks(m, blocks, False):
             off_p |= 1 << k
     return off_b, off_p
 
@@ -820,8 +805,8 @@ def _borel_sweep_refusal(n: int, p: int) -> Optional[str]:
 
 
 def _nu_sweep_refusal(n: int, p: int) -> Optional[str]:
-    # every n > 3 exceeds the gate, so the n <= 3 bound of the nu sweeps
-    # never trips inside run_suite
+    # every n > 3 exceeds the gate; _pairs_in_position applies it to
+    # library calls too
     return _over_gate("nu", p ** (n * n) * q_factorial(n, p), NU_SWEEP_GATE)
 
 

@@ -83,10 +83,6 @@ def certificate_to_json(cert: CompanionCertificate) -> Dict[str, object]:
     }
 
 
-def fraction_to_json(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # scenario loading
 

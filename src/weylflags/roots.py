@@ -184,14 +184,13 @@ def staircase(shape: Dict[str, int]) -> IntegralWeight:
     return {tau: tuple(range(n - 1, -1, -1)) for tau, n in shape.items()}
 
 
-def dot_act(w: MultiPerm, lam: IntegralWeight, rho: Optional[IntegralWeight] = None) -> IntegralWeight:
-    """Dot action w·lambda = w(lambda + rho) - rho.
+def dot_act(w: MultiPerm, lam: IntegralWeight) -> IntegralWeight:
+    """Dot action w·lambda = w(lambda + rho) - rho, rho the staircase.
 
     >>> dot_act({"t": (3, 2, 1)}, {"t": (2, 2, 3)})
     {'t': (1, 2, 4)}
     """
-    if rho is None:
-        rho = staircase(shape_of(lam))
+    rho = staircase(shape_of(lam))
     shifted = {tau: tuple(a + b for a, b in zip(lam[tau], rho[tau])) for tau in lam}
     moved = act(w, shifted)
     return {tau: tuple(a - b for a, b in zip(moved[tau], rho[tau])) for tau in lam}

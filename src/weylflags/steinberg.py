@@ -11,7 +11,7 @@ attached to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from . import weyl
 from .cosets import (
@@ -169,39 +169,26 @@ def minimal_parabolic(shape: Dict[str, int], alpha: Root) -> ParabolicSpec:
     return spec
 
 
-def find_induction_step(
-    w: CosetRep,
-    pspec: ParabolicSpec,
-    h: IntegralWeight,
-    exhaustive: bool = False,
-) -> Union[InductionStep, List[InductionStep]]:
+def find_induction_step(w: CosetRep, pspec: ParabolicSpec, h: IntegralWeight) -> InductionStep:
     """A simple root raising w one covering step in W/W_P.
 
     Candidates are the simple alpha with <alpha, w(h)> < 0; the smallest
     (index, label) is chosen.  Returns the step together with Q = B(alpha),
-    for which s_alpha·w(h) is strictly Q-dominant while w(h) is not.  With
-    exhaustive=True, returns every valid candidate step for diagnostics.
+    for which s_alpha·w(h) is strictly Q-dominant while w(h) is not.
     Raises when w is already the maximal coset.
     """
     if not p_regular_antidominant(h, pspec):
         raise ValueError(f"h is not P-regular antidominant for blocks {pspec}: {h}")
     shape = shape_of(h)
     wh = act(w.rep, h)
-    cands = sorted(
-        (a for a in simple_roots(shape) if pairing(a, wh) < 0),
-        key=lambda a: (a.i, a.tau),
-    )
+    cands = [a for a in simple_roots(shape) if pairing(a, wh) < 0]
     if not cands:
         raise ValueError(f"coset {w.rep} is maximal in W/W_P; no step exists")
-    steps = []
-    for alpha in cands:
-        qspec = minimal_parabolic(shape, alpha)
-        s_alpha = weyl.multi_simple_reflection(shape, alpha.tau, alpha.i)
-        target = CosetRep(weyl.multi_compose(s_alpha, w.rep), pspec)
-        assert target.lg == w.lg + 1
-        assert dominance(act(target.rep, h), qspec, "strict")
-        assert not dominance(wh, qspec, "strict")
-        steps.append(InductionStep(alpha, qspec, w, target))
-        if not exhaustive:
-            return steps[0]
-    return steps
+    alpha = min(cands, key=lambda a: (a.i, a.tau))
+    qspec = minimal_parabolic(shape, alpha)
+    s_alpha = weyl.multi_simple_reflection(shape, alpha.tau, alpha.i)
+    target = CosetRep(weyl.multi_compose(s_alpha, w.rep), pspec)
+    assert target.lg == w.lg + 1
+    assert dominance(act(target.rep, h), qspec, "strict")
+    assert not dominance(wh, qspec, "strict")
+    return InductionStep(alpha, qspec, w, target)

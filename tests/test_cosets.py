@@ -202,7 +202,6 @@ def test_enumerate_quotient_two_labels_matches_filter_oracle():
         expected.sort()
         quo = cosets.enumerate_quotient(spec)
         assert [(c.lg, (c.rep["a"], c.rep["b"])) for c in quo] == expected, spec
-        assert [c.sort_key() for c in quo] == [weyl.sort_key(c.rep) for c in quo]
 
 
 def test_coset_rep_length_is_cached_and_lazy():
@@ -210,7 +209,6 @@ def test_coset_rep_length_is_cached_and_lazy():
     assert c._lg is None
     assert c.lg == 2
     assert c._lg == 2
-    assert c.sort_key() == weyl.sort_key(c.rep)
 
 
 def test_quotient_cap(monkeypatch):

@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -374,10 +376,6 @@ def test_good_form_random_rational_and_modular():
 def test_good_form_rejects_bad_input():
     with pytest.raises(ValueError):
         ff.good_form_conjugate([[1, 0], [1, 2]])
-    with pytest.raises(ValueError):
-        ff.good_form_conjugate([[1, 0], [0, 2]], p=5)
-    with pytest.raises(ValueError):
-        ff.good_form_conjugate(ff.FqMatrix(5, ((1, 0), (0, 2))), p=3)
 
 
 def test_shortest_element_fq_sweep_n2():
@@ -508,6 +506,26 @@ def test_run_suite_refusals_name_the_reason(name, n, p, reason):
     assert [row["observed"] for row in rows] == [f"skipped: {reason}"]
 
 
+def test_nu_sweep_checks_refuse_over_the_gate_from_the_library():
+    # in a subprocess, so a check that ignores the gate (minutes at (3, 5))
+    # fails by timeout instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(ff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from weylflags import fforacle as ff\n"
+        "for call in (lambda: ff.fiber_dimension_check((1, 2, 3), (1, 1, 1), 5),\n"
+        "             lambda: ff.weight_map_check((1, 1, 1), (1, 2, 3), 5)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    cost = 5 ** 9 * ff.q_factorial(3, 5)
+    expected = f"nu sweep refused at n=3, p=5: nu sweep cost {cost} > {ff.NU_SWEEP_GATE}"
+    assert proc.stdout.splitlines() == [expected, expected], proc.stderr
+
+
 def test_run_suite_refuses_an_empty_selection():
     with pytest.raises(ValueError, match="no checks selected"):
         ff.run_suite(2, 3, checks=[])
@@ -525,8 +543,14 @@ def test_run_suite_rows_match_the_recorded_stream():
 
 
 def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
-    """incidence_count's answer, re-inverting every flag through adjoint."""
-    test = ff._condition_test(condition, blocks, qblocks)
+    """incidence_count's answer, re-inverting every flag through adjoint
+    and testing membership with the oracle predicates."""
+    if condition == "in_b":
+        test = oracles.in_b_brute
+    elif condition == "in_p":
+        test = oracles.in_p_brute(blocks)
+    else:
+        test = oracles.in_nq_brute(qblocks if condition == "in_nQ" else (1,) * nu.n)
     full = space == "full_flag"
     points = ff.enumerate_flags(nu.n, nu.p) if full else ff._flags_cached(nu.n, nu.p, blocks)
     witnesses, by_cell = [], {}

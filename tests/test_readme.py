@@ -1,0 +1,36 @@
+"""The CLI examples of README.md run as written and print JSON."""
+
+import json
+import os
+import re
+import shlex
+
+from weylflags import cli
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def fenced(text, lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.S | re.M)
+
+
+def test_readme_cli_examples_exit_zero_with_json(capsys, monkeypatch, tmp_path):
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    (scenario,) = fenced(text, "json")
+    (tmp_path / "scenario.json").write_text(scenario)
+    monkeypatch.chdir(tmp_path)
+    for name in ("WEYLFLAGS_FF_MAX_N", "WEYLFLAGS_FF_MAX_P", "WEYLFLAGS_MAX_QUOTIENT"):
+        monkeypatch.delenv(name, raising=False)
+    lines = [
+        line
+        for block in fenced(text, "sh")
+        for line in block.splitlines()
+        if line.startswith("weylflags ")
+    ]
+    assert lines
+    for line in lines:
+        code = cli.main(shlex.split(line)[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        json.loads(out)

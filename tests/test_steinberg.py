@@ -126,16 +126,6 @@ def test_find_induction_step_postconditions():
                 assert not roots.dominance(roots.act(coset.rep, h), step.Q, "strict")
 
 
-def test_find_induction_step_exhaustive_contains_default():
-    pspec = {"t": (1, 1, 1)}
-    h = {"t": (0, 1, 2)}
-    coset = CosetRep({"t": (1, 2, 3)}, pspec)
-    all_steps = steinberg.find_induction_step(coset, pspec, h, exhaustive=True)
-    one = steinberg.find_induction_step(coset, pspec, h)
-    assert one in all_steps
-    assert len({s.alpha for s in all_steps}) == len(all_steps)
-
-
 def test_component_lists_keep_sort_key_order():
     qspecs = [{"t": q} for n in range(1, 6) for q in oracles.compositions(n)]
     qspecs += [{"a": (1, 2), "b": (2, 1)}, {"a": (1, 1, 1), "b": (1, 1)}]
