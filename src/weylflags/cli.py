@@ -1,9 +1,12 @@
 """Command-line front end.
 
-One logical command per invocation; output is compact JSON on stdout by
-default, or a plain-text report with --pretty.  Exit status: 0 when the
-command (and every requested check) succeeded, 1 when a requested check
-failed, 2 for usage and validation errors.
+One logical command per invocation; each builds one JSON payload and
+prints it as compact JSON on stdout, or with --pretty as a plain-text
+report of the same fields: one line per field in key order, a list as
+its length followed by one indented line per item, values as compact
+JSON.  Exit status: 0 when the command (and every requested check)
+succeeded, 1 when a requested check failed, 2 for usage and validation
+errors, flags that would go unread included.
 
 Permutations, block compositions and weights are passed as JSON: either
 an object keyed by embedding label ({"t": [3, 1, 2]}) or a bare array,
@@ -76,15 +79,25 @@ def _parse_weight(text: str, flag: str) -> roots.IntegralWeight:
     return _int_tuples(_loads(text, flag), flag)
 
 
-def _emit(payload, pretty: bool, lines: Optional[List[str]] = None) -> None:
-    if pretty and lines is not None:
-        print("\n".join(lines))
-    else:
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+def _json(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
-def _fmt_perm(w: weyl.MultiPerm) -> str:
-    return "; ".join(f"{tau}: {list(w[tau])}" for tau in sorted(w))
+def _emit(payload: dict, pretty: bool) -> None:
+    """Print the payload as compact JSON, or as the report described above."""
+    if not pretty:
+        print(_json(payload))
+        return
+    width = max(map(len, payload))
+    lines = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list):
+            lines.append(f"{key:<{width}}  {len(value)}")
+            lines += [f"  {_json(item)}" for item in value]
+        else:
+            lines.append(f"{key:<{width}}  {_json(value)}")
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -92,31 +105,18 @@ def _fmt_perm(w: weyl.MultiPerm) -> str:
 
 def cmd_weyl(args) -> int:
     w = _parse_perm(args.perm, "--perm")
-    word = weyl.multi_reduced_word(w)
     payload = {
         "perm": jsonio.perm_to_json(w),
         "length": weyl.multi_length(w),
         "inverse": jsonio.perm_to_json(weyl.multi_inverse(w)),
-        "reduced_word": [{"tau": tau, "i": i} for tau, i in word],
+        "reduced_word": [{"tau": tau, "i": i} for tau, i in weyl.multi_reduced_word(w)],
     }
-    lines = [
-        f"perm       {_fmt_perm(w)}",
-        f"length     {payload['length']}",
-        f"inverse    {_fmt_perm(weyl.multi_inverse(w))}",
-        "word       " + (" ".join(f"s_{i}({tau})" for tau, i in word) or "(empty)"),
-    ]
     if args.other:
         v = _parse_perm(args.other, "--other")
-        product = weyl.multi_compose(w, v)
-        payload["compose"] = jsonio.perm_to_json(product)
+        payload["compose"] = jsonio.perm_to_json(weyl.multi_compose(w, v))
         payload["leq_other"] = weyl.multi_bruhat_leq(w, v)
         payload["geq_other"] = weyl.multi_bruhat_leq(v, w)
-        lines += [
-            f"compose    {_fmt_perm(product)}",
-            f"leq other  {payload['leq_other']}",
-            f"geq other  {payload['geq_other']}",
-        ]
-    _emit(payload, args.pretty, lines)
+    _emit(payload, args.pretty)
     return EXIT_OK
 
 
@@ -133,44 +133,29 @@ def cmd_coset(args) -> int:
         "lg": coset.lg,
         "is_min_rep": cosets.is_min_rep(w, spec),
     }
-    lines = [
-        f"perm       {_fmt_perm(w)}",
-        f"blocks     {_fmt_perm(spec)}",
-        f"min rep    {_fmt_perm(rep)}",
-        f"levi part  {_fmt_perm(inside)}",
-        f"lg_P       {coset.lg}",
-        f"is min rep {payload['is_min_rep']}",
-    ]
     if args.other:
         v = cosets.CosetRep(_parse_perm(args.other, "--other"), spec)
         payload["leq_other"] = cosets.quotient_leq(coset, v)
         payload["geq_other"] = cosets.quotient_leq(v, coset)
-        lines += [
-            f"leq other  {payload['leq_other']}",
-            f"geq other  {payload['geq_other']}",
-        ]
     if args.qblocks:
         qspec = _parse_blocks(args.qblocks, "--qblocks")
         double = cosets.shortest_double_coset_rep(w, qspec, spec)
         payload["double_coset_rep"] = jsonio.perm_to_json(double)
-        lines.append(f"double rep {_fmt_perm(double)}")
     if args.enumerate:
-        quotient = cosets.enumerate_quotient(spec)
-        payload["quotient"] = [jsonio.coset_to_json(c) for c in quotient]
-        lines.append(f"quotient   {len(quotient)} cosets")
-        lines += [f"  lg={c.lg}  {_fmt_perm(c.rep)}" for c in quotient]
-    _emit(payload, args.pretty, lines)
+        payload["quotient"] = [jsonio.coset_to_json(c) for c in cosets.enumerate_quotient(spec)]
+    _emit(payload, args.pretty)
     return EXIT_OK
 
 
 def cmd_steinberg(args) -> int:
+    if args.h and not args.perm:
+        raise CliError("steinberg: --h needs --perm")
     spec = _parse_blocks(args.blocks, "--blocks")
     qspec = _parse_blocks(args.qblocks, "--qblocks")
     payload = {
         "blocks": jsonio.spec_to_json(spec),
         "q_blocks": jsonio.spec_to_json(qspec),
     }
-    lines = [f"P blocks   {_fmt_perm(spec)}", f"Q blocks   {_fmt_perm(qspec)}"]
     if args.perm:
         w = _parse_perm(args.perm, "--perm")
         coset = cosets.CosetRep(w, spec)
@@ -179,26 +164,15 @@ def cmd_steinberg(args) -> int:
         payload["levi_cap_u_in_nQ"] = steinberg.levi_cap_u_in_nQ(w, spec, qspec)
         payload["defect"] = steinberg.z_dimension_defect(w, spec, qspec)
         payload["component_in_ZQP_roots"] = root_route
-        lines += [
-            f"perm       {_fmt_perm(w)}",
-            f"double-coset condition {payload['levi_cap_u_in_nQ']} (defect {payload['defect']})",
-            f"root route {root_route}",
-        ]
         if args.h:
             h = _parse_weight(args.h, "--h")
             dominance_route = steinberg.component_in_ZQP(coset, spec, qspec, h)
             payload["component_in_ZQP"] = dominance_route
             payload["routes_agree"] = root_route == dominance_route
-            lines += [
-                f"h route    {dominance_route}",
-                f"agree      {payload['routes_agree']}",
-            ]
     if args.list_components:
         comps = steinberg.steinberg_components_full_flag(qspec)
         payload["full_flag_components"] = [jsonio.perm_to_json(c) for c in comps]
-        lines.append(f"components {len(comps)}")
-        lines += [f"  {_fmt_perm(c)}" for c in comps]
-    _emit(payload, args.pretty, lines)
+    _emit(payload, args.pretty)
     return EXIT_OK
 
 
@@ -219,39 +193,26 @@ def cmd_companion(args) -> int:
         ],
         "count": len(pairs),
     }
-    lines = [
-        f"rank       {sc.rank}",
-        f"blocks     {_fmt_perm(spec)}",
-        f"weight     {_fmt_perm(lam)}",
-        f"position   {_fmt_perm(w_R.rep)}  (lg={w_R.lg})",
-        f"companions {len(pairs)}",
-    ]
-    for w, c in pairs:
-        lines.append(
-            f"  lg={w.lg}  {_fmt_perm(w.rep)}  twisted weight {_fmt_perm(c.algebraic_weight)}"
-        )
     status = EXIT_OK
     if all(place.values is not None for place in sc.refinement.places):
-        generic = companion.genericity_check(sc.refinement)
-        payload["generic"] = generic
-        lines.append(f"generic    {generic}")
-        if not generic:
+        payload["generic"] = companion.genericity_check(sc.refinement)
+        if not payload["generic"]:
             status = EXIT_CHECK_FAILED
     if sc.character_weight is not None:
         found = companion.relative_position(sc.character_weight, h)
         payload["relative_position"] = jsonio.coset_to_json(found)
-        lines.append(f"located    {_fmt_perm(found.rep)}  (lg={found.lg})")
     if args.jordan_holder:
         ideal = companion.jordan_holder_cosets(w_R)
         payload["jordan_holder"] = [jsonio.coset_to_json(c) for c in ideal]
-        lines.append(f"jordan-holder ideal: {len(ideal)} cosets")
-        lines += [f"  lg={c.lg}  {_fmt_perm(c.rep)}" for c in ideal]
-    _emit(payload, args.pretty, lines)
+    _emit(payload, args.pretty)
     return status
 
 
 def cmd_walk(args) -> int:
     if args.scenario:
+        extra = [flag for flag, value in (("--h", args.h), ("--perm", args.perm)) if value]
+        if extra:
+            raise CliError(f"walk: --scenario takes no {' or '.join(extra)}")
         sc = jsonio.load_scenario(args.scenario)
         h = sc.hodge_weights
         spec = companion.hodge_spec(h)
@@ -268,17 +229,7 @@ def cmd_walk(args) -> int:
     cert = companion.certify_walk(start, h)
     payload = jsonio.certificate_to_json(cert)
     payload["length"] = len(cert.chain)
-    lines = [
-        f"start      {_fmt_perm(cert.start.rep)}  (lg={cert.start.lg})",
-        f"end        {_fmt_perm(cert.end.rep)}  (lg={cert.end.lg})",
-        f"steps      {len(cert.chain)}",
-    ]
-    for step in cert.chain:
-        lines.append(
-            f"  s_{step.alpha.i}({step.alpha.tau}): {_fmt_perm(step.w_from.rep)}"
-            f" -> {_fmt_perm(step.w_to.rep)}"
-        )
-    _emit(payload, args.pretty, lines)
+    _emit(payload, args.pretty)
     return EXIT_OK
 
 
@@ -300,19 +251,7 @@ def cmd_ff_verify(args) -> int:
         raise CliError("ff-verify: pass --n and --p (or a scenario with an ff field)")
     rows = fforacle.run_suite(n, p, checks)
     ok = all(row["pass"] for row in rows)
-    payload = {"n": n, "p": p, "results": rows, "pass": ok}
-    lines = [f"finite-field suite at n={n}, p={p}"]
-    for row in rows:
-        if row.get("skipped"):
-            tag = "SKIP"
-        else:
-            tag = "PASS" if row["pass"] else "FAIL"
-        lines.append(
-            f"{tag}  {row['check']:<17} params={json.dumps(row['params'], sort_keys=True)}"
-            f" expected={row['expected']} observed={row['observed']}"
-        )
-    lines.append("all passed" if ok else "FAILURES present")
-    _emit(payload, args.pretty, lines)
+    _emit({"n": n, "p": p, "results": rows, "pass": ok}, args.pretty)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

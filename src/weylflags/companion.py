@@ -141,15 +141,16 @@ def relative_position(char_weight: IntegralWeight, h: IntegralWeight) -> CosetRe
     {'t': (2, 3, 1)}
     """
     spec = check_spec(hodge_spec(h), shape_of(char_weight))
-    rep = {}
-    for tau, hvec in h.items():
-        cw = char_weight[tau]
+    labels = sorted(h)
+    parts = []
+    for tau in labels:
+        cw, hvec = char_weight[tau], h[tau]
         if sorted(cw) != list(hvec):
             raise ValueError(
                 f"weight at embedding {tau!r} is not a rearrangement of h: {cw} vs {hvec}"
             )
-        rep[tau] = tuple(sorted(range(1, len(cw) + 1), key=lambda i: cw[i - 1]))
-    return CosetRep(rep, spec)
+        parts.append(tuple(sorted(range(1, len(cw) + 1), key=lambda i: cw[i - 1])))
+    return CosetRep._of_parts(labels, parts, spec, tuple(sorted(spec.items())), None)
 
 
 def twist(weight: IntegralWeight) -> IntegralWeight:

@@ -35,6 +35,10 @@ from .weyl import MultiPerm, Perm
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
 ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
+# (5!)^2: the largest |W_Q|·|W_P| the exhaustive double-coset route composes
+# under method="auto"; each pair costs two compositions, so past this the
+# normalizing route (microseconds at any size) answers instead.
+MAX_EXHAUSTIVE_PAIRS = 14_400
 
 
 def min_rep_perm(w: Perm, blocks: Tuple[int, ...]) -> Perm:
@@ -90,10 +94,11 @@ class CosetRep:
         self._lg = None
 
     @classmethod
-    def _of_parts(cls, labels, parts, spec, spec_key, lg: int) -> "CosetRep":
+    def _of_parts(cls, labels, parts, spec, spec_key, lg: Optional[int]) -> "CosetRep":
         """The coset of a representative already known to be minimal:
-        parts are its permutations in label order, spec is checked and
-        spec_key is tuple(sorted(spec.items())).  Nothing is re-validated."""
+        parts are its permutations in sorted label order, spec is checked,
+        spec_key is tuple(sorted(spec.items())) and lg, when None, is
+        computed on first use.  Nothing is re-validated."""
         self = object.__new__(cls)
         self.rep = dict(zip(labels, parts))
         self.spec = spec
@@ -311,6 +316,11 @@ def _interval(start: CosetRep, up: bool, at_least: Optional[CosetRep] = None) ->
     return [c for lv in levels for c in lv]
 
 
+def _levi_order(spec: ParabolicSpec) -> int:
+    """|W_P|: the product of b! over every block of every label."""
+    return math.prod(math.factorial(b) for blocks in spec.values() for b in blocks)
+
+
 def wp_elements(spec: ParabolicSpec) -> List[MultiPerm]:
     """All elements of the block subgroup W_P."""
     spec = check_spec(spec)
@@ -379,14 +389,18 @@ def shortest_double_coset_rep(
 
     method "exhaustive" materializes the double coset (small ranks);
     "normalize" alternates left and right minimal-representative passes
-    until stable.  "auto" picks exhaustive up to rank 6.  The result lies
-    in W^P intersected with ^QW.
+    until stable.  "auto" picks exhaustive up to rank 6 when |W_Q|·|W_P|
+    is at most MAX_EXHAUSTIVE_PAIRS.  The result lies in W^P intersected
+    with ^QW.
     """
     shape = shape_of(w)
     qspec = check_spec(qspec, shape)
     pspec = check_spec(pspec, shape)
     if method == "auto":
-        method = "exhaustive" if max(shape.values()) <= 6 else "normalize"
+        small = max(shape.values()) <= 6 and (
+            _levi_order(qspec) * _levi_order(pspec) <= MAX_EXHAUSTIVE_PAIRS
+        )
+        method = "exhaustive" if small else "normalize"
     if method == "exhaustive":
         right = wp_elements(pspec)
         coset = {

@@ -21,6 +21,33 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
+def parse_report(out):
+    """A --pretty report as {field: (value, items)}: a field line is the
+    key, padding and a compact JSON value (a list field's value is its
+    length); each indented line is an item of the list field above it."""
+    fields = {}
+    for line in out.splitlines():
+        if line.startswith("  "):
+            fields[key][1].append(json.loads(line[2:]))
+        else:
+            key, value = line.split(None, 1)
+            assert key not in fields, key
+            fields[key] = (json.loads(value), [])
+    assert list(fields) == sorted(fields)
+    return fields
+
+
+def assert_report_renders(out, payload):
+    """The report out reads back as exactly the payload: a list field as
+    its length and its items, any other field as its JSON value."""
+    expected = {
+        key: (len(value), value) if isinstance(value, list) else (value, [])
+        for key, value in payload.items()
+    }
+    # compared as JSON text, which keeps true apart from 1
+    assert json.dumps(parse_report(out), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -78,8 +105,14 @@ def test_weyl_multi_factor_input(capsys):
 def test_weyl_pretty_output(capsys):
     code, out, _ = run(capsys, "weyl", "--perm", "[3,2,1]", "--pretty")
     assert code == 0
-    assert "length     3" in out
-    assert "word       s_1(tau) s_2(tau) s_1(tau)" in out
+    lines = out.splitlines()
+    assert "length        3" in lines
+    assert lines[-4:] == [
+        "reduced_word  3",
+        '  {"i":1,"tau":"tau"}',
+        '  {"i":2,"tau":"tau"}',
+        '  {"i":1,"tau":"tau"}',
+    ]
 
 
 def test_weyl_rejects_bad_perm(capsys):
@@ -274,6 +307,20 @@ def test_coset_enumerate_over_the_quotient_cap_exits_two():
     assert time.perf_counter() - start < 1.0
 
 
+def test_coset_double_rep_of_large_levis_answers_quickly():
+    # |W_Q|·|W_P| = 6!^4: composing every pair would run for hours
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    one = '{"a":[1,2,3,4,5,6],"b":[1,2,3,4,5,6]}'
+    six = '{"a":[6],"b":[6]}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylflags.cli", "coset", "--perm", one, "--blocks", six, "--qblocks", six],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["double_coset_rep"] == json.loads(one)
+
+
 def test_quotient_cap_applies_to_every_enumerating_subcommand(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("WEYLFLAGS_MAX_QUOTIENT", "2")
     path = write_scenario(tmp_path, base_scenario())  # W/W_P has 3 cosets
@@ -320,6 +367,42 @@ def test_walk_needs_some_input(capsys):
     assert "pass --scenario or --h" in err
 
 
+def test_flags_that_would_go_unread_exit_two(capsys, tmp_path):
+    path = write_scenario(tmp_path, base_scenario())
+    for argv, message in (
+        (["steinberg", "--blocks", "[2,1]", "--qblocks", "[2,1]", "--h", "[0,0,1]"],
+         "steinberg: --h needs --perm"),
+        (["walk", "--scenario", path, "--h", "[0,0,1]"], "walk: --scenario takes no --h"),
+        (["walk", "--scenario", path, "--perm", "[1,2,3]"], "walk: --scenario takes no --perm"),
+        (["walk", "--scenario", path, "--h", "[0,0,1]", "--perm", "[1,2,3]"],
+         "walk: --scenario takes no --h or --perm"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n"
+
+
+def test_pretty_report_renders_the_json_payload(capsys, tmp_path):
+    data = base_scenario(character_weight={"t": [2, 1, 1]})
+    path = write_scenario(tmp_path, data)
+    for argv in (
+        ["weyl", "--perm", '{"a": [2,1], "b": [1,3,2]}', "--other", '{"a": [1,2], "b": [3,2,1]}'],
+        ["coset", "--perm", "[3,2,1]", "--blocks", "[2,1]", "--qblocks", "[1,2]", "--enumerate"],
+        ["steinberg", "--blocks", "[2,1]", "--qblocks", "[2,1]", "--perm", "[1,3,2]", "--h", "[0,0,1]"],
+        ["steinberg", "--blocks", "[1,1,1]", "--qblocks", "[2,1]", "--list-components"],
+        ["companion", "--scenario", path, "--jordan-holder"],
+        ["walk", "--h", "[0,0,1]"],
+        ["ff-verify", "--suite", "all", "--n", "2", "--p", "2"],
+    ):
+        code, payload, _ = run_json(capsys, *argv)
+        pretty_code, out, err = run(capsys, *argv, "--pretty")
+        assert (pretty_code, err) == (code, ""), argv
+        lines = out.splitlines()
+        for key in payload:  # each field starts exactly one line
+            assert sum(line.split(None, 1)[0] == key for line in lines) == 1, (argv, key)
+        assert_report_renders(out, payload)
+
+
 def test_ff_verify_all_small(capsys):
     code, payload, _ = run_json(capsys, "ff-verify", "--suite", "all", "--n", "2", "--p", "3")
     assert code == 0
@@ -347,8 +430,11 @@ def test_ff_verify_named_checks(capsys):
 def test_ff_verify_pretty_lines(capsys):
     code, out, _ = run(capsys, "ff-verify", "--suite", "point_count", "--n", "2", "--p", "2", "--pretty")
     assert code == 0
-    assert "PASS  point_count" in out
-    assert "all passed" in out
+    fields = parse_report(out)
+    count, rows = fields["results"]
+    assert count == len(rows) == 1
+    assert rows[0]["check"] == "point_count" and rows[0]["pass"] is True
+    assert "pass     true" in out.splitlines()
 
 
 def test_ff_verify_scenario_parameters(capsys, tmp_path):
@@ -526,7 +612,9 @@ def test_cli_fuzz_keeps_the_exit_contract(capsys, tmp_path, argv, scenario):
     assert "Traceback" not in err
     if code == 1:  # a failed check: a suite row, or a non-generic companion scenario
         assert argv[0] in ("ff-verify", "companion")
-        if argv[0] == "companion" and "--pretty" not in argv:
+        if argv[0] == "companion" and "--pretty" in argv:
+            assert parse_report(out)["generic"] == (False, [])
+        elif argv[0] == "companion":
             assert json.loads(out)["generic"] is False
     if code == 0 and argv[0] == "ff-verify":
         assert json.loads(out)["results"]

@@ -160,6 +160,21 @@ def test_normalising_double_coset_route_matches_oracle():
                     assert got == {"t": minima[w]}, (w, qblocks, pblocks)
 
 
+def test_two_label_double_coset_rep_is_per_label():
+    # method="auto" composes W_Q x W_P only while that is small; two rank-4
+    # labels with one block each are past the bound and take the
+    # normalizing route, the mixed pairs below stay exhaustive
+    specs = [((4,), (4,)), ((2, 2), (1, 3)), ((1, 1, 1, 1), (2, 1, 1))]
+    minima = {spec: oracles.double_coset_minima(*spec) for spec in specs}
+    for (qa, pa), (qb, pb) in itertools.product(specs, repeat=2):
+        for wa in list(perms(4))[::5]:
+            wb = wa[::-1]
+            got = cosets.shortest_double_coset_rep(
+                {"a": wa, "b": wb}, {"a": qa, "b": qb}, {"a": pa, "b": pb}
+            )
+            assert got == {"a": minima[qa, pa][wa], "b": minima[qb, pb][wb]}, (wa, qa, pa, qb, pb)
+
+
 def test_length_split_stats_pinned_and_total():
     assert cosets.length_split_stats((3, 2, 1), (2, 1)) == (1, 2)
     for sigma in perms(4):

@@ -1,10 +1,12 @@
-"""The CLI examples of README.md run as written and print JSON."""
+"""The CLI examples of README.md run as written and print JSON, and with
+--pretty print the report of that JSON."""
 
 import json
 import os
 import re
 import shlex
 
+from test_cli import assert_report_renders
 from weylflags import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -33,4 +35,6 @@ def test_readme_cli_examples_exit_zero_with_json(capsys, monkeypatch, tmp_path):
         code = cli.main(shlex.split(line)[1:])
         out = capsys.readouterr().out
         assert code == 0, line
-        json.loads(out)
+        payload = json.loads(out)
+        assert cli.main(shlex.split(line)[1:] + ["--pretty"]) == 0, line
+        assert_report_renders(capsys.readouterr().out, payload)
