@@ -239,10 +239,14 @@ def cmd_ff_verify(args) -> int:
 
     n, p = args.n, args.p
     checks: Optional[List[str]] = None
-    if args.suite != "all":
+    if args.suite not in (None, "all"):
         checks = [name.strip() for name in args.suite.split(",") if name.strip()]
     if args.scenario:
         sc = jsonio.load_scenario(args.scenario)
+        given = (("--n", sc.ff, n), ("--p", sc.ff, p), ("--suite", sc.checks, args.suite))
+        extra = [flag for flag, field, value in given if field is not None and value is not None]
+        if extra:
+            raise CliError(f"ff-verify: --scenario takes no {' or '.join(extra)} when the file sets them")
         if sc.ff is not None:
             n, p = sc.ff
         if sc.checks is not None:
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--perm", help="starting permutation (default: identity)")
 
     sp = add("ff-verify", cmd_ff_verify, "exhaustive finite-field check suite")
-    sp.add_argument("--suite", default="all", help="'all' or comma-separated check names")
+    sp.add_argument("--suite", help="'all' (the default) or comma-separated check names")
     sp.add_argument("--n", type=int, help="matrix size")
     sp.add_argument("--p", type=int, help="prime field size")
     sp.add_argument("--scenario", help="scenario file carrying ff parameters / checks")

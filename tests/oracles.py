@@ -445,3 +445,97 @@ def bruhat_cell_rank_profile(g, p):
         assert len(hits) == 1, (g, j, hits)
         w.append(hits[0])
     return tuple(w)
+
+
+def nu_image_sets(flags, n, p, blocks):
+    """For each flag matrix g, {index of nu: Ad(g^{-1})nu} over the nu
+    with Ad(g^{-1})nu in p.  That set is exactly {g x g^{-1} : x in p},
+    so it is walked from x, one coordinate of p at a time, adding
+    multiples of the images g E_ij g^{-1}.  The index of nu is its base-p
+    value read row by row, first entry most significant, as in
+    nu_sets_brute."""
+    bl = block_of(blocks)
+    positions = [(i, j) for i in range(n) for j in range(n) if bl[i + 1] <= bl[j + 1]]
+    out = []
+    for g in flags:
+        ginv = _inv_mod(g, p)
+        # (nu flattened, coordinates of x), in itertools.product order
+        points = [((0,) * (n * n), ())]
+        for i, j in positions:
+            # g E_ij g^{-1} is column i of g times row j of g^{-1}
+            basis = [g[a][i] * ginv[j][b] for a in range(n) for b in range(n)]
+            points = [
+                (tuple((x + c * y) % p for x, y in zip(flat, basis)), coords + (c,))
+                for flat, coords in points
+                for c in range(p)
+            ]
+        image = {}
+        for flat, coords in points:
+            index = 0
+            for value in flat:
+                index = index * p + value
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), value in zip(positions, coords):
+                rows[i][j] = value
+            image[index] = tuple(map(tuple, rows))
+        assert len(image) == p ** len(positions), (g, positions)
+        out.append(image)
+    return out
+
+
+def nu_sweep_rows(n, p, full_flags, partial_flags):
+    """The fiber_dimension and weight_map verdicts by the two-flag sweep:
+    {(check, blocks, w): (expected, observed, pass)} in run_suite's terms.
+
+    Every pair (g1 B, g2 P) of a full flag and a partial flag is placed
+    by the rank profile of g1^{-1} g2; its fiber is the intersection of
+    the two flags' Ad-image sets, and at each nu there the Levi-block
+    characteristic polynomials of Ad(g2^{-1})nu (Laplace expansion) are
+    compared with prod (X - d_{w(j)}), d the diagonal of Ad(g1^{-1})nu.
+    partial_flags maps each composition to its flag matrices."""
+    full_sets = nu_image_sets(full_flags, n, p, (1,) * n)
+    full_inverses = [_inv_mod(g, p) for g in full_flags]
+
+    # both keyed by value, as each x in p(F_p) recurs across flags
+    @lru_cache(maxsize=None)
+    def levi_charpolys(m, blocks):
+        out, lo = [], 0
+        for size in blocks:
+            out.append(charpoly_laplace([row[lo : lo + size] for row in m[lo : lo + size]], p))
+            lo += size
+        return out
+
+    @lru_cache(maxsize=None)
+    def root_polys(roots, blocks):
+        out, lo = [], 0
+        for size in blocks:
+            poly = (1,)
+            for root in roots[lo : lo + size]:
+                poly = _poly_mul(poly, ((-root) % p, 1), p)
+            out.append(poly)
+            lo += size
+        return out
+
+    rows = {}
+    for blocks in compositions(n):
+        partial = partial_flags[blocks]
+        partial_sets = nu_image_sets(partial, n, p, blocks)
+        pairs = {}
+        for g1inv, s1 in zip(full_inverses, full_sets):
+            for g2, s2 in zip(partial, partial_sets):
+                cell = bruhat_cell_rank_profile(_mat_mul_mod(g1inv, g2, p), p)
+                pairs.setdefault(min_coset_rep_brute(cell, blocks), []).append((s1, s2))
+        for w in min_reps_brute(blocks):
+            expected = p ** (n * (n + 1) // 2 - inversion_count(w))
+            histogram = {}
+            ok = True
+            for s1, s2 in pairs.get(w, []):
+                common = s1.keys() & s2.keys()
+                histogram[len(common)] = histogram.get(len(common), 0) + 1
+                for idx in common:
+                    weights = tuple(s1[idx][k - 1][k - 1] for k in w)
+                    ok = ok and levi_charpolys(s2[idx], blocks) == root_polys(weights, blocks)
+            passed = bool(histogram) and set(histogram) == {expected}
+            rows["fiber_dimension", blocks, w] = (expected, histogram, passed)
+            rows["weight_map", blocks, w] = (True, ok, ok)
+    return rows

@@ -446,6 +446,25 @@ def test_ff_verify_scenario_parameters(capsys, tmp_path):
     assert {row["check"] for row in payload["results"]} == {"point_count", "covering_degree"}
 
 
+def test_ff_verify_scenario_takes_no_flags_it_sets(capsys, tmp_path):
+    both = write_scenario(tmp_path, base_scenario(ff={"n": 2, "p": 3}, checks=["point_count"]), "both.json")
+    ff_only = write_scenario(tmp_path, base_scenario(ff={"n": 2, "p": 3}), "ff.json")
+    checks_only = write_scenario(tmp_path, base_scenario(checks=["point_count"]), "checks.json")
+    for argv, flags in (
+        ([both, "--n", "3", "--p", "5", "--suite", "blowup"], "--n or --p or --suite"),
+        ([ff_only, "--p", "5"], "--p"),
+        ([checks_only, "--n", "2", "--p", "3", "--suite", "all"], "--suite"),
+    ):
+        code, out, err = run(capsys, "ff-verify", "--scenario", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: ff-verify: --scenario takes no {flags} when the file sets them\n"
+    # flags the file leaves unset are still read
+    code, payload, _ = run_json(capsys, "ff-verify", "--scenario", checks_only, "--n", "2", "--p", "3")
+    assert (code, payload["n"], payload["p"]) == (0, 2, 3)
+    code, payload, _ = run_json(capsys, "ff-verify", "--scenario", ff_only, "--suite", "point_count")
+    assert code == 0 and [row["check"] for row in payload["results"]] == ["point_count"]
+
+
 def test_ff_verify_requires_parameters(capsys):
     code, _, err = run(capsys, "ff-verify", "--suite", "all")
     assert code == 2

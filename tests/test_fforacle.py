@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -300,22 +301,42 @@ def test_cold_run_suite_inverts_each_flag_once(monkeypatch):
 
     monkeypatch.setattr(ff, "mat_inv", counted)
     ff.run_suite(3, 2)
-    flags = sum(len(ff._flags_cached(3, 2, blocks)) for blocks in oracles.compositions(3))
-    assert flags == 36
-    assert len(calls) == flags
+    # partial flags are points of the Borel enumeration: |G/B| inversions
+    assert len(calls) == len(ff.enumerate_flags(3, 2)) == 21
 
 
 def test_nu_sets_match_brute_sweep():
     for n, p in ((2, 2), (2, 3), (2, 5), (3, 2)):
         flags = [point.canonical_matrix.entries for point in ff.enumerate_flags(n, p)]
-        assert list(ff._in_p_sets(n, p, (1,) * n)) == oracles.nu_sets_brute(
+        assert oracles.nu_image_sets(flags, n, p, (1,) * n) == oracles.nu_sets_brute(
             flags, n, p, oracles.in_b_brute
         ), (n, p)
         for blocks in oracles.compositions(n):
             partial = [g.entries for g in ff.enumerate_partial_flags(n, p, blocks)]
-            assert list(ff._in_p_sets(n, p, blocks)) == oracles.nu_sets_brute(
+            assert oracles.nu_image_sets(partial, n, p, blocks) == oracles.nu_sets_brute(
                 partial, n, p, oracles.in_p_brute(blocks)
             ), (n, p, blocks)
+
+
+def test_nu_checks_match_the_two_flag_sweep():
+    # the kernel route (g1 = 1, one elimination per partial flag) against
+    # the pairwise Ad-image sweep, rows and histograms included; about
+    # 6 s, nearly all of it the sweep at (3, 3)
+    start = time.perf_counter()
+    for n, p in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
+        full = [point.canonical_matrix.entries for point in ff.enumerate_flags(n, p)]
+        partial = {
+            blocks: [g.entries for g in ff.enumerate_partial_flags(n, p, blocks)]
+            for blocks in oracles.compositions(n)
+        }
+        rows = {
+            (row["check"], tuple(row["params"]["blocks"]), tuple(row["params"]["w"])): (
+                row["expected"], row["observed"], row["pass"]
+            )
+            for row in ff.run_suite(n, p, checks=["fiber_dimension", "weight_map"])
+        }
+        assert rows == oracles.nu_sweep_rows(n, p, full, partial), (n, p)
+    assert time.perf_counter() - start < 40
 
 
 def test_fiber_dimension_small_cases():
@@ -476,23 +497,25 @@ def test_run_suite_skips_when_preconditions_fail():
 
 def test_run_suite_skip_notes_name_cost_and_gate():
     rows = {row["check"]: row for row in ff.run_suite(4, 3, checks=None) if row.get("skipped")}
-    assert set(rows) == {"shortest_element", "covering_degree", "fiber_dimension", "weight_map"}
-    borel_cost = 3 ** 10 * 24 * 8
-    assert rows["shortest_element"]["observed"] == (
-        f"skipped: borel sweep cost {borel_cost} > {ff.BOREL_SWEEP_GATE}"
-    )
-    nu_cost = 3 ** 16 * ff.q_factorial(4, 3)
-    for name in ("fiber_dimension", "weight_map"):
-        assert rows[name]["observed"] == f"skipped: nu sweep cost {nu_cost} > {ff.NU_SWEEP_GATE}"
+    assert set(rows) == {"covering_degree", "fiber_dimension", "weight_map"}
+    # dim b = 10 times sum_P |G/P|, and p^dim b times sum_P |W/W_P|
+    compositions = oracles.compositions(4)
+    gp = sum(oracles.gl_order(4, 3) // oracles.parabolic_order(blocks, 3) for blocks in compositions)
+    wp = sum(len(oracles.min_reps_brute(blocks)) for blocks in compositions)
+    costs = {"fiber_dimension": 10 * gp, "weight_map": 3 ** 10 * wp}
+    assert costs == {"fiber_dimension": 38510, "weight_map": 4428675}
+    for name, cost in costs.items():
+        assert rows[name]["observed"] == f"skipped: nu sweep cost {cost} > {ff.NU_SWEEP_GATE}"
 
 
 @pytest.mark.parametrize(
     "name, n, p, reason",
     [
-        ("shortest_element", 4, 3, "borel sweep cost 11337408 > 3000000"),
-        # 3^9 * [3]_3! = 19683 * 52
-        ("fiber_dimension", 3, 3, "nu sweep cost 1023516 > 600000"),
-        ("weight_map", 3, 3, "nu sweep cost 1023516 > 600000"),
+        # 10 * (2080 + 3 * 520 + 130 + 2 * 40 + 1)
+        ("fiber_dimension", 4, 3, "nu sweep cost 38510 > 10000"),
+        # 5^6 * 13 and 2^10 * 75
+        ("weight_map", 3, 5, "nu sweep cost 203125 > 10000"),
+        ("weight_map", 4, 2, "nu sweep cost 76800 > 10000"),
         ("covering_degree", 3, 2, "needs p >= n"),
         ("blowup", 2, 2, "needs p != 2"),
     ],
@@ -507,23 +530,24 @@ def test_run_suite_refusals_name_the_reason(name, n, p, reason):
 
 
 def test_nu_sweep_checks_refuse_over_the_gate_from_the_library():
-    # in a subprocess, so a check that ignores the gate (minutes at (3, 5))
-    # fails by timeout instead of stalling the suite
+    # in a subprocess, so a check that ignores the gate fails by timeout
+    # instead of stalling the suite
     src = os.path.dirname(os.path.dirname(ff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "from weylflags import fforacle as ff\n"
-        "for call in (lambda: ff.fiber_dimension_check((1, 2, 3), (1, 1, 1), 5),\n"
-        "             lambda: ff.weight_map_check((1, 1, 1), (1, 2, 3), 5)):\n"
+        "for call in (lambda: ff.weight_map_check((1, 1, 1), (1, 2, 3), 5),\n"
+        "             lambda: ff.fiber_dimension_check((1, 2, 3, 4), (1, 1, 1, 1), 3)):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
-    cost = 5 ** 9 * ff.q_factorial(3, 5)
-    expected = f"nu sweep refused at n=3, p=5: nu sweep cost {cost} > {ff.NU_SWEEP_GATE}"
-    assert proc.stdout.splitlines() == [expected, expected], proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"nu sweep refused at n=3, p=5: nu sweep cost 203125 > {ff.NU_SWEEP_GATE}",
+        f"nu sweep refused at n=4, p=3: nu sweep cost 38510 > {ff.NU_SWEEP_GATE}",
+    ], proc.stderr
 
 
 def test_run_suite_refuses_an_empty_selection():
