@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from . import companion, cosets, jsonio, roots, steinberg, weyl
 
@@ -33,50 +33,30 @@ class CliError(ValueError):
     pass
 
 
-def _loads(text: str, flag: str):
+def _parse(text: str, flag: str, check: Optional[Callable] = None):
+    """A JSON flag value as a label-keyed map of integer tuples, passed
+    through check (weyl.check_multi, roots.check_spec) when given."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as err:
         raise CliError(f"{flag}: not valid JSON ({err})")
-
-
-def _as_map(value, flag: str) -> Dict[str, list]:
     if isinstance(value, list):
-        return {DEFAULT_LABEL: value}
-    if isinstance(value, dict):
-        return value
-    raise CliError(f"{flag}: expected a JSON object or array")
-
-
-def _int_tuples(value, flag: str) -> Dict[str, Tuple[int, ...]]:
+        value = {DEFAULT_LABEL: value}
+    elif not isinstance(value, dict):
+        raise CliError(f"{flag}: expected a JSON object or array")
     out = {}
-    for tau, vec in _as_map(value, flag).items():
+    for tau, vec in value.items():
         if not isinstance(vec, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in vec
         ):
             raise CliError(f"{flag}: value at {tau!r} must be an array of integers")
         out[tau] = tuple(vec)
-    return out
-
-
-def _parse_perm(text: str, flag: str) -> weyl.MultiPerm:
-    data = _int_tuples(_loads(text, flag), flag)
+    if check is None:
+        return out
     try:
-        return weyl.check_multi(data)
+        return check(out)
     except ValueError as err:
         raise CliError(f"{flag}: {err}")
-
-
-def _parse_blocks(text: str, flag: str) -> roots.ParabolicSpec:
-    data = _int_tuples(_loads(text, flag), flag)
-    try:
-        return roots.check_spec(data)
-    except ValueError as err:
-        raise CliError(f"{flag}: {err}")
-
-
-def _parse_weight(text: str, flag: str) -> roots.IntegralWeight:
-    return _int_tuples(_loads(text, flag), flag)
 
 
 def _json(value) -> str:
@@ -104,7 +84,7 @@ def _emit(payload: dict, pretty: bool) -> None:
 # subcommands
 
 def cmd_weyl(args) -> int:
-    w = _parse_perm(args.perm, "--perm")
+    w = _parse(args.perm, "--perm", weyl.check_multi)
     payload = {
         "perm": jsonio.perm_to_json(w),
         "length": weyl.multi_length(w),
@@ -112,7 +92,7 @@ def cmd_weyl(args) -> int:
         "reduced_word": [{"tau": tau, "i": i} for tau, i in weyl.multi_reduced_word(w)],
     }
     if args.other:
-        v = _parse_perm(args.other, "--other")
+        v = _parse(args.other, "--other", weyl.check_multi)
         payload["compose"] = jsonio.perm_to_json(weyl.multi_compose(w, v))
         payload["leq_other"] = weyl.multi_bruhat_leq(w, v)
         payload["geq_other"] = weyl.multi_bruhat_leq(v, w)
@@ -121,8 +101,8 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_coset(args) -> int:
-    w = _parse_perm(args.perm, "--perm")
-    spec = _parse_blocks(args.blocks, "--blocks")
+    w = _parse(args.perm, "--perm", weyl.check_multi)
+    spec = _parse(args.blocks, "--blocks", roots.check_spec)
     rep, inside = cosets.decompose(w, spec)
     coset = cosets.CosetRep(w, spec)
     payload = {
@@ -134,11 +114,11 @@ def cmd_coset(args) -> int:
         "is_min_rep": cosets.is_min_rep(w, spec),
     }
     if args.other:
-        v = cosets.CosetRep(_parse_perm(args.other, "--other"), spec)
+        v = cosets.CosetRep(_parse(args.other, "--other", weyl.check_multi), spec)
         payload["leq_other"] = cosets.quotient_leq(coset, v)
         payload["geq_other"] = cosets.quotient_leq(v, coset)
     if args.qblocks:
-        qspec = _parse_blocks(args.qblocks, "--qblocks")
+        qspec = _parse(args.qblocks, "--qblocks", roots.check_spec)
         double = cosets.shortest_double_coset_rep(w, qspec, spec)
         payload["double_coset_rep"] = jsonio.perm_to_json(double)
     if args.enumerate:
@@ -150,14 +130,14 @@ def cmd_coset(args) -> int:
 def cmd_steinberg(args) -> int:
     if args.h and not args.perm:
         raise CliError("steinberg: --h needs --perm")
-    spec = _parse_blocks(args.blocks, "--blocks")
-    qspec = _parse_blocks(args.qblocks, "--qblocks")
+    spec = _parse(args.blocks, "--blocks", roots.check_spec)
+    qspec = _parse(args.qblocks, "--qblocks", roots.check_spec)
     payload = {
         "blocks": jsonio.spec_to_json(spec),
         "q_blocks": jsonio.spec_to_json(qspec),
     }
     if args.perm:
-        w = _parse_perm(args.perm, "--perm")
+        w = _parse(args.perm, "--perm", weyl.check_multi)
         coset = cosets.CosetRep(w, spec)
         root_route = steinberg.component_in_ZQP_roots(coset, spec, qspec)
         payload["perm"] = jsonio.perm_to_json(w)
@@ -165,7 +145,7 @@ def cmd_steinberg(args) -> int:
         payload["defect"] = steinberg.z_dimension_defect(w, spec, qspec)
         payload["component_in_ZQP_roots"] = root_route
         if args.h:
-            h = _parse_weight(args.h, "--h")
+            h = _parse(args.h, "--h")
             dominance_route = steinberg.component_in_ZQP(coset, spec, qspec, h)
             payload["component_in_ZQP"] = dominance_route
             payload["routes_agree"] = root_route == dominance_route
@@ -218,10 +198,10 @@ def cmd_walk(args) -> int:
         spec = companion.hodge_spec(h)
         start = sc.start_coset(spec)
     elif args.h:
-        h = _parse_weight(args.h, "--h")
+        h = _parse(args.h, "--h")
         spec = companion.hodge_spec(h)
         if args.perm:
-            start = cosets.CosetRep(_parse_perm(args.perm, "--perm"), spec)
+            start = cosets.CosetRep(_parse(args.perm, "--perm", weyl.check_multi), spec)
         else:
             start = cosets.CosetRep(weyl.multi_identity(weyl.shape_of(h)), spec)
     else:
@@ -237,25 +217,10 @@ def cmd_ff_verify(args) -> int:
     # only this command needs the oracle, so only it pays for the import
     from . import fforacle
 
-    n, p = args.n, args.p
-    checks: Optional[List[str]] = None
-    if args.suite not in (None, "all"):
-        checks = [name.strip() for name in args.suite.split(",") if name.strip()]
-    if args.scenario:
-        sc = jsonio.load_scenario(args.scenario)
-        given = (("--n", sc.ff, n), ("--p", sc.ff, p), ("--suite", sc.checks, args.suite))
-        extra = [flag for flag, field, value in given if field is not None and value is not None]
-        if extra:
-            raise CliError(f"ff-verify: --scenario takes no {' or '.join(extra)} when the file sets them")
-        if sc.ff is not None:
-            n, p = sc.ff
-        if sc.checks is not None:
-            checks = list(sc.checks)
-    if n is None or p is None:
-        raise CliError("ff-verify: pass --n and --p (or a scenario with an ff field)")
-    rows = fforacle.run_suite(n, p, checks)
+    names = [name.strip() for name in args.suite.split(",") if name.strip()]
+    rows = fforacle.run_suite(args.n, args.p, None if args.suite == "all" else names)
     ok = all(row["pass"] for row in rows)
-    _emit({"n": n, "p": p, "results": rows, "pass": ok}, args.pretty)
+    _emit({"n": args.n, "p": args.p, "results": rows, "pass": ok}, args.pretty)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -307,10 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--perm", help="starting permutation (default: identity)")
 
     sp = add("ff-verify", cmd_ff_verify, "exhaustive finite-field check suite")
-    sp.add_argument("--suite", help="'all' (the default) or comma-separated check names")
-    sp.add_argument("--n", type=int, help="matrix size")
-    sp.add_argument("--p", type=int, help="prime field size")
-    sp.add_argument("--scenario", help="scenario file carrying ff parameters / checks")
+    sp.add_argument("--suite", default="all", help="'all' (the default) or comma-separated check names")
+    sp.add_argument("--n", type=int, required=True, help="matrix size")
+    sp.add_argument("--p", type=int, required=True, help="prime field size")
     return parser
 
 

@@ -150,7 +150,15 @@ def relative_position(char_weight: IntegralWeight, h: IntegralWeight) -> CosetRe
                 f"weight at embedding {tau!r} is not a rearrangement of h: {cw} vs {hvec}"
             )
         parts.append(tuple(sorted(range(1, len(cw) + 1), key=lambda i: cw[i - 1])))
-    return CosetRep._of_parts(labels, parts, spec, tuple(sorted(spec.items())), None)
+    return CosetRep(dict(zip(labels, parts)), spec)
+
+
+def _quotient_of(w_R: CosetRep, h: IntegralWeight) -> ParabolicSpec:
+    """The spec derived from h, refused unless w_R lives in its quotient."""
+    spec = hodge_spec(h)
+    if w_R != CosetRep(w_R.rep, spec):
+        raise ValueError("w_R does not live in the quotient derived from h")
+    return spec
 
 
 def twist(weight: IntegralWeight) -> IntegralWeight:
@@ -184,9 +192,7 @@ def companion_set(
     >>> [c.algebraic_weight for _, c in companion_set(r, h, w_R)]
     [{'t': (0, 2)}, {'t': (1, 1)}]
     """
-    spec = hodge_spec(h)
-    if w_R != CosetRep(w_R.rep, spec):
-        raise ValueError("w_R does not live in the quotient derived from h")
+    _quotient_of(w_R, h)
     return [(w, character_for(w, h, refinement)) for w in _interval(w_R, up=True)]
 
 
@@ -206,9 +212,7 @@ def jordan_holder_cosets(
 def certify_walk(w_R: CosetRep, h: IntegralWeight) -> CompanionCertificate:
     """Climb from w_R to the top coset one certified covering step at a
     time; the chain length is lg_P(top) - lg_P(w_R)."""
-    spec = hodge_spec(h)
-    if w_R != CosetRep(w_R.rep, spec):
-        raise ValueError("w_R does not live in the quotient derived from h")
+    spec = _quotient_of(w_R, h)
     steps: List[InductionStep] = []
     cur = w_R
     top = CosetRep(weyl.multi_longest(shape_of(h)), spec)

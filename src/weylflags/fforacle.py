@@ -183,11 +183,11 @@ def perm_matrix(w: Perm, p: int) -> FqMatrix:
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """A point of G/P: canonical_matrix is u·dot(cell), u upper unipotent
-    with cell_coords at the free positions of the cell, cell in W^P."""
+    """A point of G/P: canonical_matrix is u·dot(cell), cell in W^P, with u
+    upper unipotent and zero off the diagonal outside the cell's free
+    positions."""
 
     cell: Perm
-    cell_coords: Tuple[int, ...]
     canonical_matrix: FqMatrix
 
 
@@ -229,7 +229,7 @@ def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, .
             for (i, j), value in zip(free, coords):
                 rows[i - 1][j - 1] = value
             m = mat_mul(tuple(tuple(r) for r in rows), pm, p)
-            points.append(FlagPoint(w, coords, FqMatrix(p, m)))
+            points.append(FlagPoint(w, FqMatrix(p, m)))
     return tuple(points)
 
 

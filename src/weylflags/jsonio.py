@@ -4,8 +4,7 @@ Scenario files describe a product of places: each place carries its
 residue cardinality q, embedding labels, per-embedding weakly increasing
 integer weights, an ordering of eigenvalue labels, and optionally exact
 eigenvalue ratios.  Optional top-level fields pin a starting coset
-(``position``), a character weight to locate (``character_weight``),
-check-suite selectors (``checks``) and finite-field parameters (``ff``).
+(``position``) and a character weight to locate (``character_weight``).
 Validation errors name the offending field by JSON path.
 """
 
@@ -92,8 +91,6 @@ class Scenario:
     hodge_weights: IntegralWeight
     position: Optional[MultiPerm]
     character_weight: Optional[IntegralWeight]
-    checks: Optional[Tuple[str, ...]]
-    ff: Optional[Tuple[int, int]]
 
     @property
     def rank(self) -> int:
@@ -212,7 +209,7 @@ def parse_scenario(data: object) -> Scenario:
         data,
         "scenario",
         required=("places",),
-        optional=("position", "character_weight", "checks", "ff"),
+        optional=("position", "character_weight"),
     )
     raw_places = data["places"]
     if not isinstance(raw_places, list) or not raw_places:
@@ -255,34 +252,11 @@ def parse_scenario(data: object) -> Scenario:
         character_weight = _labelled_vectors(
             data["character_weight"], "scenario.character_weight", embeddings, n
         )
-    checks = None
-    if "checks" in data:
-        from .fforacle import SUITE_CHECKS  # imported here to keep fforacle off other commands
-
-        raw = data["checks"]
-        if not isinstance(raw, list):
-            _fail("scenario.checks", "expected an array of check names")
-        for k, name in enumerate(raw):
-            if name not in SUITE_CHECKS:
-                _fail(f"scenario.checks[{k}]", f"unknown check {name!r}; pick from {SUITE_CHECKS}")
-        checks = tuple(raw)
-    ff = None
-    if "ff" in data:
-        raw = data["ff"]
-        if not isinstance(raw, dict):
-            _fail("scenario.ff", "expected an object {n, p}")
-        _require_keys(raw, "scenario.ff", required=("n", "p"))
-        for key in ("n", "p"):
-            if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-                _fail(f"scenario.ff.{key}", "expected an integer")
-        ff = (raw["n"], raw["p"])
     return Scenario(
         refinement=refinement,
         hodge_weights=hodge,
         position=position,
         character_weight=character_weight,
-        checks=checks,
-        ff=ff,
     )
 
 

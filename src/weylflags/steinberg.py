@@ -100,6 +100,11 @@ def _translated_levi_in_u(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: Parabo
     return translated.intersect(unipotent_roots(shape)), nilradical_roots(check_spec(qspec, shape))
 
 
+def _check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> None:
+    if not p_regular_antidominant(h, pspec):
+        raise ValueError(f"h is not P-regular antidominant for blocks {pspec}: {h}")
+
+
 def component_in_ZQP(
     w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSpec, h: IntegralWeight
 ) -> bool:
@@ -108,8 +113,7 @@ def component_in_ZQP(
     Decided by strict Q-dominance of w(h) for a P-regular antidominant h;
     the answer does not depend on which such h is supplied.
     """
-    if not p_regular_antidominant(h, pspec):
-        raise ValueError(f"h is not P-regular antidominant for blocks {pspec}: {h}")
+    _check_p_regular(h, pspec)
     return dominance(act(w.rep, h), qspec, "strict")
 
 
@@ -177,8 +181,7 @@ def find_induction_step(w: CosetRep, pspec: ParabolicSpec, h: IntegralWeight) ->
     for which s_alpha·w(h) is strictly Q-dominant while w(h) is not.
     Raises when w is already the maximal coset.
     """
-    if not p_regular_antidominant(h, pspec):
-        raise ValueError(f"h is not P-regular antidominant for blocks {pspec}: {h}")
+    _check_p_regular(h, pspec)
     shape = shape_of(h)
     wh = act(w.rep, h)
     cands = [a for a in simple_roots(shape) if pairing(a, wh) < 0]

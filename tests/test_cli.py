@@ -268,6 +268,16 @@ def test_companion_invalid_scenario_exits_two(capsys, tmp_path):
     assert "scenario: missing required field 'places'" in err
 
 
+def test_scenario_with_ff_fields_exits_two(capsys, tmp_path):
+    # ff-verify reads n, p and the suite from its flags only
+    for field, value in (("ff", {"n": 2, "p": 3}), ("checks", ["point_count"])):
+        path = write_scenario(tmp_path, base_scenario(**{field: value}))
+        for command in ("companion", "walk"):
+            code, out, err = run(capsys, command, "--scenario", path)
+            assert (code, out) == (2, "")
+            assert err == f"error: scenario: unknown field {field!r}\n"
+
+
 def test_companion_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "companion", "--scenario", str(tmp_path / "nope.json"))
     assert code == 2
@@ -437,38 +447,18 @@ def test_ff_verify_pretty_lines(capsys):
     assert "pass     true" in out.splitlines()
 
 
-def test_ff_verify_scenario_parameters(capsys, tmp_path):
-    data = base_scenario(ff={"n": 2, "p": 3}, checks=["point_count", "covering_degree"])
-    path = write_scenario(tmp_path, data)
-    code, payload, _ = run_json(capsys, "ff-verify", "--scenario", path)
-    assert code == 0
-    assert payload["n"] == 2 and payload["p"] == 3
-    assert {row["check"] for row in payload["results"]} == {"point_count", "covering_degree"}
-
-
-def test_ff_verify_scenario_takes_no_flags_it_sets(capsys, tmp_path):
-    both = write_scenario(tmp_path, base_scenario(ff={"n": 2, "p": 3}, checks=["point_count"]), "both.json")
-    ff_only = write_scenario(tmp_path, base_scenario(ff={"n": 2, "p": 3}), "ff.json")
-    checks_only = write_scenario(tmp_path, base_scenario(checks=["point_count"]), "checks.json")
-    for argv, flags in (
-        ([both, "--n", "3", "--p", "5", "--suite", "blowup"], "--n or --p or --suite"),
-        ([ff_only, "--p", "5"], "--p"),
-        ([checks_only, "--n", "2", "--p", "3", "--suite", "all"], "--suite"),
+def test_ff_verify_requires_parameters(capsys, tmp_path):
+    # --n and --p are required flags, and no scenario file stands in for them
+    path = write_scenario(tmp_path, base_scenario())
+    for argv, message in (
+        (["--suite", "all"], "the following arguments are required: --n, --p"),
+        (["--scenario", path, "--n", "2", "--p", "3"], "unrecognized arguments: --scenario"),
     ):
-        code, out, err = run(capsys, "ff-verify", "--scenario", *argv)
-        assert (code, out) == (2, ""), argv
-        assert err == f"error: ff-verify: --scenario takes no {flags} when the file sets them\n"
-    # flags the file leaves unset are still read
-    code, payload, _ = run_json(capsys, "ff-verify", "--scenario", checks_only, "--n", "2", "--p", "3")
-    assert (code, payload["n"], payload["p"]) == (0, 2, 3)
-    code, payload, _ = run_json(capsys, "ff-verify", "--scenario", ff_only, "--suite", "point_count")
-    assert code == 0 and [row["check"] for row in payload["results"]] == ["point_count"]
-
-
-def test_ff_verify_requires_parameters(capsys):
-    code, _, err = run(capsys, "ff-verify", "--suite", "all")
-    assert code == 2
-    assert "pass --n and --p" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ff-verify", *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert message in err and "Traceback" not in err
 
 
 def test_ff_verify_out_of_bounds_exits_two(capsys):

@@ -48,3 +48,20 @@ def test_the_package_needs_only_the_standard_library():
     names, foreign = outside
     assert {"cli", "fforacle", "jsonio", "weyl"} <= set(names)
     assert foreign == []
+
+
+def test_scenario_parsing_does_not_import_the_oracle():
+    # a file naming suite checks is refused without loading the check list
+    loaded = run_isolated(
+        "import json\n"
+        "from weylflags import jsonio\n"
+        "data = {'places': [{'label': 'v', 'q': 3, 'embeddings': ['t'],\n"
+        "                    'hodge_weights': {'t': [0, 1]}, 'refinement_order': ['a', 'b']}],\n"
+        "        'checks': ['point_count']}\n"
+        "try:\n"
+        "    jsonio.parse_scenario(data)\n"
+        "except jsonio.ScenarioError as err:\n"
+        "    message = str(err)\n"
+        "print(json.dumps([message, 'weylflags.fforacle' in sys.modules]))\n"
+    )
+    assert loaded == ["scenario: unknown field 'checks'", False]
