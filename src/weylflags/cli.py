@@ -131,7 +131,8 @@ def cmd_steinberg(args) -> int:
     if args.h and not args.perm:
         raise CliError("steinberg: --h needs --perm")
     spec = _parse(args.blocks, "--blocks", roots.check_spec)
-    qspec = _parse(args.qblocks, "--qblocks", roots.check_spec)
+    shape = {tau: sum(blocks) for tau, blocks in spec.items()}
+    qspec = _parse(args.qblocks, "--qblocks", lambda q: roots.check_spec(q, shape))
     payload = {
         "blocks": jsonio.spec_to_json(spec),
         "q_blocks": jsonio.spec_to_json(qspec),

@@ -79,40 +79,39 @@ def lg_P(w: MultiPerm, spec: ParabolicSpec) -> int:
 class CosetRep:
     """A coset w·W_P, held as its minimal representative plus its block spec.
 
-    Construction normalizes any representative.  Cosets carry their spec
-    and refuse comparison across different specs.  The length lg is
-    computed on first use and kept.
+    Construction normalizes any representative.  Two cosets are equal when
+    their representatives and specs are equal, and the hash freezes both;
+    cosets refuse order comparison across different specs.  The length lg
+    is computed on first use and kept.
     """
 
-    __slots__ = ("rep", "spec", "_frozen", "_lg")
+    __slots__ = ("rep", "spec", "_lg")
 
     def __init__(self, w: MultiPerm, spec: ParabolicSpec):
         w = weyl.check_multi(w)
         self.spec = check_spec(spec, shape_of(w))
         self.rep = min_rep(w, self.spec)
-        self._frozen = (weyl.freeze(self.rep), tuple(sorted(self.spec.items())))
         self._lg = None
 
     @classmethod
-    def _of_parts(cls, labels, parts, spec, spec_key, lg: Optional[int]) -> "CosetRep":
+    def _of_parts(cls, labels, parts, spec, lg: Optional[int]) -> "CosetRep":
         """The coset of a representative already known to be minimal:
-        parts are its permutations in sorted label order, spec is checked,
-        spec_key is tuple(sorted(spec.items())) and lg, when None, is
-        computed on first use.  Nothing is re-validated."""
+        parts are its permutations in sorted label order, spec is checked
+        and lg, when None, is computed on first use.  Nothing is
+        re-validated."""
         self = object.__new__(cls)
         self.rep = dict(zip(labels, parts))
         self.spec = spec
-        self._frozen = (tuple(zip(labels, parts)), spec_key)
         self._lg = lg
         return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CosetRep):
             return NotImplemented
-        return self._frozen == other._frozen
+        return (self.rep, self.spec) == (other.rep, other.spec)
 
     def __hash__(self) -> int:
-        return hash(self._frozen)
+        return hash((weyl.freeze(self.rep), tuple(sorted(self.spec.items()))))
 
     def __repr__(self) -> str:
         return f"CosetRep({self.rep!r}, {self.spec!r})"
@@ -124,7 +123,7 @@ class CosetRep:
         return self._lg
 
     def _check_comparable(self, other: "CosetRep") -> None:
-        if self._frozen[1] != other._frozen[1]:
+        if self.spec != other.spec:
             raise ValueError(
                 f"cosets live in different quotients: {self.spec} vs {other.spec}"
             )
@@ -229,11 +228,7 @@ def enumerate_quotient(spec: ParabolicSpec) -> List[CosetRep]:
     """All cosets of W/W_P, sorted by (length, one-line notation, label)."""
     spec = check_spec(spec)
     labels = sorted(spec)
-    spec_key = tuple(sorted(spec.items()))
-    return [
-        CosetRep._of_parts(labels, parts, spec, spec_key, lg)
-        for lg, parts in _quotient_parts(spec)
-    ]
+    return [CosetRep._of_parts(labels, parts, spec, lg) for lg, parts in _quotient_parts(spec)]
 
 
 def _covers(w: Perm, block: Tuple[int, ...], up: bool) -> List[Perm]:
@@ -293,17 +288,16 @@ def _interval(start: CosetRep, up: bool, at_least: Optional[CosetRep] = None) ->
     else:
         at_least._check_comparable(start)
         floor = [at_least.rep[tau] for tau in labels]
-    spec_key = start._frozen[1]
     blocks = [block_index(spec[tau]) for tau in labels]
     lg = start.lg
-    level = {tuple(w for _, w in start._frozen[0])}
+    level = {tuple(start.rep[tau] for tau in labels)}
     levels = []
     while True:
         if at_least is not None:
             level = {parts for parts in level if all(map(weyl.bruhat_leq, floor, parts))}
         if not level:
             break
-        levels.append([CosetRep._of_parts(labels, parts, spec, spec_key, lg) for parts in sorted(level)])
+        levels.append([CosetRep._of_parts(labels, parts, spec, lg) for parts in sorted(level)])
         level = {
             parts[:k] + (v,) + parts[k + 1 :]
             for parts in level

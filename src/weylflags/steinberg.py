@@ -1,8 +1,9 @@
 """Component-inclusion criteria for generalized Steinberg loci.
 
-All decisions reduce to finite root-set computations: whether the
-w-translate of a Levi's roots meets the positive roots of another Levi,
-and whether a translated coweight is strictly dominant for it.  The
+All decisions reduce to finite root-set computations, on frozensets of
+Roots: whether the w-translate of a Levi's roots meets the positive
+roots of another Levi, counted by the defect |w(R_P) n R^+ n R_Q|, and
+whether a translated coweight is strictly dominant for it.  The
 walk driver find_induction_step raises a coset one covering step at a
 time, certifying each step with a simple root and the minimal parabolic
 attached to it.
@@ -33,44 +34,9 @@ from .roots import (
     levi_roots,
     p_regular_antidominant,
     pairing,
-    positive_roots,
     shape_of,
     simple_roots,
 )
-
-
-@dataclass(frozen=True)
-class RootSpaceSet:
-    """A sum of root spaces inside the Lie algebra, tracked as a root set;
-    the Cartan is never part of it."""
-
-    roots: frozenset
-
-    def intersect(self, other: "RootSpaceSet") -> "RootSpaceSet":
-        return RootSpaceSet(self.roots & other.roots)
-
-    def issubset(self, other: "RootSpaceSet") -> bool:
-        return self.roots <= other.roots
-
-    def apply(self, w: weyl.MultiPerm) -> "RootSpaceSet":
-        return RootSpaceSet(frozenset(act_root(w, a) for a in self.roots))
-
-
-def nilradical_roots(spec: ParabolicSpec) -> RootSpaceSet:
-    """n_Q: positive roots crossing from an earlier block to a later one."""
-    spec = check_spec(spec)
-    pos = positive_roots({tau: sum(b) for tau, b in spec.items()})
-    levi = levi_roots(spec)
-    return RootSpaceSet(frozenset(a for a in pos if a not in levi))
-
-
-def levi_root_space(spec: ParabolicSpec) -> RootSpaceSet:
-    """The roots of m_P: all roots inside blocks."""
-    return RootSpaceSet(levi_roots(spec))
-
-
-def unipotent_roots(shape: Dict[str, int]) -> RootSpaceSet:
-    return RootSpaceSet(frozenset(positive_roots(shape)))
 
 
 def levi_cap_u_in_nQ(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> bool:
@@ -82,22 +48,27 @@ def levi_cap_u_in_nQ(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSp
     double coset is a whole component of the Q-locus.  The inclusion
     test for a single coset wW_P is component_in_ZQP_roots.
     """
-    in_u, n_q = _translated_levi_in_u(w, pspec, qspec)
-    return in_u.issubset(n_q)
+    return not _defect_roots(w, pspec, qspec)
 
 
 def z_dimension_defect(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> int:
-    """dim(u n Ad(w)m_P) - dim(n_Q n Ad(w)m_P); zero iff the inclusion holds."""
-    in_u, n_q = _translated_levi_in_u(w, pspec, qspec)
-    return len(in_u.roots) - len(in_u.intersect(n_q).roots)
+    """dim(u n Ad(w)m_P) - dim(n_Q n Ad(w)m_P) = |w(R_P) n R^+ n R_Q|;
+    zero iff the inclusion holds.
+
+    >>> z_dimension_defect({"t": (2, 3, 1)}, {"t": (2, 1)}, {"t": (3,)})
+    1
+    """
+    return len(_defect_roots(w, pspec, qspec))
 
 
-def _translated_levi_in_u(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec):
-    """(u n Ad(w)m_P, n_Q), once both specs are checked against w; n_Q
-    lies in u, so n_Q n Ad(w)m_P is the intersection of the two."""
+def _defect_roots(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> frozenset:
+    """w(R_P) n R^+ n R_Q, once both specs are checked against w: the
+    roots of u n Ad(w)m_P outside n_Q, since n_Q = R^+ - R_Q."""
     shape = shape_of(w)
-    translated = levi_root_space(check_spec(pspec, shape)).apply(w)
-    return translated.intersect(unipotent_roots(shape)), nilradical_roots(check_spec(qspec, shape))
+    r_p = levi_roots(check_spec(pspec, shape))
+    r_q = levi_roots(check_spec(qspec, shape))
+    translated = (act_root(w, a) for a in r_p)
+    return frozenset(a for a in translated if a.positive and a in r_q)
 
 
 def _check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> None:

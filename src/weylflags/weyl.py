@@ -90,11 +90,6 @@ def simple_reflection(n: int, i: int) -> Perm:
     return tuple(w)
 
 
-def right_descents(w: Perm) -> Tuple[int, ...]:
-    """Indices i with w(i) > w(i+1), i.e. length(w s_i) = length(w) - 1."""
-    return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-
 def reduced_word(w: Perm) -> Tuple[int, ...]:
     """A deterministic reduced word for w, as simple indices.
 
@@ -194,23 +189,27 @@ def multi_reduced_word(w: MultiPerm) -> Tuple[Tuple[str, int], ...]:
 
     Built by repeatedly removing the smallest right descent, ties across
     factors broken by smallest simple index and then smallest label, so
-    the output is reproducible across runs.
+    the output is reproducible across runs.  A swap at a factor's
+    smallest descent i can make a new descent only at i - 1, so that
+    factor's scan resumes there instead of starting over.
 
     >>> multi_reduced_word({"b": (2, 1), "a": (2, 1)})
     (('b', 1), ('a', 1))
     """
+
+    def first_descent(part, start):  # 0 when part increases from start on
+        return next((i for i in range(start, len(part)) if part[i - 1] > part[i]), 0)
+
+    cur = {tau: list(part) for tau, part in w.items()}
+    first = {tau: first_descent(part, 1) for tau, part in cur.items()}
     rev = []
-    cur = dict(w)
-    while True:
-        cands = [(i, tau) for tau in cur for i in right_descents(cur[tau])]
-        if not cands:
-            break
-        i, tau = min(cands)
+    while any(first.values()):
+        i, tau = min((i, tau) for tau, i in first.items() if i)
         rev.append((tau, i))
-        lst = list(cur[tau])
-        lst[i - 1], lst[i] = lst[i], lst[i - 1]
-        cur[tau] = tuple(lst)
-    return tuple((tau, i) for tau, i in reversed(rev))
+        part = cur[tau]
+        part[i - 1], part[i] = part[i], part[i - 1]
+        first[tau] = first_descent(part, max(i - 1, 1))
+    return tuple(reversed(rev))
 
 
 def freeze(w: MultiPerm) -> Tuple[Tuple[str, Perm], ...]:

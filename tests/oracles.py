@@ -539,3 +539,21 @@ def nu_sweep_rows(n, p, full_flags, partial_flags):
             rows["fiber_dimension", blocks, w] = (expected, histogram, passed)
             rows["weight_map", blocks, w] = (True, ok, ok)
     return rows
+
+
+def multi_reduced_word_rescan(w):
+    """Reference for weyl.multi_reduced_word: after every swap, rescan
+    every factor for its right descents and strip the smallest (index,
+    label) one; the letters come out in multiplication order."""
+    rev = []
+    cur = dict(w)
+    while True:
+        cands = [(i, tau) for tau in cur for i in range(1, len(cur[tau])) if cur[tau][i - 1] > cur[tau][i]]
+        if not cands:
+            break
+        i, tau = min(cands)
+        rev.append((tau, i))
+        lst = list(cur[tau])
+        lst[i - 1], lst[i] = lst[i], lst[i - 1]
+        cur[tau] = tuple(lst)
+    return tuple(reversed(rev))

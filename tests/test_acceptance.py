@@ -70,8 +70,8 @@ def five_routes(w, blocks):
     )
     no_levi_inversions = not (roots.inversion_set(mw) & levi_plus)
     image_positive = all(roots.act_root(mw, alpha).positive for alpha in levi_plus)
-    mp_cap_u = steinberg.levi_root_space(spec).intersect(steinberg.unipotent_roots(shape))
-    translated_in_u = mp_cap_u.apply(mw).issubset(steinberg.unipotent_roots(shape))
+    positive = frozenset(roots.positive_roots(shape))
+    translated_in_u = {roots.act_root(mw, a) for a in roots.levi_roots(spec) & positive} <= positive
     return (
         membership,
         adjoint_symbolic,

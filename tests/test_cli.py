@@ -221,6 +221,18 @@ def test_steinberg_h_of_wrong_rank_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_steinberg_refuses_qblocks_of_another_shape(capsys):
+    for blocks, qblocks, shapes in [
+        ('{"a":[1]}', '{"b":[2]}', "{'a': 1} vs {'b': 2}"),
+        ("[3]", "[1,1]", "{'tau': 3} vs {'tau': 2}"),
+    ]:
+        code, out, err = run(
+            capsys, "steinberg", "--blocks", blocks, "--qblocks", qblocks, "--list-components"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --qblocks: shapes differ: {shapes}\n"
+
+
 def test_companion_generic_scenario(capsys, tmp_path):
     path = write_scenario(tmp_path, base_scenario())
     code, payload, _ = run_json(capsys, "companion", "--scenario", path)

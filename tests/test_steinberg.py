@@ -16,12 +16,11 @@ def specs(n):
 
 
 def test_root_space_translation_matches_hand_count():
-    # Ad(w)m_P n u for w = (2, 3, 1), P = (2, 1): w(R_P) = {e_2 - e_3, ...}
+    # Ad(w)m_P n u for w = (2, 3, 1), P = (2, 1): w(R_P) = {e_2 - e_3, ...};
+    # Q = (3,) has n_Q = 0, so all of it is defect
     w = {"t": (2, 3, 1)}
     pspec = {"t": (2, 1)}
-    translated = steinberg.levi_root_space(pspec).apply(w)
-    in_u = translated.intersect(steinberg.unipotent_roots({"t": 3}))
-    assert in_u.roots == frozenset({roots.Root("t", 2, 3)})
+    assert steinberg._defect_roots(w, pspec, {"t": (3,)}) == {roots.Root("t", 2, 3)}
 
 
 def test_levi_cap_u_in_nQ_is_double_coset_invariant():
@@ -45,6 +44,23 @@ def test_z_dimension_defect_zero_iff_contained():
                 assert (steinberg.z_dimension_defect(mw, pspec, qspec) == 0) == (
                     steinberg.levi_cap_u_in_nQ(mw, pspec, qspec)
                 )
+
+
+def test_z_dimension_defect_matches_levi_root_count():
+    # dim(u n Ad(w)m_P) - dim(n_Q n Ad(w)m_P): each pair +-(i, j) of R_P
+    # has one positive image, which lies in n_Q iff it crosses Q-blocks
+    for n in (1, 2, 3, 4):
+        for pblocks in oracles.compositions(n):
+            for qblocks in oracles.compositions(n):
+                q_levi = oracles.levi_positive_roots(qblocks)
+                for w in perms(n):
+                    in_u = {
+                        tuple(sorted((w[i - 1], w[j - 1])))
+                        for i, j in oracles.levi_positive_roots(pblocks)
+                    }
+                    expected = len(in_u) - len(in_u - q_levi)
+                    got = steinberg.z_dimension_defect({"t": w}, {"t": pblocks}, {"t": qblocks})
+                    assert got == expected, (w, pblocks, qblocks)
 
 
 def test_component_routes_agree_and_ignore_choice_of_h():

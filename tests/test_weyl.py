@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,30 @@ def test_multi_reduced_word_reassembles():
     for tau, i in word:
         cur = weyl.multi_compose(cur, weyl.multi_simple_reflection({"a": 3, "b": 2}, tau, i))
     assert cur == w
+
+
+multi_perm_strategy = st.dictionaries(
+    st.sampled_from("abc"),
+    st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1))).map(tuple)),
+    min_size=1,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(multi_perm_strategy)
+def test_multi_reduced_word_matches_the_rescan_reference(w):
+    assert weyl.multi_reduced_word(w) == oracles.multi_reduced_word_rescan(w)
+
+
+def test_multi_reduced_word_of_the_longest_rank_400_element_is_fast():
+    # l(w_0) = 79,800 swaps; rescanning the whole permutation after each
+    # swap took seconds here
+    w0 = {"t": weyl.longest_element(400)}
+    start = time.perf_counter()
+    word = weyl.multi_reduced_word(w0)
+    elapsed = time.perf_counter() - start
+    assert len(word) == 400 * 399 // 2
+    assert elapsed < 1.0, f"rank 400 took {elapsed:.2f}s"
 
 
 def test_sort_key_orders_by_length_first():
