@@ -1,15 +1,16 @@
 """Exhaustive flag-variety checks over small prime fields.
 
 Enumerates G/B pointwise for GL_n over F_p, the points u·dot(w) of each
-Schubert cell B·dot(w)·B/B.  G/P is a filter of that enumeration: for w
-in W^P the cell maps isomorphically onto B·dot(w)·P/P, so the Borel's
-points in the minimal cells are G/P, and every flag is inverted once per
-(n, p).  Every point carries its cell.  Bruhat cells of arbitrary
-matrices are read from elimination pivots.  Membership of Ad(g^-1)nu in
-b, p, u or n_Q is one test: the entries below the block diagonal (and,
-for u and n_Q, on it) vanish.  The rest of the package reasons about
-these incidences combinatorially.  Everything here is counting; no claim
-beyond membership and cardinality is certified.
+Schubert cell B·dot(w)·B/B: u with its columns permuted by w.  G/P is a
+filter of that enumeration: for w in W^P the cell maps isomorphically
+onto B·dot(w)·P/P, so the Borel's points in the minimal cells are G/P.
+Every point carries its cell and its inverse, so every flag is inverted
+once per (n, p).  Bruhat cells of arbitrary matrices are read from
+elimination pivots.  Membership of Ad(g^-1)nu in b, p, u or n_Q is one
+test: the entries below the block diagonal (and, for u and n_Q, on it)
+vanish.  The rest of the package reasons about these incidences
+combinatorially.  Everything here is counting; no claim beyond
+membership and cardinality is certified.
 
 Hard caps keep runtimes sane: n <= 4, p in {2,3,5,7}, and n = 4 only with
 p <= 3.  The environment variables WEYLFLAGS_FF_MAX_N / WEYLFLAGS_FF_MAX_P
@@ -28,8 +29,9 @@ polynomials, computed by Faddeev-LeVerrier over the integers and reduced
 mod p.
 
 The shortest-element check compares two masks: the coordinates of b that
-Ad(dot(w)^{-1}) sends outside b, and outside p.  Over any F_p every set of
-coordinates is the support of some nu in b, so the masks decide it.
+Ad(dot(w)^{-1}) sends outside b, and outside p.  Ad(dot(w)^{-1})E_ab is
+E_{w^{-1}(a) w^{-1}(b)}, so the masks are index maps.  Over any F_p every
+set of coordinates is the support of some nu in b, so the masks decide it.
 """
 
 from __future__ import annotations
@@ -185,10 +187,11 @@ def perm_matrix(w: Perm, p: int) -> FqMatrix:
 class FlagPoint:
     """A point of G/P: canonical_matrix is u·dot(cell), cell in W^P, with u
     upper unipotent and zero off the diagonal outside the cell's free
-    positions."""
+    positions; inverse is the inverse of canonical_matrix."""
 
     cell: Perm
     canonical_matrix: FqMatrix
+    inverse: Rows
 
 
 def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
@@ -210,11 +213,12 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, ...]:
     """One point u·dot(w) per coset gP, the cell of each minimal
-    representative w of W/W_P in turn, sorted by (length(w), w).  Only the
-    Borel, blocks (1,)*n, is enumerated.  For w in W^P the cell
-    B·dot(w)·B/B maps isomorphically onto B·dot(w)·P/P, its free positions
-    do not depend on the blocks, and G/P is the disjoint union of these
-    cells: so G/P is the Borel's points in the minimal cells, in order."""
+    representative w of W/W_P in turn, sorted by (length(w), w), each with
+    its inverse.  Only the Borel, blocks (1,)*n, is enumerated and
+    inverted.  For w in W^P the cell B·dot(w)·B/B maps isomorphically onto
+    B·dot(w)·P/P, its free positions do not depend on the blocks, and G/P
+    is the disjoint union of these cells: so G/P is the Borel's points in
+    the minimal cells, in order."""
     check_blocks(blocks, n)
     full = (1,) * n
     if blocks != full:
@@ -222,14 +226,14 @@ def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, .
         return tuple(point for point in _flags_cached(n, p, full) if point.cell in cells)
     points = []
     for _, w in sorted(_min_reps_with_length(full)):
-        pm = perm_rows(w)
         free = cell_free_positions(w)
         for coords in itertools.product(range(p), repeat=len(free)):
-            rows = [list(r) for r in mat_identity(n)]
+            u = [list(r) for r in mat_identity(n)]
             for (i, j), value in zip(free, coords):
-                rows[i - 1][j - 1] = value
-            m = mat_mul(tuple(tuple(r) for r in rows), pm, p)
-            points.append(FlagPoint(w, FqMatrix(p, m)))
+                u[i - 1][j - 1] = value
+            # (u·dot(w))[i][j] = u[i][w(j) - 1]
+            g = tuple(tuple(row[k - 1] for k in w) for row in u)
+            points.append(FlagPoint(w, FqMatrix(p, g), mat_inv(g, p)))
     return tuple(points)
 
 
@@ -308,14 +312,6 @@ CONDITIONS = {
 SPACES = ("full_flag", "partial_flag")
 
 
-@lru_cache(maxsize=None)
-def _flag_inverses(n: int, p: int) -> Tuple[Rows, ...]:
-    """g^{-1} for every full flag g, in the order of the Borel enumeration:
-    the only place a flag is inverted.  Partial flags are points of that
-    enumeration, so every flag is inverted once per (n, p)."""
-    return tuple(mat_inv(point.canonical_matrix.entries, p) for point in _flags_cached(n, p, (1,) * n))
-
-
 @dataclass(frozen=True)
 class IncidenceReport:
     count: int
@@ -350,14 +346,10 @@ def incidence_count(
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
-    # G/P is the Borel's points in the minimal cells
-    cells = set(_min_reps_perm((1,) * n if space == "full_flag" else tuple(blocks)))
     witnesses = []
     by_cell: Dict[Perm, int] = {}
-    for point, ginv in zip(_flags_cached(n, p, (1,) * n), _flag_inverses(n, p)):
-        if point.cell not in cells:
-            continue
-        ad = mat_mul(ginv, mat_mul(nu.entries, point.canonical_matrix.entries, p), p)
+    for point in _flags_cached(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
+        ad = mat_mul(point.inverse, mat_mul(nu.entries, point.canonical_matrix.entries, p), p)
         if _in_blocks(ad, parabolic, diagonal):
             witnesses.append(point)
             by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
@@ -406,9 +398,8 @@ def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, cost):
         work, pivots = _eliminate([[v[i * n + j] for i, j in zeros] + v for v in vectors], p)
         return [work[r][len(zeros):] for column, r in pivots if column >= len(zeros)]
 
-    # the partial flags in the cell of w are the Borel's points there
-    points = zip(_flags_cached(n, p, (1,) * n), _flag_inverses(n, p))
-    return (kernel(point.canonical_matrix.entries, ginv) for point, ginv in points if point.cell == w)
+    points = _flags_cached(n, p, blocks)
+    return (kernel(point.canonical_matrix.entries, point.inverse) for point in points if point.cell == w)
 
 
 @dataclass(frozen=True)
@@ -560,17 +551,16 @@ def good_form_conjugate(v):
     """Conjugate an upper-triangular v by an upper unipotent b so that
     v' = b^{-1} v b has zero entries wherever the two diagonal values
     differ.  Works over F_p (pass an FqMatrix) or exact rationals; only
-    the unit, the normalisation and the division depend on the field.
+    the normalisation and the division depend on the field.
 
     Sweeps columns left to right, rows bottom-up inside a column,
     conjugating by I + v_kj/(v_jj - v_kk)·E_kj; each step clears (k, j)
-    without touching entries already cleared.  Returns (b, v').
+    without touching entries already cleared.  Returns (b, v'), checked
+    as v·b = b·v' with b unit upper triangular.
     """
     modular = isinstance(v, FqMatrix)
     if modular:
         p = v.p
-        rows = [list(r) for r in v.entries]
-        one = 1
 
         def div(a, b):
             return a * pow(b % p, p - 2, p) % p
@@ -579,22 +569,19 @@ def good_form_conjugate(v):
             return x % p
 
     else:
-        rows = [[Fraction(x) for x in row] for row in v]
-        one = Fraction(1)
+        norm = Fraction
 
         def div(a, b):
             return a / b
 
-        def norm(x):
-            return x
-
+    rows = [[norm(x) for x in row] for row in (v.entries if modular else v)]
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
     if not in_b(rows):
         raise ValueError("input is not upper triangular")
     original = [row[:] for row in rows]
-    ident = [[one * (i == j) for j in range(n)] for i in range(n)]
-    b = [row[:] for row in ident]
-    binv = [row[:] for row in ident]
+    b = [[norm(int(i == j)) for j in range(n)] for i in range(n)]
     for j in range(2, n + 1):
         for k in range(j - 1, 0, -1):
             if rows[k - 1][k - 1] == rows[j - 1][j - 1]:
@@ -609,8 +596,6 @@ def good_form_conjugate(v):
                 rows[k - 1][l] = norm(rows[k - 1][l] - c * rows[j - 1][l])
             for r in range(n):
                 b[r][j - 1] = norm(b[r][j - 1] + c * b[r][k - 1])
-            for l in range(n):
-                binv[k - 1][l] = norm(binv[k - 1][l] - c * binv[j - 1][l])
 
     def mul(x, y):
         return [[norm(sum(x[i][t] * y[t][j] for t in range(n))) for j in range(n)] for i in range(n)]
@@ -621,8 +606,8 @@ def good_form_conjugate(v):
         for j in range(n):
             if original[i][i] != original[j][j]:
                 assert rows[i][j] == 0
-    assert mul(mul(binv, original), b) == rows
-    assert mul(binv, b) == ident
+    assert in_b(b) and all(b[i][i] == 1 for i in range(n))
+    assert mul(original, b) == mul(b, rows)
     b, rows = tuple(map(tuple, b)), tuple(map(tuple, rows))
     return (FqMatrix(p, b), FqMatrix(p, rows)) if modular else (b, rows)
 
@@ -679,22 +664,11 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     }
 
 
-@lru_cache(maxsize=None)
-def _ad_basis_images(w: Perm, p: int) -> FrozenSet[Tuple[int, int]]:
+def _ad_basis_images(w: Perm) -> FrozenSet[Tuple[int, int]]:
     """The entries, 0-indexed, that Ad(dot(w)^{-1}) sends the basis
-    matrices E_ab (a <= b) of b to, a single entry 1 each.  They depend on
-    w only, so each w conjugates them once."""
-    n = len(w)
-    pm = perm_rows(w)
-    pmi = perm_rows(inverse(w))
-    out = []
-    for a, b in itertools.combinations_with_replacement(range(n), 2):
-        basis = tuple(tuple(int((i, j) == (a, b)) for j in range(n)) for i in range(n))
-        m = mat_mul(pmi, mat_mul(basis, pm, p), p)
-        support = [(i, j) for i in range(n) for j in range(n) if m[i][j]]
-        assert len(support) == 1 and m[support[0][0]][support[0][1]] == 1, (w, (a, b), m)
-        out += support
-    return frozenset(out)
+    matrices E_ab (a <= b) of b to: dot(w)^{-1} E_ab dot(w) is
+    E_{w^{-1}(a) w^{-1}(b)}."""
+    return frozenset((x - 1, y - 1) for x, y in itertools.combinations_with_replacement(inverse(w), 2))
 
 
 def shortest_element_fq_check(w: Perm, blocks: Tuple[int, ...], p: int) -> bool:
@@ -712,7 +686,7 @@ def shortest_element_fq_check(w: Perm, blocks: Tuple[int, ...], p: int) -> bool:
     blocks = tuple(blocks)
     check_bounds(len(w), p)
     is_rep = w == min_rep_perm(w, blocks)
-    images = _ad_basis_images(w, p)
+    images = _ad_basis_images(w)
     off_b = images.intersection(_zero_positions((1,) * len(w), False))
     off_p = images.intersection(_zero_positions(blocks, False))
     if off_p - off_b:
@@ -892,9 +866,11 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
     selected = list(checks) if explicit else list(SUITE_CHECKS)
     if not selected:
         raise ValueError(f"no checks selected; pick from {SUITE_CHECKS}")
-    for name in selected:
+    for k, name in enumerate(selected):
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; pick from {SUITE_CHECKS}")
+        if name in selected[:k]:
+            raise ValueError(f"check {name!r} selected twice")
     rows: List[Dict[str, object]] = []
     for name in selected:
         refusal, keys, check_rows = _CHECKS[name]

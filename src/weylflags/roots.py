@@ -58,9 +58,11 @@ class Root(NamedTuple):
 
 
 def check_spec(spec: ParabolicSpec, shape: Optional[Dict[str, int]] = None) -> ParabolicSpec:
-    """The spec with tuple blocks, refusing an empty or non-positive
-    composition; given a shape, also refusing labels or block sums that
-    differ from it."""
+    """The spec with tuple blocks, refusing an empty or non-dict spec and an
+    empty or non-positive composition; given a shape, also refusing labels
+    or block sums that differ from it."""
+    if not isinstance(spec, dict) or not spec:
+        raise ValueError("spec must be a non-empty label -> blocks mapping")
     out = {tau: tuple(blocks) for tau, blocks in spec.items()}
     sums = {}
     for tau, blocks in out.items():

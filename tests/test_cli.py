@@ -233,6 +233,16 @@ def test_steinberg_refuses_qblocks_of_another_shape(capsys):
         assert err == f"error: --qblocks: shapes differ: {shapes}\n"
 
 
+def test_steinberg_refuses_an_empty_spec(capsys):
+    # an empty spec names no label, as an empty --perm does
+    for blocks, qblocks, flag in [("{}", "{}", "--blocks"), ("[2,1]", "{}", "--qblocks")]:
+        code, out, err = run(
+            capsys, "steinberg", "--blocks", blocks, "--qblocks", qblocks, "--list-components"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: spec must be a non-empty label -> blocks mapping\n"
+
+
 def test_companion_generic_scenario(capsys, tmp_path):
     path = write_scenario(tmp_path, base_scenario())
     code, payload, _ = run_json(capsys, "companion", "--scenario", path)
@@ -486,6 +496,12 @@ def test_ff_verify_empty_selection_exits_two(capsys, suite):
     assert out == ""
     assert "no checks selected" in err
     assert "Traceback" not in err
+
+
+def test_ff_verify_refuses_a_check_named_twice(capsys):
+    code, out, err = run(capsys, "ff-verify", "--n", "2", "--p", "3", "--suite", "point_count,point_count")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: check 'point_count' selected twice\n"
 
 
 def test_ff_verify_huge_p_exits_two(capsys):

@@ -174,6 +174,19 @@ def test_partial_flag_points_carry_their_cell():
                 assert point.cell == min_rep_perm(ff.bruhat_cell_of(g), blocks), (n, p, blocks)
 
 
+def test_flag_points_are_cell_points_with_their_inverses():
+    # u·dot(w) is u with its columns permuted; the unipotent u is the
+    # point with the permutation undone
+    for n, p in GRID:
+        identity = ff.mat_identity(n)
+        for point in ff.enumerate_flags(n, p):
+            g = point.canonical_matrix.entries
+            u = ff.mat_mul(g, ff.perm_rows(oracles.inverse(point.cell)), p)
+            assert g == ff.mat_mul(u, ff.perm_rows(point.cell), p), (n, p, point)
+            assert ff.in_b(u) and all(u[i][i] == 1 for i in range(n)), (n, p, point)
+            assert ff.mat_mul(g, point.inverse, p) == identity, (n, p, point)
+
+
 def test_flag_enumeration_and_incidence_refuse_bad_blocks():
     # (3, -1) sums to 2 but is no composition, and the blocks of a
     # condition must have the rank of nu, as the flag blocks must
@@ -397,6 +410,29 @@ def test_good_form_random_rational_and_modular():
 def test_good_form_rejects_bad_input():
     with pytest.raises(ValueError):
         ff.good_form_conjugate([[1, 0], [1, 2]])
+    # a non-square rational input gets the refusal FqMatrix gives over F_p
+    for rows in ([[1, 2]], [[1, 2, 3], [0, 1, 2]], [[1, 2], [0]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            ff.good_form_conjugate(rows)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            ff.FqMatrix(5, rows)
+
+
+def test_ad_basis_images_match_the_conjugated_basis():
+    # dot(w)^{-1} E_ab dot(w) by two matrix products has a single entry,
+    # at the index map's position
+    for n in (1, 2, 3, 4):
+        for w in perms(n):
+            pm = oracles._perm_matrix(w)
+            pmi = oracles._perm_matrix(oracles.inverse(w))
+            supports = set()
+            for a, b in itertools.combinations_with_replacement(range(n), 2):
+                basis = [[int((i, j) == (a, b)) for j in range(n)] for i in range(n)]
+                m = oracles._mat_mul_mod(pmi, oracles._mat_mul_mod(basis, pm, 2), 2)
+                support = [(i, j) for i in range(n) for j in range(n) if m[i][j]]
+                assert len(support) == 1, (w, (a, b), m)
+                supports |= set(support)
+            assert ff._ad_basis_images(w) == supports, w
 
 
 def test_shortest_element_fq_sweep_n2():
@@ -553,6 +589,11 @@ def test_nu_sweep_checks_refuse_over_the_gate_from_the_library():
 def test_run_suite_refuses_an_empty_selection():
     with pytest.raises(ValueError, match="no checks selected"):
         ff.run_suite(2, 3, checks=[])
+
+
+def test_run_suite_refuses_a_check_named_twice():
+    with pytest.raises(ValueError, match="check 'point_count' selected twice"):
+        ff.run_suite(2, 3, checks=["point_count", "blowup", "point_count"])
 
 
 def test_run_suite_rows_match_the_recorded_stream():

@@ -1,7 +1,8 @@
 """Every public entry that takes a block composition or a spec refuses
 what the conventions rule out: block sizes below 1, a composition that
-does not sum to the rank, and a spec whose labels or sums differ from the
-shape of the permutation or weight it comes with."""
+does not sum to the rank, a spec that is empty or not a dict, and a spec
+whose labels or sums differ from the shape of the permutation or weight
+it comes with."""
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_entries_refuse_bad_compositions_and_specs(entry, bad):
 def test_entries_accept_the_good_spec_as_tuples_or_lists():
     for _, call in ENTRIES.values():
         assert call(GOOD) == call({"t": [2, 1]})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [roots.check_spec, cosets.enumerate_quotient, cosets.wp_elements, cosets.longest_in_levi],
+)
+def test_entries_refuse_an_empty_spec_or_a_bare_composition(call):
+    # enumerate_quotient({}) would list one coset that CosetRep refuses,
+    # and a bare composition has no label to read
+    for bad in ({}, [2, 1]):
+        with pytest.raises(ValueError, match="spec must be a non-empty label -> blocks mapping"):
+            call(bad)
 
 
 def test_dominance_refuses_a_misfit_spec_in_every_mode():
