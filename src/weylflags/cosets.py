@@ -347,10 +347,6 @@ def left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
     return weyl.multi_inverse(min_rep(weyl.multi_inverse(w), spec))
 
 
-def is_left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> bool:
-    return w == left_min_rep(w, spec)
-
-
 def _left_quotient(spec: ParabolicSpec) -> List[Tuple[int, MultiPerm]]:
     """(length, w) for w in ^QW, in no particular order: w is in ^QW iff
     w^{-1} is in W^Q, and inversion keeps the length."""
@@ -366,11 +362,6 @@ def _sorted_by_length(pairs: List[Tuple[int, MultiPerm]]) -> List[MultiPerm]:
     them, reading each length from its pair instead of recomputing it."""
     pairs = sorted(pairs, key=lambda pair: (pair[0], weyl.freeze(pair[1])))
     return [w for _, w in pairs]
-
-
-def enumerate_left_quotient(spec: ParabolicSpec) -> List[MultiPerm]:
-    """^QW, sorted by (length, one-line notation, label)."""
-    return _sorted_by_length(_left_quotient(spec))
 
 
 def shortest_double_coset_rep(

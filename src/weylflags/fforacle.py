@@ -151,10 +151,6 @@ def _eliminate(
     return work, pivots
 
 
-def mat_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(_eliminate(rows, p)[1])
-
-
 def mat_inv(a: Rows, p: int) -> Rows:
     n = len(a)
     augmented = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
@@ -168,16 +164,6 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
     """Canonical reduced row echelon form of the row space (zero rows dropped)."""
     work, pivots = _eliminate(rows, p)
     return tuple(tuple(x % p for x in work[r]) for _, r in pivots)
-
-
-def perm_rows(w: Perm) -> Rows:
-    # dot(w) e_j = e_{w(j)}: entry 1 at (w(j), j), no signs
-    n = len(w)
-    return tuple(tuple(1 if w[j] == i + 1 else 0 for j in range(n)) for i in range(n))
-
-
-def perm_matrix(w: Perm, p: int) -> FqMatrix:
-    return FqMatrix(p, perm_rows(check_perm(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +345,6 @@ def incidence_count(
 
 # ---------------------------------------------------------------------------
 # pairwise incidence: fibers and the weight map
-
-def relative_position_pair(g1: FqMatrix, g2: FqMatrix, blocks: Tuple[int, ...]) -> Perm:
-    """The W/W_P position of (g1 B, g2 P): minimal representative of the
-    cell of g1^{-1} g2."""
-    if g1.p != g2.p:
-        raise ValueError("field mismatch")
-    p = g1.p
-    cell = bruhat_cell_of(FqMatrix(p, mat_mul(mat_inv(g1.entries, p), g2.entries, p)))
-    return min_rep_perm(cell, tuple(blocks))
-
 
 def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, cost):
     """For each partial flag g2 P in the cell of w, a basis of the fiber

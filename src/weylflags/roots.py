@@ -10,7 +10,9 @@ are the pairs (i, i+1) inside a block.
 Each input kind has one check, raising ValueError: block_slices refuses
 block sizes below 1 (block_index is cached on it, so every reader of block
 numbers refuses them too), check_blocks fits a composition to a rank, and
-check_spec fits a spec to a shape through weyl.check_shapes.
+check_spec refuses an empty or non-dict spec and fits a spec to a shape
+through weyl.check_shapes.  The spec readers levi_roots, spec_simple_roots
+and p_regular_witness go through check_spec too.
 
 The Weyl group acts by place permutation, (w·x)_i = x_{w^{-1}(i)}, which
 makes the action a left action and gives w(e_i - e_j) = e_{w(i)} - e_{w(j)}.
@@ -116,36 +118,24 @@ def positive_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
     )
 
 
-def all_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
-    pos = positive_roots(shape)
-    return pos + tuple(a.negate() for a in pos)
-
-
 def spec_simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
-    """Delta_P: simple roots whose endpoints share a block.
+    """Delta_P: the simple roots in R_P^+, sorted; the spec goes through
+    check_spec.
 
     >>> spec_simple_roots({"t": (2, 1)})
     (Root(tau='t', i=1, j=2),)
     """
-    out = []
-    for tau in sorted(spec):
-        bl = block_index(tuple(spec[tau]))
-        n = len(bl)
-        for i in range(1, n):
-            if bl[i - 1] == bl[i]:
-                out.append(Root(tau, i, i + 1))
-    return tuple(out)
+    return tuple(sorted(a for a in levi_roots(spec, positive_only=True) if a.simple))
 
 
 def levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
-    """R_P (or R_P^+): roots with both endpoints in one block."""
+    """R_P (or R_P^+): roots with both endpoints in one block; the spec
+    goes through check_spec."""
     out = []
-    for tau in sorted(spec):
-        bl = block_index(tuple(spec[tau]))
-        n = len(bl)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if bl[i - 1] == bl[j - 1]:
+    for tau, blocks in check_spec(spec).items():
+        for lo, hi in block_slices(blocks):
+            for i in range(lo + 1, hi + 1):
+                for j in range(i + 1, hi + 1):
                     out.append(Root(tau, i, j))
                     if not positive_only:
                         out.append(Root(tau, j, i))
@@ -256,7 +246,7 @@ def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
     False
     """
     shape = shape_of(h)
-    in_levi = set(spec_simple_roots(check_spec(spec, shape)))
+    in_levi = levi_roots(check_spec(spec, shape), positive_only=True)
     for alpha in simple_roots(shape):
         v = pairing(alpha, h)
         if alpha in in_levi:
@@ -269,12 +259,13 @@ def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
 
 def p_regular_witness(spec: ParabolicSpec) -> IntegralWeight:
     """Canonical P-regular antidominant coweight: block-constant, with
-    strictly increasing block values left to right.
+    strictly increasing block values left to right; the spec goes through
+    check_spec.
 
     >>> p_regular_witness({"t": (2, 1)})
     {'t': (0, 0, 1)}
     """
-    return {tau: block_index(tuple(blocks)) for tau, blocks in spec.items()}
+    return {tau: block_index(blocks) for tau, blocks in check_spec(spec).items()}
 
 
 if __name__ == "__main__":

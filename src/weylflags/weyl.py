@@ -2,8 +2,9 @@
 
 A permutation ``w`` of ``{1, ..., n}`` is stored in one-line notation as a
 tuple ``(w(1), ..., w(n))``.  A *multi-permutation* maps embedding labels
-(strings) to permutations of a common rank and models an element of a
-finite product of symmetric groups; it serializes as ``{"label": [images]}``.
+(strings) to permutations, each label with its own rank, and models an
+element of a finite product of symmetric groups; it serializes as
+``{"label": [images]}``.  Its shape maps each label to its rank.
 
 Composition is function composition, ``(u * v)(i) = u(v(i))``, and length
 is the inversion count, which agrees with Coxeter length on the simple

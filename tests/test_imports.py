@@ -1,13 +1,20 @@
-"""What importing weylflags loads, checked in fresh interpreters."""
+"""What importing weylflags loads, checked in fresh interpreters, and that
+every public function it defines has a caller outside the tests."""
 
+import importlib
+import inspect
 import json
 import os
+import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
 
 import weylflags
 
 SRC = os.path.dirname(os.path.dirname(weylflags.__file__))
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_isolated(code):
@@ -65,3 +72,24 @@ def test_scenario_parsing_does_not_import_the_oracle():
         "print(json.dumps([message, 'weylflags.fforacle' in sys.modules]))\n"
     )
     assert loaded == ["scenario: unknown field 'checks'", False]
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public function is named somewhere in src/ besides its own
+    # definition, exported from the package, or called by the benchmark;
+    # anything only the tests call belongs under tests/
+    package = pathlib.Path(weylflags.__file__).parent
+    src_texts = [path.read_text() for path in package.glob("*.py")]
+    bench_text = "".join(path.read_text() for path in PERFBENCH.glob("*.py"))
+    orphans = []
+    for info in pkgutil.iter_modules(weylflags.__path__):
+        mod = importlib.import_module("weylflags." + info.name)
+        for name, obj in vars(mod).items():
+            fn = inspect.unwrap(obj)
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+            word = re.compile(rf"\b{name}\b")
+            elsewhere = sum(len(word.findall(text)) for text in src_texts) - len(word.findall(inspect.getsource(fn)))
+            if not (elsewhere or name in weylflags.__all__ or f".{name}(" in bench_text):
+                orphans.append(f"{info.name}.{name}")
+    assert orphans == []

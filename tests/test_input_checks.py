@@ -6,6 +6,7 @@ it comes with."""
 
 import pytest
 
+import oracles
 from weylflags import cosets, fforacle as ff, roots, steinberg
 
 REFUSAL = "must be positive|do not sum to|shapes differ"
@@ -52,7 +53,7 @@ ENTRIES = {
     "enumerate_partial_flags": (RANK, lambda s: ff.enumerate_partial_flags(3, 2, _blocks(s))),
     "partial_flag_key": (
         RANK,
-        lambda s: ff.partial_flag_key(ff.perm_matrix(W["t"], 2), _blocks(s)),
+        lambda s: ff.partial_flag_key(ff.FqMatrix(2, oracles._perm_matrix(W["t"])), _blocks(s)),
     ),
     "incidence_count": (
         RANK,
@@ -83,7 +84,10 @@ def test_entries_accept_the_good_spec_as_tuples_or_lists():
 
 @pytest.mark.parametrize(
     "call",
-    [roots.check_spec, cosets.enumerate_quotient, cosets.wp_elements, cosets.longest_in_levi],
+    [
+        roots.check_spec, cosets.enumerate_quotient, cosets.wp_elements, cosets.longest_in_levi,
+        roots.levi_roots, roots.spec_simple_roots, roots.p_regular_witness,
+    ],
 )
 def test_entries_refuse_an_empty_spec_or_a_bare_composition(call):
     # enumerate_quotient({}) would list one coset that CosetRep refuses,
