@@ -11,8 +11,8 @@ Each input kind has one check, raising ValueError: block_slices refuses
 block sizes below 1 (block_index is cached on it, so every reader of block
 numbers refuses them too), check_blocks fits a composition to a rank, and
 check_spec refuses an empty or non-dict spec and fits a spec to a shape
-through weyl.check_shapes.  The spec readers levi_roots, spec_simple_roots
-and p_regular_witness go through check_spec too.
+through weyl.check_shapes.  Every spec reader goes through check_spec once
+a call, and those given a weight or permutation fit the spec to its shape.
 
 The Weyl group acts by place permutation, (w·x)_i = x_{w^{-1}(i)}, which
 makes the action a left action and gives w(e_i - e_j) = e_{w(i)} - e_{w(j)}.
@@ -31,6 +31,7 @@ ValueError: shapes differ: {'t': 4} vs {'t': 3}
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -119,27 +120,40 @@ def positive_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
 
 
 def spec_simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
-    """Delta_P: the simple roots in R_P^+, sorted; the spec goes through
-    check_spec.
+    """Delta_P: the simple roots (i, i+1) inside each block, sorted; the
+    spec goes through check_spec.
 
     >>> spec_simple_roots({"t": (2, 1)})
     (Root(tau='t', i=1, j=2),)
     """
-    return tuple(sorted(a for a in levi_roots(spec, positive_only=True) if a.simple))
+    return _simple_roots(check_spec(spec))
+
+
+def _simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
+    """spec_simple_roots of a spec that has been through check_spec."""
+    return tuple(
+        Root(tau, i, i + 1)
+        for tau, blocks in sorted(spec.items())
+        for lo, hi in block_slices(blocks)
+        for i in range(lo + 1, hi)
+    )
 
 
 def levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
     """R_P (or R_P^+): roots with both endpoints in one block; the spec
     goes through check_spec."""
-    out = []
-    for tau, blocks in check_spec(spec).items():
-        for lo, hi in block_slices(blocks):
-            for i in range(lo + 1, hi + 1):
-                for j in range(i + 1, hi + 1):
-                    out.append(Root(tau, i, j))
-                    if not positive_only:
-                        out.append(Root(tau, j, i))
-    return frozenset(out)
+    return _levi_roots(check_spec(spec), positive_only)
+
+
+def _levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
+    """levi_roots of a spec that has been through check_spec."""
+    pairs = itertools.combinations if positive_only else itertools.permutations
+    return frozenset(
+        Root(tau, i, j)
+        for tau, blocks in spec.items()
+        for lo, hi in block_slices(blocks)
+        for i, j in pairs(range(lo + 1, hi + 1), 2)
+    )
 
 
 def pairing(alpha: Root, x: IntegralWeight) -> int:
@@ -203,7 +217,7 @@ def inversion_set(w: MultiPerm, relative_to: Optional[ParabolicSpec] = None) -> 
         if not act_root(w, alpha).positive
     }
     if relative_to is not None:
-        inv -= levi_roots(check_spec(relative_to, shape_of(w)), positive_only=True)
+        inv -= _levi_roots(check_spec(relative_to, shape_of(w)), positive_only=True)
     return frozenset(inv)
 
 
@@ -223,7 +237,7 @@ def dominance(x: IntegralWeight, spec: ParabolicSpec, mode: str) -> bool:
     """
     if mode not in DOMINANCE_MODES:
         raise ValueError(f"unknown dominance mode {mode!r}")
-    for alpha in spec_simple_roots(check_spec(spec, shape_of(x))):
+    for alpha in _simple_roots(check_spec(spec, shape_of(x))):
         v = pairing(alpha, x)
         if mode == "dominant" and v < 0:
             return False
@@ -246,15 +260,8 @@ def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
     False
     """
     shape = shape_of(h)
-    in_levi = levi_roots(check_spec(spec, shape), positive_only=True)
-    for alpha in simple_roots(shape):
-        v = pairing(alpha, h)
-        if alpha in in_levi:
-            if v != 0:
-                return False
-        elif v >= 0:
-            return False
-    return True
+    in_levi = frozenset(_simple_roots(check_spec(spec, shape)))
+    return all(pairing(a, h) == 0 if a in in_levi else pairing(a, h) < 0 for a in simple_roots(shape))
 
 
 def p_regular_witness(spec: ParabolicSpec) -> IntegralWeight:

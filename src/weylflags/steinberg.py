@@ -27,11 +27,11 @@ from .roots import (
     IntegralWeight,
     ParabolicSpec,
     Root,
+    _levi_roots,
     act,
     act_root,
     check_spec,
     dominance,
-    levi_roots,
     p_regular_antidominant,
     pairing,
     shape_of,
@@ -65,8 +65,8 @@ def _defect_roots(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec)
     """w(R_P) n R^+ n R_Q, once both specs are checked against w: the
     roots of u n Ad(w)m_P outside n_Q, since n_Q = R^+ - R_Q."""
     shape = shape_of(w)
-    r_p = levi_roots(check_spec(pspec, shape))
-    r_q = levi_roots(check_spec(qspec, shape))
+    r_p = _levi_roots(check_spec(pspec, shape))
+    r_q = _levi_roots(check_spec(qspec, shape))
     translated = (act_root(w, a) for a in r_p)
     return frozenset(a for a in translated if a.positive and a in r_q)
 

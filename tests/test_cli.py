@@ -314,11 +314,35 @@ def test_companion_directory_scenario_exits_two(capsys, tmp_path):
 
 
 def test_ff_verify_bad_cap_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("WEYLFLAGS_FF_MAX_N", "abc")
+    monkeypatch.setenv("WEYLFLAGS_FF_MAX_FLAGS", "abc")
     code, out, err = run(capsys, "ff-verify", "--suite", "point_count", "--n", "2", "--p", "3")
     assert code == 2
     assert out == ""
-    assert "WEYLFLAGS_FF_MAX_N" in err
+    assert "WEYLFLAGS_FF_MAX_FLAGS" in err
+
+
+def _cli_subprocess(env, *argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "weylflags.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_ff_verify_warns_once_when_a_cap_is_raised():
+    # every check calls check_bounds; the warning must not repeat per caller
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_") and k != "PYTHONWARNINGS"}
+    proc = _cli_subprocess(dict(env, WEYLFLAGS_FF_MAX_P="11"), "ff-verify", "--n", "2", "--p", "11")
+    assert proc.returncode == 0
+    assert proc.stderr.count("UserWarning") == 1
+
+
+def test_ff_verify_admits_n5_p2_under_the_default_caps():
+    # [5]_2! = 9,765 flags, under the default cap of 30,000
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_")}
+    proc = _cli_subprocess(env, "ff-verify", "--n", "5", "--p", "2", "--suite", "point_count")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_coset_enumerate_over_the_quotient_cap_exits_two():

@@ -490,31 +490,41 @@ def test_covering_degree_pinned():
         ff.covering_degree_check((2, 1), 2)
 
 
-def test_check_bounds_caps():
-    ff.check_bounds(3, 7)
-    ff.check_bounds(4, 3)
-    with pytest.raises(ValueError):
-        ff.check_bounds(5, 2)
+def test_check_bounds_caps(monkeypatch):
+    # one cap on |G/B| = [n]_p! <= 30,000, one on p <= 7
+    for name in (ff.ENV_MAX_FLAGS, ff.ENV_MAX_P):
+        monkeypatch.delenv(name, raising=False)
+    for n, p in ((3, 7), (4, 3), (4, 5), (5, 2)):
+        ff.check_bounds(n, p)
+    for n, p in ((4, 7), (5, 3), (6, 2)):
+        with pytest.raises(ValueError, match=f"n={n}, p={p} .*enumeration cap.*30000.*WEYLFLAGS_FF_MAX_FLAGS"):
+            ff.check_bounds(n, p)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ff.check_bounds(n, 2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="enumeration cap"):
+        ff.check_bounds(10**6, 2)
+    assert time.perf_counter() - start < 0.1
     with pytest.raises(ValueError):
         ff.check_bounds(3, 11)
     with pytest.raises(ValueError):
         ff.check_bounds(3, 4)
-    with pytest.raises(ValueError):
-        ff.check_bounds(4, 5)
 
 
 def test_check_bounds_env_override(monkeypatch):
-    monkeypatch.setenv(ff.ENV_MAX_N, "5")
-    with pytest.warns(UserWarning):
-        ff.check_bounds(5, 2)
+    monkeypatch.setenv(ff.ENV_MAX_FLAGS, "300000")
+    for n, p in ((4, 7), (5, 3)):
+        with pytest.warns(UserWarning):
+            ff.check_bounds(n, p)
     monkeypatch.setenv(ff.ENV_MAX_P, "11")
     with pytest.warns(UserWarning):
         ff.check_bounds(2, 11)
 
 
 def test_check_bounds_names_a_bad_cap(monkeypatch):
-    monkeypatch.setenv(ff.ENV_MAX_N, "abc")
-    with pytest.raises(ValueError, match="WEYLFLAGS_FF_MAX_N.*'abc'"):
+    monkeypatch.setenv(ff.ENV_MAX_FLAGS, "abc")
+    with pytest.raises(ValueError, match="WEYLFLAGS_FF_MAX_FLAGS.*'abc'"):
         ff.check_bounds(2, 3)
 
 

@@ -7,7 +7,7 @@ import re
 import shlex
 
 from test_cli import assert_report_renders
-from weylflags import cli
+from weylflags import cli, cosets, fforacle
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -22,8 +22,10 @@ def test_readme_cli_examples_exit_zero_with_json(capsys, monkeypatch, tmp_path):
     (scenario,) = fenced(text, "json")
     (tmp_path / "scenario.json").write_text(scenario)
     monkeypatch.chdir(tmp_path)
-    for name in ("WEYLFLAGS_FF_MAX_N", "WEYLFLAGS_FF_MAX_P", "WEYLFLAGS_MAX_QUOTIENT"):
+    for name in (fforacle.ENV_MAX_FLAGS, fforacle.ENV_MAX_P, cosets.ENV_MAX_QUOTIENT):
+        assert f"`{name}`" in text, name
         monkeypatch.delenv(name, raising=False)
+    assert f"{fforacle.DEFAULT_MAX_FLAGS:,}" in text
     lines = [
         line
         for block in fenced(text, "sh")
