@@ -4,13 +4,14 @@ Enumerates G/B pointwise for GL_n over F_p, the points u·dot(w) of each
 Schubert cell B·dot(w)·B/B: u with its columns permuted by w.  G/P is a
 filter of that enumeration: for w in W^P the cell maps isomorphically
 onto B·dot(w)·P/P, so the Borel's points in the minimal cells are G/P.
-Every point carries its cell and its inverse, so every flag is inverted
-once per (n, p).  Bruhat cells of arbitrary matrices are read from
-elimination pivots.  Membership of Ad(g^-1)nu in b, p, u or n_Q is one
-test: the entries below the block diagonal (and, for u and n_Q, on it)
-vanish.  The rest of the package reasons about these incidences
-combinatorially.  Everything here is counting; no claim beyond
-membership and cardinality is certified.
+Every point carries its cell and its inverse, dot(w)^{-1}·u^{-1} with u^{-1}
+by back substitution, so every flag is inverted once per (n, p).  Bruhat
+cells of arbitrary matrices are read from elimination pivots, and flag keys
+from one elimination that takes the columns one at a time.  Membership of
+Ad(g^-1)nu in b, p, u or n_Q is one test: the entries below the block
+diagonal (and, for u and n_Q, on it) vanish.  The rest of the package
+reasons about these incidences combinatorially.  Everything here is
+counting; no claim beyond membership and cardinality is certified.
 
 Two caps keep runtimes sane: p <= 7, and at most 30,000 flags, |G/B| =
 [n]_p!.  The environment variables WEYLFLAGS_FF_MAX_P / WEYLFLAGS_FF_MAX_FLAGS
@@ -24,9 +25,9 @@ flags g2 P in the cell of w, and the fiber of g2 is the kernel of the
 linear map b -> g/p, nu -> Ad(g2^{-1})nu read below the block diagonal.
 One elimination per g2 gives its rank and a basis of its kernel.  Both
 checks are refused, on every entry, when their kernel work exceeds
-NU_SWEEP_GATE.  The weight map compares Levi-block characteristic
-polynomials, computed by Faddeev-LeVerrier over the integers and reduced
-mod p.
+NU_SWEEP_GATE.  The weight map walks each kernel's projection onto the Levi
+blocks and the weights, comparing block characteristic polynomials
+(Faddeev-LeVerrier over the integers, reduced mod p).
 
 The shortest-element check compares two masks: the coordinates of b that
 Ad(dot(w)^{-1}) sends outside b, and outside p.  Ad(dot(w)^{-1})E_ab is
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import warnings
 from collections import Counter
@@ -52,8 +54,8 @@ from .weyl import Perm, check_perm, inverse, length
 
 DEFAULT_MAX_P = 7
 # |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
-# on a 2-vCPU Xeon took 6.8-10 s and 68 MB RSS at (4,5), 29,016 flags, and
-# 2.2-3.3 s and 40 MB at (5,2), 9,765 flags.
+# on a 2-vCPU Xeon took 4.1-5.1 s and 68 MB RSS at (4,5), 29,016 flags, and
+# 1.3-1.7 s and 40 MB at (5,2), 9,765 flags.
 DEFAULT_MAX_FLAGS = 30_000
 ENV_MAX_P = "WEYLFLAGS_FF_MAX_P"
 ENV_MAX_FLAGS = "WEYLFLAGS_FF_MAX_FLAGS"
@@ -71,7 +73,7 @@ def check_bounds(n: int, p: int) -> None:
         warnings.warn(f"enumeration caps raised via environment to p<={max_p}, [n]_p!<={max_flags}")
     # the p cap comes first: trial division of a huge p would not finish
     if p > max_p:
-        raise ValueError(f"p={p} outside the enumeration cap p<={max_p}")
+        raise ValueError(f"p={p} outside the enumeration cap p<={max_p}; {ENV_MAX_P} raises it")
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if n < 1:
@@ -117,7 +119,7 @@ def mat_identity(n: int) -> Rows:
 def mat_mul(a: Rows, b: Rows, p: int) -> Rows:
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
+        tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a
     )
 
 
@@ -128,7 +130,7 @@ def _eliminate(
 
     Rows are never swapped.  A column's pivot is the lowest row not yet
     holding a pivot whose entry there is nonzero (bruhat_cell_of relies on
-    this choice; rank, inverse and RREF do not depend on it).  It is
+    this choice; rank and RREF do not depend on it).  It is
     scaled to 1 and cleared from every other row.  Returns the worked rows
     and the (column, row) pivot pairs in column order, so the pivot rows,
     read in that order, are the reduced row echelon form."""
@@ -155,13 +157,18 @@ def _eliminate(
     return work, pivots
 
 
-def mat_inv(a: Rows, p: int) -> Rows:
-    n = len(a)
-    augmented = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
-    work, pivots = _eliminate(augmented, p)
-    if [c for c, _ in pivots[:n]] != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(tuple(work[r][n:]) for _, r in pivots)
+def _cell_point_inverse(u: Sequence[Sequence[int]], w: Perm, p: int) -> Rows:
+    """The inverse dot(w)^{-1}·u^{-1} of the cell point u·dot(w), u unit
+    upper triangular: row j is row w(j) of v = u^{-1}.  v comes by back
+    substitution, with no pivot search: row i is e_i - sum_{k>i} u[i][k] v[k]."""
+    n = len(u)
+    v: List[List[int]] = [[]] * n
+    for i in reversed(range(n)):
+        v[i] = [int(i == j) for j in range(n)]
+        for k in range(i + 1, n):
+            if u[i][k]:
+                v[i] = [(x - u[i][k] * y) % p for x, y in zip(v[i], v[k])]
+    return tuple(tuple(v[k - 1]) for k in w)
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
@@ -215,15 +222,16 @@ def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, .
         cells = set(_min_reps_perm(blocks))
         return tuple(point for point in _flags_cached(n, p, full) if point.cell in cells)
     points = []
+    identity = mat_identity(n)
     for _, w in sorted(_min_reps_with_length(full)):
         free = cell_free_positions(w)
         for coords in itertools.product(range(p), repeat=len(free)):
-            u = [list(r) for r in mat_identity(n)]
+            u = [list(r) for r in identity]
             for (i, j), value in zip(free, coords):
                 u[i - 1][j - 1] = value
             # (u·dot(w))[i][j] = u[i][w(j) - 1]
             g = tuple(tuple(row[k - 1] for k in w) for row in u)
-            points.append(FlagPoint(w, FqMatrix(p, g), mat_inv(g, p)))
+            points.append(FlagPoint(w, FqMatrix(p, g), _cell_point_inverse(u, w, p)))
     return tuple(points)
 
 
@@ -256,10 +264,29 @@ def flag_key(g: FqMatrix) -> Tuple[Rows, ...]:
 
 def partial_flag_key(g: FqMatrix, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
     """Canonical label of the partial flag of g for the block composition:
-    the same spans at the proper prefix sums of the blocks."""
+    the same spans at the proper prefix sums of the blocks, from one pass
+    that adds the columns of g one at a time to a reduced row echelon form."""
     check_blocks(blocks, g.n)
-    cols = tuple(zip(*g.entries))
-    return tuple(rref(cols[:k], g.p) for k in itertools.accumulate(blocks[:-1]))
+    p = g.p
+    ends = set(itertools.accumulate(blocks[:-1]))
+    reduced: Dict[int, Tuple[int, ...]] = {}  # pivot column -> row of the RREF so far
+    key = []
+    for k, v in enumerate(zip(*g.entries), 1):
+        for c, row in reduced.items():
+            if f := v[c]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        for pivot, x in enumerate(v):
+            if x:
+                inv = pow(x, p - 2, p)
+                v = tuple([y * inv % p for y in v])
+                for c, row in reduced.items():
+                    if f := row[pivot]:
+                        reduced[c] = tuple([(a - f * b) % p for a, b in zip(row, v)])
+                reduced[pivot] = v
+                break
+        if k in ends:
+            key.append(tuple([reduced[c] for c in sorted(reduced)]))
+    return tuple(key)
 
 
 def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqMatrix]:
@@ -283,12 +310,8 @@ def _zero_positions(blocks: Tuple[int, ...], diagonal: bool) -> Tuple[Tuple[int,
     )
 
 
-def _in_blocks(m: Rows, blocks: Tuple[int, ...], diagonal: bool) -> bool:
-    return not any(m[i][j] for i, j in _zero_positions(blocks, diagonal))
-
-
 def in_b(m: Rows) -> bool:
-    return _in_blocks(m, (1,) * len(m), False)
+    return not any(m[i][j] for i, j in _zero_positions((1,) * len(m), False))
 
 
 # condition -> (the argument naming its parabolic, None for the Borel;
@@ -318,7 +341,8 @@ def incidence_count(
 ) -> IncidenceReport:
     """Count flag (or partial-flag) points g with Ad(g^{-1})nu in the
     requested subalgebra; the witnesses (FlagPoints in both spaces) and a
-    per-cell breakdown ride along."""
+    per-cell breakdown ride along.  Each point forms nu·g once, then
+    g^{-1}·(nu·g) only at the tested entries, up to the first nonzero."""
     n = nu.n
     p = nu.p
     check_bounds(n, p)
@@ -336,11 +360,12 @@ def incidence_count(
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
+    zeros = _zero_positions(parabolic, diagonal)
     witnesses = []
     by_cell: Dict[Perm, int] = {}
     for point in _flags_cached(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
-        ad = mat_mul(point.inverse, mat_mul(nu.entries, point.canonical_matrix.entries, p), p)
-        if _in_blocks(ad, parabolic, diagonal):
+        cols = tuple(zip(*mat_mul(nu.entries, point.canonical_matrix.entries, p)))
+        if not any(sum(map(operator.mul, point.inverse[i], cols[j])) % p for i, j in zeros):
             witnesses.append(point)
             by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
     # the points come sorted by (length, cell), so by_cell is too
@@ -452,36 +477,38 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
 
     Moving (nu, g1 B, g2 P) by G changes neither side, so g1 = 1 and d is
     the diagonal of nu.  For each partial flag g2 P in the cell of w, the
-    nu are the points of the kernel of b -> g/p, walked from its basis
-    (see _nu_kernels) one basis vector at a time.  B fixes g1 B and moves
-    the cell onto dot(w) P, but fixing g2 = dot(w) too would make the check
-    vacuous: w in W^P increases on each block, so the Levi blocks of
+    nu are the points of the kernel of b -> g/p (see _nu_kernels).  Both
+    sides read only the Levi-block entries of Ad(g2^{-1})nu and the weights
+    d_{w(j)}, so the check walks the kernel's image under that projection,
+    from the RREF of the projected basis.  B fixes g1 B and moves the cell
+    onto dot(w) P, but fixing g2 = dot(w) too would make the check vacuous:
+    w in W^P increases on each block, so the Levi blocks of
     Ad(dot(w)^{-1})nu = (nu_{w(i) w(j)}) are upper triangular with
     diagonal d_{w(j)}, and the two sides agree by construction."""
     w = check_perm(w)
     blocks = tuple(blocks)
     n = len(w)
+    # the Levi-block entries of Ad(g2^{-1})nu, block by block and row by row, then the weights
+    levi = [i * n + j for lo, hi in block_slices(blocks) for i in range(lo, hi) for j in range(lo, hi)]
+    coordinates = levi + [n * n + k - 1 for k in w]
     for kernel in _nu_kernels(w, blocks, p, _weight_cost):
-        points = [(0,) * (n * n + n)]
-        for vector in kernel:
+        points = [(0,) * len(coordinates)]
+        for vector in rref([[v[c] for c in coordinates] for v in kernel], p):
             points = [tuple((x + c * y) % p for x, y in zip(point, vector)) for point in points for c in range(p)]
         for point in points:
-            image = tuple(point[i * n : (i + 1) * n] for i in range(n))
-            weights = tuple(point[n * n + k - 1] for k in w)
-            if _levi_charpolys(image, blocks, p) != _block_root_polys(weights, blocks, p):
+            if _levi_charpolys(point[: len(levi)], blocks, p) != _block_root_polys(point[len(levi) :], blocks, p):
                 return False
     return True
 
 
-# Both caches are keyed by value: every partial flag's Ad(g2^{-1})nu ranges
-# over the same p(F_p), so each x there has its Levi part expanded once,
-# however many flags and positions w share it.
+# Both caches are keyed by value: every partial flag's projected kernel
+# lies in the same Levi algebra and weight space over F_p, so each Levi
+# part is expanded once, however many flags and positions w share it.
 @lru_cache(maxsize=None)
-def _levi_charpolys(m: Rows, blocks: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], ...]:
-    """The characteristic polynomial of each diagonal block of m."""
-    return tuple(
-        charpoly(tuple(row[lo:hi] for row in m[lo:hi]), p) for lo, hi in block_slices(blocks)
-    )
+def _levi_charpolys(levi: Tuple[int, ...], blocks: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Each diagonal block's characteristic polynomial; levi holds the blocks' entries row by row."""
+    entries = iter(levi)
+    return tuple(charpoly(tuple(tuple(itertools.islice(entries, size)) for _ in range(size)), p) for size in blocks)
 
 
 @lru_cache(maxsize=None)
@@ -552,20 +579,18 @@ def good_form_conjugate(v):
         def norm(x):
             return x % p
 
-    else:
-        norm = Fraction
+        convert = norm
+    else:  # each entry becomes a Fraction once, and Fraction arithmetic stays exact
+        convert, div, norm = Fraction, operator.truediv, lambda x: x
 
-        def div(a, b):
-            return a / b
-
-    rows = [[norm(x) for x in row] for row in (v.entries if modular else v)]
+    rows = [[convert(x) for x in row] for row in (v.entries if modular else v)]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     if not in_b(rows):
         raise ValueError("input is not upper triangular")
     original = [row[:] for row in rows]
-    b = [[norm(int(i == j)) for j in range(n)] for i in range(n)]
+    b = [[convert(int(i == j)) for j in range(n)] for i in range(n)]
     for j in range(2, n + 1):
         for k in range(j - 1, 0, -1):
             if rows[k - 1][k - 1] == rows[j - 1][j - 1]:
@@ -706,7 +731,7 @@ def _fiber_cost(n: int, p: int) -> int:
 
 
 def _weight_cost(n: int, p: int) -> int:
-    """The kernel points walked: p^dim b for each (P, w in W^P)."""
+    """The kernel points, p^dim b for each (P, w in W^P): a bound on the points walked."""
     return p ** (n * (n + 1) // 2) * sum(_cosets(blocks, math.factorial) for blocks in _compositions(n))
 
 

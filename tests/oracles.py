@@ -408,7 +408,9 @@ def partial_flags_dedup(full_flags, blocks, key):
     return list(seen.values())
 
 
-def _rank_mod(rows, p):
+def _rref_mod(rows, p):
+    """Reduced row echelon form of the row space, zero rows dropped, by
+    textbook Gauss-Jordan elimination with row swaps."""
     work = [[x % p for x in row] for row in rows]
     rank = 0
     for c in range(len(work[0]) if work else 0):
@@ -416,11 +418,25 @@ def _rank_mod(rows, p):
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(rank + 1, len(work)):
-            f = work[r][c] * pow(work[rank][c], p - 2, p)
-            work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
+        inv = pow(work[rank][c], p - 2, p)
+        work[rank] = [x * inv % p for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][c]:
+                f = work[r][c]
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
         rank += 1
-    return rank
+    return tuple(tuple(row) for row in work[:rank])
+
+
+def partial_flag_key_by_prefix(g, p, blocks):
+    """The label of the partial flag of the matrix g for the blocks: one
+    fresh RREF of the span of the first k columns per proper prefix sum k."""
+    cols = tuple(zip(*g))
+    return tuple(_rref_mod(cols[:k], p) for k in itertools.accumulate(blocks[:-1]))
+
+
+def _rank_mod(rows, p):
+    return len(_rref_mod(rows, p))
 
 
 def bruhat_cell_rank_profile(g, p):
@@ -483,6 +499,31 @@ def nu_image_sets(flags, n, p, blocks):
     return out
 
 
+# both keyed by value, as each x in p(F_p) recurs across flags
+@lru_cache(maxsize=None)
+def levi_charpolys_laplace(m, blocks, p):
+    """The characteristic polynomial (Laplace expansion) of each diagonal
+    block of the matrix m."""
+    out, lo = [], 0
+    for size in blocks:
+        out.append(charpoly_laplace([row[lo : lo + size] for row in m[lo : lo + size]], p))
+        lo += size
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def block_root_polys(roots, blocks, p):
+    """prod (X - r) over the roots r of each block."""
+    out, lo = [], 0
+    for size in blocks:
+        poly = (1,)
+        for root in roots[lo : lo + size]:
+            poly = _poly_mul(poly, ((-root) % p, 1), p)
+        out.append(poly)
+        lo += size
+    return tuple(out)
+
+
 def nu_sweep_rows(n, p, full_flags, partial_flags):
     """The fiber_dimension and weight_map verdicts by the two-flag sweep:
     {(check, blocks, w): (expected, observed, pass)} in run_suite's terms.
@@ -495,27 +536,6 @@ def nu_sweep_rows(n, p, full_flags, partial_flags):
     partial_flags maps each composition to its flag matrices."""
     full_sets = nu_image_sets(full_flags, n, p, (1,) * n)
     full_inverses = [_inv_mod(g, p) for g in full_flags]
-
-    # both keyed by value, as each x in p(F_p) recurs across flags
-    @lru_cache(maxsize=None)
-    def levi_charpolys(m, blocks):
-        out, lo = [], 0
-        for size in blocks:
-            out.append(charpoly_laplace([row[lo : lo + size] for row in m[lo : lo + size]], p))
-            lo += size
-        return out
-
-    @lru_cache(maxsize=None)
-    def root_polys(roots, blocks):
-        out, lo = [], 0
-        for size in blocks:
-            poly = (1,)
-            for root in roots[lo : lo + size]:
-                poly = _poly_mul(poly, ((-root) % p, 1), p)
-            out.append(poly)
-            lo += size
-        return out
-
     rows = {}
     for blocks in compositions(n):
         partial = partial_flags[blocks]
@@ -534,11 +554,31 @@ def nu_sweep_rows(n, p, full_flags, partial_flags):
                 histogram[len(common)] = histogram.get(len(common), 0) + 1
                 for idx in common:
                     weights = tuple(s1[idx][k - 1][k - 1] for k in w)
-                    ok = ok and levi_charpolys(s2[idx], blocks) == root_polys(weights, blocks)
+                    ok = ok and levi_charpolys_laplace(s2[idx], blocks, p) == block_root_polys(weights, blocks, p)
             passed = bool(histogram) and set(histogram) == {expected}
             rows["fiber_dimension", blocks, w] = (expected, histogram, passed)
             rows["weight_map", blocks, w] = (True, ok, ok)
     return rows
+
+
+def weight_map_unprojected(kernels, blocks, w, p):
+    """weight_map_check's verdict by walking every point of each kernel:
+    kernels yields, per partial flag, a basis of vectors holding
+    Ad(g2^{-1})nu row by row, then the diagonal of nu.  At every point the
+    Levi-block characteristic polynomials of the whole image (Laplace
+    expansion) are compared with prod (X - d_{w(j)})."""
+    n = len(w)
+    blocks = tuple(blocks)
+    for kernel in kernels:
+        points = [(0,) * (n * n + n)]
+        for vector in kernel:
+            points = [tuple((x + c * y) % p for x, y in zip(point, vector)) for point in points for c in range(p)]
+        for point in points:
+            image = tuple(point[i * n : (i + 1) * n] for i in range(n))
+            weights = tuple(point[n * n + k - 1] for k in w)
+            if levi_charpolys_laplace(image, blocks, p) != block_root_polys(weights, blocks, p):
+                return False
+    return True
 
 
 def multi_reduced_word_rescan(w):

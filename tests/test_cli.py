@@ -321,6 +321,14 @@ def test_ff_verify_bad_cap_names_the_variable(capsys, monkeypatch):
     assert "WEYLFLAGS_FF_MAX_FLAGS" in err
 
 
+def test_ff_verify_p_over_the_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.delenv("WEYLFLAGS_FF_MAX_P", raising=False)
+    code, out, err = run(capsys, "ff-verify", "--n", "2", "--p", "11")
+    assert (code, out) == (2, "")
+    assert "p=11 outside the enumeration cap p<=7" in err
+    assert "WEYLFLAGS_FF_MAX_P" in err
+
+
 def _cli_subprocess(env, *argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -55,12 +55,10 @@ def test_matrix_arithmetic_roundtrips():
         for n in (1, 2, 3, 4):
             for _ in range(20):
                 m = rand_invertible(rng, n, p)
-                inv = ff.mat_inv(m, p)
+                inv = oracles._inv_mod(m, p)
                 assert ff.mat_mul(m, inv, p) == ff.mat_identity(n)
                 assert ff.mat_mul(inv, m, p) == ff.mat_identity(n)
                 assert len(ff.rref(m, p)) == n
-    with pytest.raises(ValueError):
-        ff.mat_inv(((1, 1), (1, 1)), 2)
 
 
 def test_rref_is_canonical_under_row_operations():
@@ -166,6 +164,18 @@ def test_partial_flags_match_the_dedup_route():
             ), (n, p, blocks)
 
 
+def test_partial_flag_key_matches_the_per_prefix_rref_route():
+    # the one-pass key against one rref per prefix sum, on every flag and
+    # on random matrices, singular ones included
+    rng = random.Random(23)
+    for n, p in GRID:
+        matrices = [point.canonical_matrix for point in ff.enumerate_flags(n, p)]
+        matrices += [ff.FqMatrix(p, rand_matrix(rng, n, p)) for _ in range(20)]
+        for blocks in oracles.compositions(n):
+            for g in matrices:
+                assert ff.partial_flag_key(g, blocks) == oracles.partial_flag_key_by_prefix(g.entries, p, blocks), (g, blocks)
+
+
 def test_partial_flag_points_carry_their_cell():
     for n, p in GRID:
         for blocks in oracles.compositions(n):
@@ -256,7 +266,7 @@ def relative_position_pair(g1, g2, blocks):
     """The W/W_P position of (g1 B, g2 P): minimal representative of the
     cell of g1^{-1} g2."""
     p = g1.p
-    cell = ff.bruhat_cell_of(ff.FqMatrix(p, ff.mat_mul(ff.mat_inv(g1.entries, p), g2.entries, p)))
+    cell = ff.bruhat_cell_of(ff.FqMatrix(p, ff.mat_mul(oracles._inv_mod(g1.entries, p), g2.entries, p)))
     return min_rep_perm(cell, blocks)
 
 
@@ -314,15 +324,16 @@ def test_cold_run_suite_inverts_each_flag_once(monkeypatch):
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     calls = []
-    real = ff.mat_inv
+    real = ff._cell_point_inverse
 
-    def counted(a, p):
-        calls.append(a)
-        return real(a, p)
+    def counted(u, w, p):
+        calls.append((u, w))
+        return real(u, w, p)
 
-    monkeypatch.setattr(ff, "mat_inv", counted)
+    monkeypatch.setattr(ff, "_cell_point_inverse", counted)
     ff.run_suite(3, 2)
-    # partial flags are points of the Borel enumeration: |G/B| inversions
+    # partial flags are points of the Borel enumeration: |G/B| back
+    # substitutions, one per point u·dot(w)
     assert len(calls) == len(ff.enumerate_flags(3, 2)) == 21
 
 
@@ -358,6 +369,16 @@ def test_nu_checks_match_the_two_flag_sweep():
         }
         assert rows == oracles.nu_sweep_rows(n, p, full, partial), (n, p)
     assert time.perf_counter() - start < 40
+
+
+def test_projected_weight_map_walk_matches_the_unprojected_walk():
+    for n, p in ((2, 7), (3, 2), (3, 3)):
+        for blocks in oracles.compositions(n):
+            for w in oracles.min_reps_brute(blocks):
+                kernels = ff._nu_kernels(w, blocks, p, ff._weight_cost)
+                assert ff.weight_map_check(blocks, w, p) == oracles.weight_map_unprojected(kernels, blocks, w, p), (
+                    n, p, blocks, w
+                )
 
 
 def test_fiber_dimension_small_cases():
