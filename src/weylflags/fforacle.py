@@ -5,9 +5,9 @@ Schubert cell B·dot(w)·B/B: u with its columns permuted by w.  G/P is a
 filter of that enumeration: for w in W^P the cell maps isomorphically
 onto B·dot(w)·P/P, so the Borel's points in the minimal cells are G/P.
 Every point carries its cell and its inverse, dot(w)^{-1}·u^{-1} with u^{-1}
-by back substitution, so every flag is inverted once per (n, p).  Bruhat
-cells of arbitrary matrices are read from elimination pivots, and flag keys
-from one elimination that takes the columns one at a time.  Membership of
+by back substitution, so every flag is inverted once per (n, p).  Any
+invertible matrix is brought to the point of its coset gB by one column
+reduction, which names both the coset and its cell.  Membership of
 Ad(g^-1)nu in b, p, u or n_Q is one test: the entries below the block
 diagonal (and, for u and n_Q, on it) vanish.  The rest of the package
 reasons about these incidences combinatorially.  Everything here is
@@ -129,8 +129,8 @@ def _eliminate(
     """Gauss-Jordan elimination mod p, taking the columns left to right.
 
     Rows are never swapped.  A column's pivot is the lowest row not yet
-    holding a pivot whose entry there is nonzero (bruhat_cell_of relies on
-    this choice; rank and RREF do not depend on it).  It is
+    holding a pivot whose entry there is nonzero; rank and RREF do not
+    depend on that choice.  It is
     scaled to 1 and cleared from every other row.  Returns the worked rows
     and the (column, row) pivot pairs in column order, so the pivot rows,
     read in that order, are the reduced row echelon form."""
@@ -195,7 +195,7 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
     """Free coordinates of the cell of w: inversions of w^{-1}, i.e. the
     positions (i, j), i < j, with w^{-1}(i) > w^{-1}(j); there are
     length(w) of them."""
-    wi = inverse(w)
+    wi = inverse(check_perm(w))
     n = len(w)
     out = tuple(
         (i, j)
@@ -242,51 +242,37 @@ def enumerate_flags(n: int, p: int) -> List[FlagPoint]:
     return list(_flags_cached(n, p, (1,) * n))
 
 
-def bruhat_cell_of(g: FqMatrix) -> Perm:
-    """The unique w with g in B·dot(w)·B, from lower-left rank profiles.
+def cell_normal_form(g: FqMatrix) -> Tuple[Perm, Rows]:
+    """The Bruhat cell w of g and the point u·dot(w) of the coset gB.
 
-    With r(i, j) the rank of rows i..n, columns 1..j, w(j) is the row i
-    where r(i, j) - r(i+1, j) - r(i, j-1) + r(i+1, j-1) = 1.  Eliminating
-    column by column with the lowest free row as pivot finds those rows in
-    one pass: the pivot of column j sits in row w(j), since free rows only
-    gain multiples of lower rows, as under left multiplication by B."""
-    _, pivots = _eliminate(g.entries, g.p)
-    if len(pivots) != g.n:
-        raise ValueError("singular matrix")
-    return check_perm(tuple(r + 1 for _, r in pivots))
+    The point depends only on gB, so it is a complete coset key, and every
+    point of _flags_cached is its own normal form.  The columns of g are
+    taken left to right.  Each is reduced by the earlier reduced columns
+    at their pivot rows, then scaled to 1 at its lowest nonzero row, which
+    is w(j).  Both steps are right multiplications by B.  Column j ends
+    zero below w(j) and at w(k) for k < j: it is column w(j) of u.
 
-
-def flag_key(g: FqMatrix) -> Tuple[Rows, ...]:
-    """Canonical label of the full flag of g: RREF of the span of the
-    first k columns for k = 1..n-1.  Equal keys <=> equal cosets gB."""
-    return partial_flag_key(g, (1,) * g.n)
-
-
-def partial_flag_key(g: FqMatrix, blocks: Tuple[int, ...]) -> Tuple[Rows, ...]:
-    """Canonical label of the partial flag of g for the block composition:
-    the same spans at the proper prefix sums of the blocks, from one pass
-    that adds the columns of g one at a time to a reduced row echelon form."""
-    check_blocks(blocks, g.n)
+    >>> cell_normal_form(FqMatrix(3, ((1, 1), (2, 1))))
+    ((2, 1), ((2, 1), (1, 0)))
+    >>> cell_normal_form(FqMatrix(3, ((1, 2), (2, 1))))
+    Traceback (most recent call last):
+        ...
+    ValueError: singular matrix
+    """
     p = g.p
-    ends = set(itertools.accumulate(blocks[:-1]))
-    reduced: Dict[int, Tuple[int, ...]] = {}  # pivot column -> row of the RREF so far
-    key = []
-    for k, v in enumerate(zip(*g.entries), 1):
-        for c, row in reduced.items():
-            if f := v[c]:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        for pivot, x in enumerate(v):
-            if x:
-                inv = pow(x, p - 2, p)
-                v = tuple([y * inv % p for y in v])
-                for c, row in reduced.items():
-                    if f := row[pivot]:
-                        reduced[c] = tuple([(a - f * b) % p for a, b in zip(row, v)])
-                reduced[pivot] = v
-                break
-        if k in ends:
-            key.append(tuple([reduced[c] for c in sorted(reduced)]))
-    return tuple(key)
+    cell: List[int] = []
+    cols: List[List[int]] = []
+    for v in zip(*g.entries):
+        for r, col in zip(cell, cols):
+            if f := v[r]:
+                v = [(x - f * y) % p for x, y in zip(v, col)]
+        r = max((i for i, x in enumerate(v) if x), default=None)
+        if r is None:
+            raise ValueError("singular matrix")
+        inv = pow(v[r], p - 2, p)
+        cell.append(r)
+        cols.append([x * inv % p for x in v])
+    return tuple(r + 1 for r in cell), tuple(zip(*cols))
 
 
 def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqMatrix]:
@@ -458,6 +444,8 @@ def charpoly(m: Rows, p: int) -> Tuple[int, ...]:
     A_1 = m, c_{n-k} = -tr(A_k)/k and A_{k+1} = m (A_k + c_{n-k} I).  The
     division by k is exact for an integer matrix."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
     coeffs = [0] * n + [1]
     a = m
     for k in range(1, n + 1):
@@ -606,17 +594,19 @@ def good_form_conjugate(v):
             for r in range(n):
                 b[r][j - 1] = norm(b[r][j - 1] + c * b[r][k - 1])
 
-    def mul(x, y):
-        return [[norm(sum(x[i][t] * y[t][j] for t in range(n))) for j in range(n)] for i in range(n)]
-
     # postconditions: entries across distinct diagonal values vanish and
-    # the result really is the conjugate
+    # the result really is the conjugate.  All three factors are upper
+    # triangular, so v·b = b·v' holds when it holds on the upper triangle,
+    # where entry (i, j) sums over i <= t <= j only.
     for i in range(n):
         for j in range(n):
             if original[i][i] != original[j][j]:
                 assert rows[i][j] == 0
-    assert in_b(b) and all(b[i][i] == 1 for i in range(n))
-    assert mul(original, b) == mul(b, rows)
+    assert in_b(b) and all(b[i][i] == 1 for i in range(n)) and in_b(rows)
+    for i in range(n):
+        for j in range(i, n):
+            span = range(i, j + 1)
+            assert norm(sum(original[i][t] * b[t][j] for t in span)) == norm(sum(b[i][t] * rows[t][j] for t in span))
     b, rows = tuple(map(tuple, b)), tuple(map(tuple, rows))
     return (FqMatrix(p, b), FqMatrix(p, rows)) if modular else (b, rows)
 
@@ -639,14 +629,16 @@ def borel_order(n: int, p: int) -> int:
 def point_count_identity(n: int, p: int) -> Dict[str, object]:
     """Three routes to |G/B| must agree (cell sum, q-factorial, group
     order quotient); points must be pairwise distinct cosets and each
-    must classify back into its own cell."""
+    must classify back into its own cell, both read from one normal form
+    per point."""
     check_bounds(n, p)
     flags = _flags_cached(n, p, (1,) * n)
     by_cells = sum(p ** length(w) for w in itertools.permutations(range(1, n + 1)))
     qf = q_factorial(n, p)
     quotient = gl_order(n, p) // borel_order(n, p)
-    keys = {flag_key(point.canonical_matrix) for point in flags}
-    roundtrip = all(bruhat_cell_of(point.canonical_matrix) == point.cell for point in flags)
+    forms = [cell_normal_form(point.canonical_matrix) for point in flags]
+    keys = {rows for _, rows in forms}
+    roundtrip = all(cell == point.cell for (cell, _), point in zip(forms, flags))
     passed = len(flags) == by_cells == qf == quotient == len(keys) and roundtrip
     return {
         "enumerated": len(flags),

@@ -29,6 +29,10 @@ def rand_invertible(rng, n, p):
             return m
 
 
+def prefix_key(g, blocks):
+    return oracles.partial_flag_key_by_prefix(g.entries, g.p, blocks)
+
+
 def rand_upper_invertible(rng, n, p):
     return tuple(
         tuple(
@@ -37,6 +41,10 @@ def rand_upper_invertible(rng, n, p):
         )
         for i in range(n)
     )
+
+
+# the ff-grid points of the benchmark, and (3, 7)
+GRID = ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (3, 7), (4, 2), (4, 3))
 
 
 def test_fqmatrix_normalizes_mod_p():
@@ -93,9 +101,11 @@ def test_cell_free_positions_count_is_length():
 
 
 def test_bruhat_cell_of_permutation_matrices():
+    # dot(w) is the point of its own cell, u = 1
     for n in (2, 3, 4):
         for w in perms(n):
-            assert ff.bruhat_cell_of(ff.FqMatrix(2, oracles._perm_matrix(w))) == w
+            g = ff.FqMatrix(2, oracles._perm_matrix(w))
+            assert ff.cell_normal_form(g) == (w, g.entries)
 
 
 def test_bruhat_cell_is_borel_biinvariant():
@@ -106,7 +116,7 @@ def test_bruhat_cell_is_borel_biinvariant():
             b1 = rand_upper_invertible(rng, n, p)
             b2 = rand_upper_invertible(rng, n, p)
             g = ff.mat_mul(b1, ff.mat_mul(oracles._perm_matrix(w), b2, p), p)
-            assert ff.bruhat_cell_of(ff.FqMatrix(p, g)) == w
+            assert ff.cell_normal_form(ff.FqMatrix(p, g))[0] == w
 
 
 def test_bruhat_cell_matches_rank_profile_route():
@@ -117,13 +127,19 @@ def test_bruhat_cell_matches_rank_profile_route():
             g = point.canonical_matrix.entries
             moved = ff.mat_mul(g, rand_upper_invertible(rng, n, p), p)
             for m in (g, moved):
-                assert ff.bruhat_cell_of(ff.FqMatrix(p, m)) == point.cell
                 assert oracles.bruhat_cell_rank_profile(m, p) == point.cell
+    # and the normal form's cell on random invertible matrices, over every GRID point
+    for n, p in GRID:
+        for _ in range(20):
+            g = rand_invertible(rng, n, p)
+            assert ff.cell_normal_form(ff.FqMatrix(p, g))[0] == oracles.bruhat_cell_rank_profile(g, p), (g, p)
 
 
 def test_bruhat_cell_rejects_singular():
-    with pytest.raises(ValueError):
-        ff.bruhat_cell_of(ff.FqMatrix(3, ((1, 1), (2, 2))))
+    # a zero column, a repeated column, and a column that reduces to zero
+    for p, g in ((3, ((1, 1), (2, 2))), (2, ((0, 1), (0, 1))), (5, ((1, 2, 3), (0, 1, 1), (0, 0, 0)))):
+        with pytest.raises(ValueError, match="singular matrix"):
+            ff.cell_normal_form(ff.FqMatrix(p, g))
 
 
 def test_flag_enumeration_counts():
@@ -135,7 +151,7 @@ def test_flag_enumeration_counts():
             per_cell[point.cell] = per_cell.get(point.cell, 0) + 1
         for w in perms(n):
             assert per_cell[w] == p ** oracles.inversion_count(w)
-        keys = {ff.flag_key(point.canonical_matrix) for point in flags}
+        keys = {ff.cell_normal_form(point.canonical_matrix) for point in flags}
         assert len(keys) == len(flags)
 
 
@@ -145,12 +161,8 @@ def test_partial_flag_enumeration_counts():
         partial = ff.enumerate_partial_flags(n, p, blocks)
         expected = oracles.gl_order(n, p) // oracles.parabolic_order(blocks, p)
         assert len(partial) == expected
-        keys = {ff.partial_flag_key(g, blocks) for g in partial}
+        keys = {prefix_key(g, blocks) for g in partial}
         assert len(keys) == expected
-
-
-# the ff-grid points of the benchmark, and (3, 7)
-GRID = ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (3, 7), (4, 2), (4, 3))
 
 
 def test_partial_flags_match_the_dedup_route():
@@ -160,20 +172,33 @@ def test_partial_flags_match_the_dedup_route():
         full = [point.canonical_matrix for point in ff.enumerate_flags(n, p)]
         for blocks in oracles.compositions(n):
             assert ff.enumerate_partial_flags(n, p, blocks) == oracles.partial_flags_dedup(
-                full, blocks, ff.partial_flag_key
+                full, blocks, prefix_key
             ), (n, p, blocks)
 
 
-def test_partial_flag_key_matches_the_per_prefix_rref_route():
-    # the one-pass key against one rref per prefix sum, on every flag and
-    # on random matrices, singular ones included
+def test_every_flag_is_its_own_normal_form():
+    # with its own cell, and so is the flag moved by a random b in B
+    rng = random.Random(31)
+    for n, p in GRID:
+        for point in ff.enumerate_flags(n, p):
+            g = point.canonical_matrix
+            moved = ff.FqMatrix(p, ff.mat_mul(g.entries, rand_upper_invertible(rng, n, p), p))
+            assert ff.cell_normal_form(g) == ff.cell_normal_form(moved) == (point.cell, g.entries), (n, p, point)
+
+
+def test_normal_forms_agree_with_the_per_prefix_rref_keys():
+    # g·b has the normal form of g, and two matrices have equal normal
+    # forms exactly when their full flags have equal keys, one rref per
+    # prefix; at p = 2 and n = 2 random pairs often share a coset
     rng = random.Random(23)
     for n, p in GRID:
-        matrices = [point.canonical_matrix for point in ff.enumerate_flags(n, p)]
-        matrices += [ff.FqMatrix(p, rand_matrix(rng, n, p)) for _ in range(20)]
-        for blocks in oracles.compositions(n):
-            for g in matrices:
-                assert ff.partial_flag_key(g, blocks) == oracles.partial_flag_key_by_prefix(g.entries, p, blocks), (g, blocks)
+        matrices = [rand_invertible(rng, n, p) for _ in range(12)]
+        matrices += [ff.mat_mul(g, rand_upper_invertible(rng, n, p), p) for g in matrices]
+        forms = [ff.cell_normal_form(ff.FqMatrix(p, g)) for g in matrices]
+        assert forms[:12] == forms[12:], (n, p)
+        keys = [oracles.partial_flag_key_by_prefix(g, p, (1,) * n) for g in matrices]
+        for (f1, k1), (f2, k2) in itertools.combinations(zip(forms, keys), 2):
+            assert (f1 == f2) == (k1 == k2), (n, p, f1, f2)
 
 
 def test_partial_flag_points_carry_their_cell():
@@ -181,7 +206,8 @@ def test_partial_flag_points_carry_their_cell():
         for blocks in oracles.compositions(n):
             for point in ff._flags_cached(n, p, blocks):
                 g = point.canonical_matrix
-                assert point.cell == min_rep_perm(ff.bruhat_cell_of(g), blocks), (n, p, blocks)
+                assert point.cell == ff.cell_normal_form(g)[0], (n, p, blocks)
+                assert point.cell == min_rep_perm(point.cell, blocks), (n, p, blocks)
 
 
 def test_flag_points_are_cell_points_with_their_inverses():
@@ -225,6 +251,27 @@ def test_point_count_identity_pinned():
     assert report["cell_sum"] == report["q_factorial"] == report["group_quotient"] == 52
 
 
+@pytest.mark.parametrize("corruption", ["repeated coset", "wrong cell"])
+def test_point_count_identity_can_fail(monkeypatch, corruption):
+    # x·b (b in B, b != 1), labelled with x's cell, in place of another
+    # point; or the last point labelled with the first point's cell
+    n, p = 3, 2
+    points = list(ff._flags_cached(n, p, (1,) * n))
+    clean = ff.point_count_identity(n, p)
+    if corruption == "repeated coset":
+        x = points[7]
+        xb = ff.FqMatrix(p, ff.mat_mul(x.canonical_matrix.entries, ((1, 1, 1), (0, 1, 1), (0, 0, 1)), p))
+        assert xb != x.canonical_matrix
+        k, point, changed = 12, ff.FlagPoint(x.cell, xb, x.inverse), {"distinct_cosets": len(points) - 1}
+    else:
+        last = points[-1]
+        point = ff.FlagPoint(points[0].cell, last.canonical_matrix, last.inverse)
+        k, changed = len(points) - 1, {"cells_roundtrip": False}
+    broken = tuple(points[:k] + [point] + points[k + 1 :])
+    monkeypatch.setattr(ff, "_flags_cached", lambda *args: broken)
+    assert ff.point_count_identity(n, p) == {**clean, **changed, "pass": False}
+
+
 def test_incidence_classics():
     p = 3
     zero = ff.FqMatrix(p, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
@@ -266,7 +313,7 @@ def relative_position_pair(g1, g2, blocks):
     """The W/W_P position of (g1 B, g2 P): minimal representative of the
     cell of g1^{-1} g2."""
     p = g1.p
-    cell = ff.bruhat_cell_of(ff.FqMatrix(p, ff.mat_mul(oracles._inv_mod(g1.entries, p), g2.entries, p)))
+    cell, _ = ff.cell_normal_form(ff.FqMatrix(p, ff.mat_mul(oracles._inv_mod(g1.entries, p), g2.entries, p)))
     return min_rep_perm(cell, blocks)
 
 
@@ -445,6 +492,8 @@ def test_good_form_rejects_bad_input():
             ff.good_form_conjugate(rows)
         with pytest.raises(ValueError, match="matrix must be square"):
             ff.FqMatrix(5, rows)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            ff.charpoly(rows, 5)
 
 
 def test_ad_basis_images_match_the_conjugated_basis():
@@ -662,7 +711,7 @@ def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
         g = point.canonical_matrix
         if test(oracles.adjoint(g, nu)):
             witnesses.append(point)
-            cell = point.cell if full else min_rep_perm(ff.bruhat_cell_of(g), blocks)
+            cell = point.cell if full else min_rep_perm(oracles.bruhat_cell_rank_profile(g.entries, g.p), blocks)
             by_cell[cell] = by_cell.get(cell, 0) + 1
     return len(witnesses), tuple(witnesses), sorted(by_cell.items(), key=lambda kv: (oracles.inversion_count(kv[0]), kv[0]))
 

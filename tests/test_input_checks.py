@@ -6,7 +6,6 @@ it comes with."""
 
 import pytest
 
-import oracles
 from weylflags import cosets, fforacle as ff, roots, steinberg
 
 REFUSAL = "must be positive|do not sum to|shapes differ"
@@ -51,10 +50,6 @@ ENTRIES = {
     "levi_cap_u_in_nQ": (SHAPE, lambda s: steinberg.levi_cap_u_in_nQ(W, GOOD, s)),
     "z_dimension_defect": (SHAPE, lambda s: steinberg.z_dimension_defect(W, GOOD, s)),
     "enumerate_partial_flags": (RANK, lambda s: ff.enumerate_partial_flags(3, 2, _blocks(s))),
-    "partial_flag_key": (
-        RANK,
-        lambda s: ff.partial_flag_key(ff.FqMatrix(2, oracles._perm_matrix(W["t"])), _blocks(s)),
-    ),
     "incidence_count": (
         RANK,
         lambda s: ff.incidence_count(NU, "in_p", "partial_flag", blocks=_blocks(s)),

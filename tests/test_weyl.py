@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from weylflags import weyl
+from weylflags import fforacle, weyl
 
 
 def perms(n):
@@ -18,12 +18,11 @@ perm_strategy = st.integers(2, 6).flatmap(
 
 
 def test_check_perm_rejects_garbage():
-    with pytest.raises(ValueError):
-        weyl.check_perm((1, 1, 2))
-    with pytest.raises(ValueError):
-        weyl.check_perm((0, 1, 2))
-    with pytest.raises(ValueError):
-        weyl.check_perm(())
+    # cell_free_positions validates its permutation the same way
+    for check in (weyl.check_perm, fforacle.cell_free_positions):
+        for bad in ((1, 1, 2), (0, 1, 2), (), (1, 1), (3, 1)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                check(bad)
 
 
 def test_compose_convention():
