@@ -13,99 +13,76 @@ The pieces:
 - ``cli`` / ``jsonio``: the ``weylflags`` command and its JSON formats
 """
 
-from .companion import (
-    CharacterSymbol,
-    CompanionCertificate,
-    PlaceRefinement,
-    RefinementSpec,
-    certify_walk,
-    companion_set,
-    genericity_check,
-    jordan_holder_cosets,
-    relative_position,
-    weights_from_hodge,
-)
-from .cosets import (
-    CosetRep,
-    decompose,
-    enumerate_quotient,
-    length_split_stats,
-    lg_P,
-    min_rep,
-    quotient_leq,
-    shortest_double_coset_rep,
-)
-from .roots import (
-    Root,
-    act,
-    dominance,
-    dot_act,
-    inversion_set,
-    p_regular_antidominant,
-    p_regular_witness,
-)
-from .steinberg import (
-    InductionStep,
-    component_in_ZQP,
-    component_in_ZQP_roots,
-    components_through_point,
-    find_induction_step,
-    levi_cap_u_in_nQ,
-    steinberg_components_full_flag,
-    z_dimension_defect,
-)
-from .weyl import (
-    multi_bruhat_leq,
-    multi_compose,
-    multi_identity,
-    multi_inverse,
-    multi_length,
-    multi_longest,
-    multi_reduced_word,
-)
+import importlib
+
+# each public name and the submodule that defines it; a name is imported
+# on first access (PEP 562), so `import weylflags` loads no submodule
+_EXPORTS = {
+    "companion": (
+        "CharacterSymbol",
+        "CompanionCertificate",
+        "PlaceRefinement",
+        "RefinementSpec",
+        "certify_walk",
+        "companion_set",
+        "genericity_check",
+        "jordan_holder_cosets",
+        "relative_position",
+        "weights_from_hodge",
+    ),
+    "cosets": (
+        "CosetRep",
+        "decompose",
+        "enumerate_quotient",
+        "length_split_stats",
+        "lg_P",
+        "min_rep",
+        "quotient_leq",
+        "shortest_double_coset_rep",
+    ),
+    "roots": (
+        "Root",
+        "act",
+        "dominance",
+        "dot_act",
+        "inversion_set",
+        "p_regular_antidominant",
+        "p_regular_witness",
+    ),
+    "steinberg": (
+        "InductionStep",
+        "component_in_ZQP",
+        "component_in_ZQP_roots",
+        "components_through_point",
+        "find_induction_step",
+        "levi_cap_u_in_nQ",
+        "steinberg_components_full_flag",
+        "z_dimension_defect",
+    ),
+    "weyl": (
+        "multi_bruhat_leq",
+        "multi_compose",
+        "multi_identity",
+        "multi_inverse",
+        "multi_length",
+        "multi_longest",
+        "multi_reduced_word",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacterSymbol",
-    "CompanionCertificate",
-    "CosetRep",
-    "InductionStep",
-    "PlaceRefinement",
-    "RefinementSpec",
-    "Root",
-    "act",
-    "certify_walk",
-    "companion_set",
-    "component_in_ZQP",
-    "component_in_ZQP_roots",
-    "components_through_point",
-    "decompose",
-    "dominance",
-    "dot_act",
-    "enumerate_quotient",
-    "find_induction_step",
-    "genericity_check",
-    "inversion_set",
-    "jordan_holder_cosets",
-    "length_split_stats",
-    "levi_cap_u_in_nQ",
-    "lg_P",
-    "min_rep",
-    "multi_bruhat_leq",
-    "multi_compose",
-    "multi_identity",
-    "multi_inverse",
-    "multi_length",
-    "multi_longest",
-    "multi_reduced_word",
-    "p_regular_antidominant",
-    "p_regular_witness",
-    "quotient_leq",
-    "relative_position",
-    "shortest_double_coset_rep",
-    "steinberg_components_full_flag",
-    "weights_from_hodge",
-    "z_dimension_defect",
-    "__version__",
-]
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -20,7 +20,9 @@ import json
 import sys
 from typing import Callable, List, Optional
 
-from . import companion, cosets, jsonio, roots, steinberg, weyl
+# each handler imports the modules it answers from, so a light request
+# pays for no others
+from . import jsonio, weyl
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,6 +33,15 @@ DEFAULT_LABEL = "tau"
 
 class CliError(ValueError):
     pass
+
+
+class _Once(argparse.Action):
+    """Store a value flag, refusing a second one: the first would go unread."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise CliError(f"{option_string}: given more than once")
+        setattr(namespace, self.dest, values)
 
 
 def _parse(text: str, flag: str, check: Optional[Callable] = None):
@@ -101,6 +112,8 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_coset(args) -> int:
+    from . import cosets, roots
+
     w = _parse(args.perm, "--perm", weyl.check_multi)
     spec = _parse(args.blocks, "--blocks", roots.check_spec)
     rep, inside = cosets.decompose(w, spec)
@@ -128,6 +141,8 @@ def cmd_coset(args) -> int:
 
 
 def cmd_steinberg(args) -> int:
+    from . import cosets, roots, steinberg
+
     if args.h and not args.perm:
         raise CliError("steinberg: --h needs --perm")
     spec = _parse(args.blocks, "--blocks", roots.check_spec)
@@ -146,7 +161,7 @@ def cmd_steinberg(args) -> int:
         payload["defect"] = steinberg.z_dimension_defect(w, spec, qspec)
         payload["component_in_ZQP_roots"] = root_route
         if args.h:
-            h = _parse(args.h, "--h")
+            h = _parse(args.h, "--h", lambda h: steinberg.check_p_regular(h, spec))
             dominance_route = steinberg.component_in_ZQP(coset, spec, qspec, h)
             payload["component_in_ZQP"] = dominance_route
             payload["routes_agree"] = root_route == dominance_route
@@ -158,6 +173,8 @@ def cmd_steinberg(args) -> int:
 
 
 def cmd_companion(args) -> int:
+    from . import companion
+
     sc = jsonio.load_scenario(args.scenario)
     h = sc.hodge_weights
     lam, spec = companion.weights_from_hodge(h)
@@ -190,6 +207,8 @@ def cmd_companion(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    from . import companion, cosets
+
     if args.scenario:
         extra = [flag for flag, value in (("--h", args.h), ("--perm", args.perm)) if value]
         if extra:
@@ -199,8 +218,8 @@ def cmd_walk(args) -> int:
         spec = companion.hodge_spec(h)
         start = sc.start_coset(spec)
     elif args.h:
-        h = _parse(args.h, "--h")
-        spec = companion.hodge_spec(h)
+        # the spec is derived inside the check, so its refusals name --h
+        h, spec = _parse(args.h, "--h", lambda h: (h, companion.hodge_spec(h)))
         if args.perm:
             start = cosets.CosetRep(_parse(args.perm, "--perm", weyl.check_multi), spec)
         else:
@@ -215,11 +234,12 @@ def cmd_walk(args) -> int:
 
 
 def cmd_ff_verify(args) -> int:
-    # only this command needs the oracle, so only it pays for the import
     from . import fforacle
 
-    names = [name.strip() for name in args.suite.split(",") if name.strip()]
-    rows = fforacle.run_suite(args.n, args.p, None if args.suite == "all" else names)
+    names = None
+    if args.suite not in (None, "all"):
+        names = [name.strip() for name in args.suite.split(",") if name.strip()]
+    rows = fforacle.run_suite(args.n, args.p, names)
     ok = all(row["pass"] for row in rows)
     _emit({"n": args.n, "p": args.p, "results": rows, "pass": ok}, args.pretty)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -237,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         sp = sub.add_parser(name, help=help_text)
+        # every value flag, present and future, refuses a repeat
+        sp.register("action", None, _Once)
         sp.add_argument("--pretty", action="store_true", help="plain-text report")
         sp.set_defaults(func=func)
         return sp
@@ -273,16 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--perm", help="starting permutation (default: identity)")
 
     sp = add("ff-verify", cmd_ff_verify, "exhaustive finite-field check suite")
-    sp.add_argument("--suite", default="all", help="'all' (the default) or comma-separated check names")
+    sp.add_argument("--suite", help="'all' (the default) or comma-separated check names")
     sp.add_argument("--n", type=int, required=True, help="matrix size")
     sp.add_argument("--p", type=int, required=True, help="prime field size")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, jsonio.ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

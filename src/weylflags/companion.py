@@ -109,6 +109,8 @@ def runs_composition(vec: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def hodge_spec(h: IntegralWeight) -> ParabolicSpec:
     """The stabilizer block structure of an antidominant h."""
+    if not h:
+        raise ValueError("weight must be a non-empty label -> vector mapping")
     return {tau: runs_composition(tuple(v)) for tau, v in h.items()}
 
 

@@ -11,16 +11,19 @@ Validation errors name the offending field by JSON path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
-from .companion import PlaceRefinement, RefinementSpec, CharacterSymbol, CompanionCertificate
-from .cosets import CosetRep
-from .roots import IntegralWeight, ParabolicSpec, Root
-from .steinberg import InductionStep
 from .weyl import MultiPerm, multi_longest, shape_of
+
+# names for annotations only: the scenario parser imports what it builds
+# when called, so a request that only encodes loads none of the object model
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .companion import CharacterSymbol, CompanionCertificate, PlaceRefinement, RefinementSpec
+    from .cosets import CosetRep
+    from .roots import IntegralWeight, ParabolicSpec, Root
+    from .steinberg import InductionStep
 
 
 class ScenarioError(ValueError):
@@ -85,8 +88,7 @@ def certificate_to_json(cert: CompanionCertificate) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # scenario loading
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     refinement: RefinementSpec
     hodge_weights: IntegralWeight
     position: Optional[MultiPerm]
@@ -98,6 +100,8 @@ class Scenario:
 
     def start_coset(self, spec: ParabolicSpec) -> CosetRep:
         """The pinned position, or the longest-element coset by default."""
+        from .cosets import CosetRep
+
         if self.position is not None:
             return CosetRep(self.position, spec)
         return CosetRep(multi_longest(shape_of(self.hodge_weights)), spec)
@@ -147,20 +151,28 @@ def _labelled_vectors(obj, path: str, labels, n: int) -> Dict[str, Tuple[int, ..
 
 
 def _parse_fraction(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        _fail(path, "expected an integer or a fraction string like '4/3'")
-    if isinstance(value, int):
+    """An integer, or a string of an integer or of a ratio of integers;
+    Fraction alone would also take decimals and exponents, and expanding
+    "1e999999999" would not finish."""
+    import re
+    from fractions import Fraction
+
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _fail(path, f"cannot parse {value!r} as an exact fraction")
-    _fail(path, "expected an integer or a fraction string like '4/3'")
+    if not isinstance(value, str):
+        _fail(path, "expected an integer or a fraction string like '4/3'")
+    if not re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", value):
+        _fail(path, f"cannot parse {value!r} as an exact fraction")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        _fail(path, f"cannot parse {value!r} as an exact fraction")
 
 
 def _parse_place(obj, path: str, n_expected: Optional[int]) -> Tuple[PlaceRefinement, IntegralWeight]:
     """The place and its validated Hodge weights."""
+    from .companion import PlaceRefinement
+
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     _require_keys(
@@ -203,6 +215,8 @@ def _parse_place(obj, path: str, n_expected: Optional[int]) -> Tuple[PlaceRefine
 
 def parse_scenario(data: object) -> Scenario:
     """Validate a decoded scenario object and build the typed pieces."""
+    from .companion import RefinementSpec
+
     if not isinstance(data, dict):
         _fail("scenario", "expected a JSON object at top level")
     _require_keys(
@@ -261,7 +275,8 @@ def parse_scenario(data: object) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
+    with open(path) as fh:
+        text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:

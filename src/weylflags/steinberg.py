@@ -11,8 +11,7 @@ attached to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from . import weyl
 from .cosets import (
@@ -71,9 +70,12 @@ def _defect_roots(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec)
     return frozenset(a for a in translated if a.positive and a in r_q)
 
 
-def _check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> None:
+def check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> IntegralWeight:
+    """h, refusing it unless it fits the shape of pspec and is P-regular
+    antidominant for it."""
     if not p_regular_antidominant(h, pspec):
         raise ValueError(f"h is not P-regular antidominant for blocks {pspec}: {h}")
+    return h
 
 
 def component_in_ZQP(
@@ -84,7 +86,7 @@ def component_in_ZQP(
     Decided by strict Q-dominance of w(h) for a P-regular antidominant h;
     the answer does not depend on which such h is supplied.
     """
-    _check_p_regular(h, pspec)
+    check_p_regular(h, pspec)
     return dominance(act(w.rep, h), qspec, "strict")
 
 
@@ -121,8 +123,7 @@ def components_through_point(w_x: CosetRep, w: CosetRep) -> bool:
     return quotient_leq(w_x, w)
 
 
-@dataclass(frozen=True)
-class InductionStep:
+class InductionStep(NamedTuple):
     """One certified covering step of the walk: s_alpha · w_from = w_to
     with lg_P going up by one, and Q the minimal parabolic of alpha."""
 
@@ -152,7 +153,7 @@ def find_induction_step(w: CosetRep, pspec: ParabolicSpec, h: IntegralWeight) ->
     for which s_alpha·w(h) is strictly Q-dominant while w(h) is not.
     Raises when w is already the maximal coset.
     """
-    _check_p_regular(h, pspec)
+    check_p_regular(h, pspec)
     shape = shape_of(h)
     wh = act(w.rep, h)
     cands = [a for a in simple_roots(shape) if pairing(a, wh) < 0]

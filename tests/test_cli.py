@@ -199,26 +199,20 @@ def test_steinberg_rejects_bad_h(capsys):
         "[0,1,2]",
     )
     assert code == 2
-    assert "P-regular" in err
+    assert err.startswith("error: --h: ") and "P-regular" in err
 
 
 def test_steinberg_h_of_wrong_rank_exits_two(capsys):
-    code, out, err = run(
-        capsys,
-        "steinberg",
-        "--blocks",
-        "[2,1]",
-        "--qblocks",
-        "[3]",
-        "--perm",
-        "[1,3,2]",
-        "--h",
-        "[0,0]",
-    )
-    assert code == 2
-    assert out == ""
-    assert "shapes differ" in err
-    assert "Traceback" not in err
+    for blocks, qblocks, perm, h, shapes in [
+        ("[2,1]", "[3]", "[1,3,2]", "[0,0]", "{'tau': 2} vs {'tau': 3}"),
+        ("[1,1]", "[2]", "[2,1]", "[1,0,3]", "{'tau': 3} vs {'tau': 2}"),
+        ("[1,1]", "[2]", "[2,1]", "{}", "{} vs {'tau': 2}"),
+    ]:
+        code, out, err = run(
+            capsys, "steinberg", "--blocks", blocks, "--qblocks", qblocks, "--perm", perm, "--h", h
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --h: shapes differ: {shapes}\n"
 
 
 def test_steinberg_refuses_qblocks_of_another_shape(capsys):
@@ -429,6 +423,14 @@ def test_walk_needs_some_input(capsys):
     code, _, err = run(capsys, "walk")
     assert code == 2
     assert "pass --scenario or --h" in err
+    for h, message in [
+        ("{}", "weight must be a non-empty label -> vector mapping"),
+        ("[]", "vector is empty"),
+        ("[2,1]", "vector is not weakly increasing: (2, 1)"),
+    ]:
+        code, out, err = run(capsys, "walk", "--h", h)
+        assert (code, out) == (2, "")
+        assert err == f"error: --h: {message}\n"
 
 
 def test_flags_that_would_go_unread_exit_two(capsys, tmp_path):
@@ -440,6 +442,10 @@ def test_flags_that_would_go_unread_exit_two(capsys, tmp_path):
         (["walk", "--scenario", path, "--perm", "[1,2,3]"], "walk: --scenario takes no --perm"),
         (["walk", "--scenario", path, "--h", "[0,0,1]", "--perm", "[1,2,3]"],
          "walk: --scenario takes no --h or --perm"),
+        # a repeated value flag would leave its first value unread
+        (["weyl", "--perm", "[1,2]", "--perm", "[2,1]"], "--perm: given more than once"),
+        (["ff-verify", "--n", "2", "--p", "2", "--suite", "all", "--suite", "point_count"],
+         "--suite: given more than once"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

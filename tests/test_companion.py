@@ -38,6 +38,8 @@ def test_empty_vectors_get_no_block():
         companion.runs_composition(())
     with pytest.raises(ValueError, match="empty"):
         weights_from_hodge({"t": ()})
+    with pytest.raises(ValueError, match="non-empty label -> vector mapping"):
+        weights_from_hodge({})
 
 
 def test_weights_from_hodge_pinned():

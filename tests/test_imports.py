@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import weylflags
 
 SRC = os.path.dirname(os.path.dirname(weylflags.__file__))
@@ -29,15 +31,67 @@ def run_isolated(code):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_light_commands_do_not_import_the_oracle():
+# the weylflags modules each command loads, and whether it loads the
+# dataclasses and fractions modules, which a light request has no use for
+_LIGHT = ["cli", "jsonio", "weyl"]
+COMMAND_IMPORTS = [
+    (["weyl", "--perm", "[3,2,1]", "--other", "[1,3,2]"], _LIGHT, False),
+    (["coset", "--perm", "[3,1,2]", "--blocks", "[2,1]", "--qblocks", "[1,2]"],
+     _LIGHT + ["cosets", "roots"], False),
+    (["steinberg", "--blocks", "[2,1]", "--qblocks", "[3]", "--perm", "[1,3,2]", "--h", "[0,0,1]",
+      "--list-components"], _LIGHT + ["cosets", "roots", "steinberg"], False),
+    (["companion", "--scenario", "SCENARIO", "--jordan-holder"],
+     _LIGHT + ["companion", "cosets", "roots", "steinberg"], True),
+    (["walk", "--h", "[0,0,1]"], _LIGHT + ["companion", "cosets", "roots", "steinberg"], True),
+    (["ff-verify", "--n", "2", "--p", "2"], _LIGHT + ["cosets", "fforacle", "roots"], True),
+]
+
+
+def test_each_command_loads_only_the_modules_it_answers_from(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"places": [{
+        "label": "v", "q": 3, "embeddings": ["t"], "hodge_weights": {"t": [1, 1, 2]},
+        "refinement_order": ["a", "b", "c"], "eigenvalues": {"a": "1", "b": "5", "c": "28/3"},
+    }]}))
+    for argv, modules, heavy in COMMAND_IMPORTS:
+        argv = [str(scenario) if arg == "SCENARIO" else arg for arg in argv]
+        loaded = run_isolated(
+            "import json\n"
+            "import weylflags.cli\n"
+            f"code = weylflags.cli.main({argv!r})\n"
+            "mods = sorted(name[10:] for name in sys.modules if name.startswith('weylflags.'))\n"
+            "print(json.dumps([code, mods, 'dataclasses' in sys.modules, 'fractions' in sys.modules]))\n"
+        )
+        assert loaded == [0, sorted(modules), heavy, heavy], argv
+
+
+def test_importing_the_package_loads_no_submodule():
     loaded = run_isolated(
         "import json\n"
-        "import weylflags.cli\n"
-        "after_import = 'weylflags.fforacle' in sys.modules\n"
-        "code = weylflags.cli.main(['weyl', '--perm', '[3,2,1]'])\n"
-        "print(json.dumps([after_import, 'weylflags.fforacle' in sys.modules, code]))\n"
+        "import weylflags\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('weylflags'))))\n"
     )
-    assert loaded == [False, False, 0]
+    assert loaded == ["weylflags"]
+
+
+def test_every_export_resolves_to_its_home_module():
+    star = {}
+    exec("from weylflags import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(weylflags.__all__)
+    listed = dir(weylflags)
+    for name in weylflags.__all__:
+        assert name in listed
+        if name == "__version__":
+            continue
+        obj = getattr(weylflags, name)
+        home = importlib.import_module(obj.__module__)
+        assert vars(home)[name] is obj is star[name]
+        assert obj.__module__ == f"weylflags.{weylflags._HOME[name]}", name
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weylflags.no_such_name
 
 
 def test_the_package_needs_only_the_standard_library():

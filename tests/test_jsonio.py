@@ -133,6 +133,15 @@ def test_two_places_share_global_rank():
             lambda d: d["places"][0]["eigenvalues"].update(phi2="5/0"),
             "scenario.places[0].eigenvalues.phi2",
         ),
+        # Fraction would take these; an exponent this large would not finish
+        (
+            lambda d: d["places"][0]["eigenvalues"].update(phi2="1e999999999"),
+            "scenario.places[0].eigenvalues.phi2: cannot parse '1e999999999'",
+        ),
+        (
+            lambda d: d["places"][0]["eigenvalues"].update(phi3="2.5"),
+            "scenario.places[0].eigenvalues.phi3: cannot parse '2.5'",
+        ),
         (lambda d: d.update(position={"t": [1, 1, 2]}), "scenario.position.t"),
         (lambda d: d.update(position={"s": [1, 2, 3]}), "scenario.position"),
         (lambda d: d.update(character_weight={"t": [1, 2]}), "scenario.character_weight.t"),
