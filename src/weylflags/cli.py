@@ -46,7 +46,8 @@ class _Once(argparse.Action):
 
 def _parse(text: str, flag: str, check: Optional[Callable] = None):
     """A JSON flag value as a label-keyed map of integer tuples, passed
-    through check (weyl.check_multi, roots.check_spec) when given."""
+    through check (weyl.check_multi, roots.check_spec) when given; a check
+    that fits the value to another flag's shape makes the refusal name it."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as err:
@@ -115,7 +116,7 @@ def cmd_coset(args) -> int:
     from . import cosets, roots
 
     w = _parse(args.perm, "--perm", weyl.check_multi)
-    spec = _parse(args.blocks, "--blocks", roots.check_spec)
+    spec = _parse(args.blocks, "--blocks", lambda s: roots.check_spec(s, weyl.shape_of(w)))
     rep, inside = cosets.decompose(w, spec)
     coset = cosets.CosetRep(w, spec)
     payload = {
@@ -127,11 +128,11 @@ def cmd_coset(args) -> int:
         "is_min_rep": cosets.is_min_rep(w, spec),
     }
     if args.other:
-        v = cosets.CosetRep(_parse(args.other, "--other", weyl.check_multi), spec)
+        v = _parse(args.other, "--other", lambda v: cosets.CosetRep(v, spec))
         payload["leq_other"] = cosets.quotient_leq(coset, v)
         payload["geq_other"] = cosets.quotient_leq(v, coset)
     if args.qblocks:
-        qspec = _parse(args.qblocks, "--qblocks", roots.check_spec)
+        qspec = _parse(args.qblocks, "--qblocks", lambda q: roots.check_spec(q, weyl.shape_of(w)))
         double = cosets.shortest_double_coset_rep(w, qspec, spec)
         payload["double_coset_rep"] = jsonio.perm_to_json(double)
     if args.enumerate:
@@ -153,8 +154,7 @@ def cmd_steinberg(args) -> int:
         "q_blocks": jsonio.spec_to_json(qspec),
     }
     if args.perm:
-        w = _parse(args.perm, "--perm", weyl.check_multi)
-        coset = cosets.CosetRep(w, spec)
+        w, coset = _parse(args.perm, "--perm", lambda w: (w, cosets.CosetRep(w, spec)))
         root_route = steinberg.component_in_ZQP_roots(coset, spec, qspec)
         payload["perm"] = jsonio.perm_to_json(w)
         payload["levi_cap_u_in_nQ"] = steinberg.levi_cap_u_in_nQ(w, spec, qspec)
@@ -221,7 +221,7 @@ def cmd_walk(args) -> int:
         # the spec is derived inside the check, so its refusals name --h
         h, spec = _parse(args.h, "--h", lambda h: (h, companion.hodge_spec(h)))
         if args.perm:
-            start = cosets.CosetRep(_parse(args.perm, "--perm", weyl.check_multi), spec)
+            start = _parse(args.perm, "--perm", lambda w: cosets.CosetRep(w, spec))
         else:
             start = cosets.CosetRep(weyl.multi_identity(weyl.shape_of(h)), spec)
     else:

@@ -13,9 +13,14 @@ diagonal (and, for u and n_Q, on it) vanish.  The rest of the package
 reasons about these incidences combinatorially.  Everything here is
 counting; no claim beyond membership and cardinality is certified.
 
-Two caps keep runtimes sane: p <= 7, and at most 30,000 flags, |G/B| =
-[n]_p!.  The environment variables WEYLFLAGS_FF_MAX_P / WEYLFLAGS_FF_MAX_FLAGS
-raise them (with one warning per process).
+Each check has one gate, its refusal in _CHECKS, which run_suite and the
+check's public function both ask after the field check (p <= 7 and prime).
+The checks that enumerate flags are capped at 30,000 flags, |G/B| = [n]_p!,
+and the nu checks then by NU_SWEEP_GATE; shortest_element is capped by its
+MASK_PAIR_GATE pairs (w, P), good_form by GOOD_FORM_GATE entry updates.
+Each cost is multiplied out lazily, so a huge n is refused at once.  The
+environment variables WEYLFLAGS_FF_MAX_P / WEYLFLAGS_FF_MAX_FLAGS raise the
+first two caps (with one warning per process).
 
 The nu checks (fiber dimension, weight map) look at pairs (g1 B, g2 P) in
 relative position w.  G acts on such pairs preserving the position, the
@@ -23,11 +28,10 @@ fiber size and the weights, and acts transitively on G/B, so they fix
 g1 = 1 and multiply each pair count by |G/B| = [n]_p!.  The pairs are then the partial
 flags g2 P in the cell of w, and the fiber of g2 is the kernel of the
 linear map b -> g/p, nu -> Ad(g2^{-1})nu read below the block diagonal.
-One elimination per g2 gives its rank and a basis of its kernel.  Both
-checks are refused, on every entry, when their kernel work exceeds
-NU_SWEEP_GATE.  The weight map walks each kernel's projection onto the Levi
-blocks and the weights, comparing block characteristic polynomials
-(Faddeev-LeVerrier over the integers, reduced mod p).
+One elimination per g2 gives its rank and a basis of its kernel.  The
+weight map walks each kernel's projection onto the Levi blocks and the
+weights, comparing block characteristic polynomials (Faddeev-LeVerrier
+over the integers, reduced mod p).
 
 The shortest-element check compares two masks: the coordinates of b that
 Ad(dot(w)^{-1}) sends outside b, and outside p.  Ad(dot(w)^{-1})E_ab is
@@ -46,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cosets import _cap, _min_reps_perm, _min_reps_with_length, min_rep_perm
 from .roots import block_index, block_slices, check_blocks
@@ -66,10 +70,12 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def check_bounds(n: int, p: int) -> None:
+def _check_field(n: int, p: int) -> None:
+    """Refuse p over its cap or not a prime, and n below 1: the refusal every
+    check shares.  A raised cap warns here, one location for every caller."""
     max_p, p_raised = _cap(ENV_MAX_P, DEFAULT_MAX_P)
     max_flags, flags_raised = _cap(ENV_MAX_FLAGS, DEFAULT_MAX_FLAGS)
-    if p_raised or flags_raised:  # one location for every caller: one warning per process
+    if p_raised or flags_raised:
         warnings.warn(f"enumeration caps raised via environment to p<={max_p}, [n]_p!<={max_flags}")
     # the p cap comes first: trial division of a huge p would not finish
     if p > max_p:
@@ -78,13 +84,35 @@ def check_bounds(n: int, p: int) -> None:
         raise ValueError(f"p must be a prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    flags = 1
-    for k in range(1, n + 1):  # factor by factor, so a huge n stops at once
-        flags *= (p**k - 1) // (p - 1)
-        if flags > max_flags:
-            raise ValueError(
-                f"n={n}, p={p} outside the enumeration cap [n]_p!<={max_flags}; {ENV_MAX_FLAGS} raises it"
-            )
+
+
+def _gate(cost: str, factors: Iterable[int], cap: int) -> Optional[str]:
+    """"cost > cap" once the product of factors, each >= 1, passes cap; None if it never does."""
+    product = 1
+    for factor in factors:
+        product *= factor
+        if product > cap:
+            return f"{cost} > {cap}"
+    return None
+
+
+def _q_integers(n: int, p: int) -> Iterator[int]:
+    """[1]_p, ..., [n]_p, [k]_p = 1 + p + ... + p^(k-1); their product is [n]_p! = |G/B|."""
+    return ((p**k - 1) // (p - 1) for k in range(1, n + 1))
+
+
+def _flag_refusal(n: int, p: int) -> Optional[str]:
+    """The gate of every check that enumerates flags: |G/B| = [n]_p! against the flag cap."""
+    max_flags, _ = _cap(ENV_MAX_FLAGS, DEFAULT_MAX_FLAGS)
+    reason = _gate("flag count [n]_p!", _q_integers(n, p), max_flags)
+    return reason and f"{reason}; {ENV_MAX_FLAGS} raises it"
+
+
+def check_bounds(n: int, p: int) -> None:
+    """Refuse an enumeration of G/B over F_p outside the caps."""
+    _check_field(n, p)
+    if reason := _flag_refusal(n, p):
+        raise ValueError(f"n={n}, p={p} outside the enumeration cap: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +158,9 @@ def _eliminate(
 
     Rows are never swapped.  A column's pivot is the lowest row not yet
     holding a pivot whose entry there is nonzero; rank and RREF do not
-    depend on that choice.  It is
-    scaled to 1 and cleared from every other row.  Returns the worked rows
-    and the (column, row) pivot pairs in column order, so the pivot rows,
-    read in that order, are the reduced row echelon form."""
+    depend on that choice.  It is scaled to 1 and cleared from every other
+    row.  Returns the worked rows and the (column, row) pivot pairs in
+    column order, so the pivot rows, read in that order, are the RREF."""
     work = [list(r) for r in rows]
     free = list(range(len(work) - 1, -1, -1))  # rows without a pivot, lowest first
     pivots: List[Tuple[int, int]] = []
@@ -361,22 +388,19 @@ def incidence_count(
 # ---------------------------------------------------------------------------
 # pairwise incidence: fibers and the weight map
 
-def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, cost):
+def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, check: str):
     """For each partial flag g2 P in the cell of w, a basis of the fiber
     {nu in b : Ad(g2^{-1})nu in p}: the kernel of b -> g/p, nu ->
     Ad(g2^{-1})nu read below the block diagonal.  Each basis vector is
     Ad(g2^{-1})nu, flattened row by row, then the diagonal of nu.  The
-    inputs, and cost(n, p) against NU_SWEEP_GATE, are checked at once.
+    inputs, and (n, p) by the gate of the calling check, are checked at once.
 
     Ad(g2^{-1})E_ac is column a of g2^{-1} times row c of g2.  Row (a, c)
     of the elimination is that vector read below the block diagonal, then
     the whole vector; the dim b - rank rows whose pivot falls past the
     first part are zero there, and span the kernel."""
     n = len(w)
-    check_bounds(n, p)
-    reason = _over_gate(cost(n, p))
-    if reason is not None:
-        raise ValueError(f"nu sweep refused at n={n}, p={p}: {reason}")
+    _admit(check, n, p)
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
     zeros = _zero_positions(blocks, False)
@@ -412,7 +436,7 @@ def fiber_dimension_check(w: Perm, blocks: Tuple[int, ...], p: int) -> FiberRepo
     the cell of w, and the fiber of g2 is the kernel of b -> g/p, with
     p^(dim b - rank) points (see _nu_kernels)."""
     w = check_perm(w)
-    kernels = _nu_kernels(w, tuple(blocks), p, _fiber_cost)
+    kernels = _nu_kernels(w, tuple(blocks), p, "fiber_dimension")
     n = len(w)
     expected = p ** (n * (n + 1) // 2 - length(w))
     sizes = Counter(p ** len(kernel) for kernel in kernels)
@@ -475,11 +499,12 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
     diagonal d_{w(j)}, and the two sides agree by construction."""
     w = check_perm(w)
     blocks = tuple(blocks)
+    kernels = _nu_kernels(w, blocks, p, "weight_map")  # gated before the O(n^2) coordinate list
     n = len(w)
     # the Levi-block entries of Ad(g2^{-1})nu, block by block and row by row, then the weights
     levi = [i * n + j for lo, hi in block_slices(blocks) for i in range(lo, hi) for j in range(lo, hi)]
     coordinates = levi + [n * n + k - 1 for k in w]
-    for kernel in _nu_kernels(w, blocks, p, _weight_cost):
+    for kernel in kernels:
         points = [(0,) * len(coordinates)]
         for vector in rref([[v[c] for c in coordinates] for v in kernel], p):
             points = [tuple((x + c * y) % p for x, y in zip(point, vector)) for point in points for c in range(p)]
@@ -520,10 +545,9 @@ def blowup_equation_check(p: int) -> bool:
     """For 2x2 b = [[c+t, y], [0, c-t]] and the lower elementary u(x):
     Ad(u(x))^{-1} b is upper triangular iff 2xt + x^2 y = 0 over F_p, with
     the sign relation lower_left = -(2xt + x^2 y) pinned by direct
-    computation; the solution-set case split is asserted as well."""
-    if p == 2:
-        raise ValueError("p=2 rejected: the equation carries a coefficient 2")
-    check_bounds(2, p)
+    computation; the solution-set case split is asserted as well.  p = 2
+    is refused: the equation carries a coefficient 2."""
+    _admit("blowup", 2, p)
     for t, y, x, c in itertools.product(range(p), repeat=4):
         b = ((c + t) % p, y), (0, (c - t) % p)
         u = ((1, 0), (x, 1))
@@ -558,16 +582,10 @@ def good_form_conjugate(v):
     as v·b = b·v' with b unit upper triangular.
     """
     modular = isinstance(v, FqMatrix)
-    if modular:
+    if modular:  # entries mod p, division by the inverse mod p
         p = v.p
-
-        def div(a, b):
-            return a * pow(b % p, p - 2, p) % p
-
-        def norm(x):
-            return x % p
-
-        convert = norm
+        convert = norm = lambda x: x % p
+        div = lambda a, b: a * pow(b % p, p - 2, p) % p
     else:  # each entry becomes a Fraction once, and Fraction arithmetic stays exact
         convert, div, norm = Fraction, operator.truediv, lambda x: x
 
@@ -598,10 +616,7 @@ def good_form_conjugate(v):
     # the result really is the conjugate.  All three factors are upper
     # triangular, so v·b = b·v' holds when it holds on the upper triangle,
     # where entry (i, j) sums over i <= t <= j only.
-    for i in range(n):
-        for j in range(n):
-            if original[i][i] != original[j][j]:
-                assert rows[i][j] == 0
+    assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if original[i][i] != original[j][j])
     assert in_b(b) and all(b[i][i] == 1 for i in range(n)) and in_b(rows)
     for i in range(n):
         for j in range(i, n):
@@ -615,7 +630,7 @@ def good_form_conjugate(v):
 # whole-structure identities and the check suite
 
 def q_factorial(n: int, p: int) -> int:
-    return math.prod(sum(p**i for i in range(k)) for k in range(1, n + 1))
+    return math.prod(_q_integers(n, p))
 
 
 def gl_order(n: int, p: int) -> int:
@@ -631,7 +646,7 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     order quotient); points must be pairwise distinct cosets and each
     must classify back into its own cell, both read from one normal form
     per point."""
-    check_bounds(n, p)
+    _admit("point_count", n, p)
     flags = _flags_cached(n, p, (1,) * n)
     by_cells = sum(p ** length(w) for w in itertools.permutations(range(1, n + 1)))
     qf = q_factorial(n, p)
@@ -671,7 +686,7 @@ def shortest_element_fq_check(w: Perm, blocks: Tuple[int, ...], p: int) -> bool:
     outside p but not b, and they are equal exactly when w is in W^P."""
     w = check_perm(w)
     blocks = tuple(blocks)
-    check_bounds(len(w), p)
+    _admit("shortest_element", len(w), p)
     is_rep = w == min_rep_perm(w, blocks)
     images = _ad_basis_images(w)
     off_b = images.intersection(_zero_positions((1,) * len(w), False))
@@ -686,9 +701,7 @@ def covering_degree_check(blocks: Tuple[int, ...], p: int) -> Dict[str, object]:
     |W/W_P| partial-flag Lie algebras."""
     blocks = tuple(blocks)
     n = sum(blocks)
-    check_bounds(n, p)
-    if p < n:
-        raise ValueError(f"need p >= n for n distinct diagonal values, got p={p}")
+    _admit("covering_degree", n, p)  # p >= n, for n distinct diagonal values
     nu = FqMatrix(p, tuple(tuple(i if i == j else 0 for j in range(n)) for i in range(n)))
     report = incidence_count(nu, "in_p", "partial_flag", blocks=blocks)
     expected = _cosets(blocks, math.factorial)
@@ -710,10 +723,22 @@ def _cosets(blocks: Tuple[int, ...], factorial) -> int:
     return out
 
 
-# run_suite skips (or, when named, refuses) a nu check whose kernel work
-# over every composition exceeds this gate, as _nu_kernels does for library
-# calls; a unit took 10-20 us on a 2-vCPU Xeon under CPython 3.11.
+# The nu checks are refused when their kernel work over every composition
+# exceeds this gate; a unit took 10-20 us on a 2-vCPU Xeon under CPython 3.11.
 NU_SWEEP_GATE = 10_000
+# shortest_element compares two masks per pair (w, P), n!*2^(n-1) pairs: its
+# rows took 0.58-0.63 s at n = 6 and 5.8-6.6 s at n = 7 (322,560 pairs),
+# in-process on the same machine; n = 8 has 16 times the pairs.
+MASK_PAIR_GATE = 322_560
+# good_form conjugates 60 random upper triangular matrices of size at most n,
+# about n^3 entry updates each: its rows took 0.36-0.66 s at n = 16, 2.5 s
+# at n = 24 and 3.6-4.2 s at n = 32, in-process on the same machine.
+GOOD_FORM_GATE = 60 * 32**3
+
+
+def _mask_pair_refusal(n: int, p: int) -> Optional[str]:
+    pairs = itertools.chain(range(1, n + 1), itertools.repeat(2, n - 1))
+    return _gate("mask pair cost n!*2^(n-1)", pairs, MASK_PAIR_GATE)
 
 
 def _fiber_cost(n: int, p: int) -> int:
@@ -731,8 +756,11 @@ def _over_gate(cost: int) -> Optional[str]:
     return f"nu sweep cost {cost} > {NU_SWEEP_GATE}" if cost > NU_SWEEP_GATE else None
 
 
-def _never_refused(n: int, p: int) -> Optional[str]:
-    return None
+def _admit(check: str, n: int, p: int) -> None:
+    """Raise unless the field passes and the check's own refusal admits (n, p)."""
+    _check_field(n, p)
+    if reason := _CHECKS[check][0](n, p):
+        raise ValueError(f"{check} refused at n={n}, p={p}: {reason}")
 
 
 # Each rows function yields (params beyond n and p, expected, observed,
@@ -752,11 +780,8 @@ def _incidence_zero_rows(n: int, p: int):
 
 
 def _shortest_element_rows(n: int, p: int):
-    ok = True
-    for blocks in _compositions(n):
-        for w in map(tuple, itertools.permutations(range(1, n + 1))):
-            if not shortest_element_fq_check(w, blocks, p):
-                ok = False
+    perms = list(itertools.permutations(range(1, n + 1)))
+    ok = all([shortest_element_fq_check(w, blocks, p) for blocks in _compositions(n) for w in perms])
     yield {"sweep": "all (w, blocks)"}, True, ok, ok
 
 
@@ -789,47 +814,44 @@ def _blowup_rows(n: int, p: int):
 def _good_form_rows(n: int, p: int):
     rng = random.Random(20240811)
     ok = True
-    trials = 0
-    for _ in range(60):
+    trials = 60
+    for _ in range(trials):
         size = rng.randint(1, n)
         diag = [rng.randint(0, 2) for _ in range(size)]
-        rows_q = [
-            [
-                Fraction(diag[i]) if i == j
-                else (Fraction(rng.randint(-4, 4)) if j > i else Fraction(0))
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
+        rows_q = [[Fraction(diag[i] if i == j else rng.randint(-4, 4) if j > i else 0) for j in range(size)]
+                  for i in range(size)]
         _, vq = good_form_conjugate(rows_q)
         entries = tuple(
             tuple(rng.randrange(p) if j > i else (rng.randrange(p) if i == j else 0) for j in range(size))
             for i in range(size)
         )
         _, vp = good_form_conjugate(FqMatrix(p, entries))
-        trials += 1
-        for i in range(size):
-            for j in range(size):
-                if rows_q[i][i] != rows_q[j][j] and vq[i][j] != 0:
-                    ok = False
-                if entries[i][i] != entries[j][j] and vp.entries[i][j] != 0:
-                    ok = False
+        for i, j in itertools.product(range(size), repeat=2):
+            if rows_q[i][i] != rows_q[j][j] and vq[i][j] or entries[i][i] != entries[j][j] and vp.entries[i][j]:
+                ok = False
     yield {"trials": trials}, True, ok, ok
 
 
 # name -> (refusal: (n, p) -> reason or None, the params of (n, p) its
-# rows carry, rows function); the order is the order of --suite all
+# rows carry, rows function); the order is the order of --suite all.  The
+# refusal is the check's one gate after the field check, for run_suite and
+# the public check alike; the nu costs sum over 2^(n-1) compositions, so the
+# flag cap goes first.
 _CHECKS = {
-    "point_count": (_never_refused, ("n", "p"), _point_count_rows),
-    "incidence_zero": (_never_refused, ("n", "p"), _incidence_zero_rows),
-    "shortest_element": (_never_refused, ("n", "p"), _shortest_element_rows),
+    "point_count": (_flag_refusal, ("n", "p"), _point_count_rows),
+    "incidence_zero": (_flag_refusal, ("n", "p"), _incidence_zero_rows),
+    "shortest_element": (_mask_pair_refusal, ("n", "p"), _shortest_element_rows),
     "covering_degree": (
-        lambda n, p: "needs p >= n" if p < n else None, ("n", "p"), _covering_degree_rows
+        lambda n, p: "needs p >= n" if p < n else _flag_refusal(n, p), ("n", "p"), _covering_degree_rows
     ),
-    "fiber_dimension": (lambda n, p: _over_gate(_fiber_cost(n, p)), ("n", "p"), _fiber_dimension_rows),
-    "weight_map": (lambda n, p: _over_gate(_weight_cost(n, p)), ("n", "p"), _weight_map_rows),
+    "fiber_dimension": (
+        lambda n, p: _flag_refusal(n, p) or _over_gate(_fiber_cost(n, p)), ("n", "p"), _fiber_dimension_rows
+    ),
+    "weight_map": (lambda n, p: _flag_refusal(n, p) or _over_gate(_weight_cost(n, p)), ("n", "p"), _weight_map_rows),
     "blowup": (lambda n, p: "needs p != 2" if p == 2 else None, ("p",), _blowup_rows),
-    "good_form": (_never_refused, ("n", "p"), _good_form_rows),
+    "good_form": (
+        lambda n, p: _gate("entry update cost 60*n^3", (60, n, n, n), GOOD_FORM_GATE), ("n", "p"), _good_form_rows
+    ),
 }
 
 SUITE_CHECKS = tuple(_CHECKS)
@@ -839,12 +861,12 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
     """Run the named checks (default: every check runnable at (n, p)) and
     return one report row per (check, params) with expected/observed/pass.
 
-    When no explicit list is given, checks whose preconditions fail at
-    (n, p) are skipped with a note instead of erroring; explicitly
-    requested checks raise instead, naming the reason (for a sweep, its
-    cost and gate).  An explicit empty list raises too.
+    When no explicit list is given, checks whose refusal turns (n, p) down
+    are skipped with a note naming the reason (a cost and its cap, or a
+    precondition); explicitly requested checks raise instead.  An explicit
+    empty list raises too, and so does a selection of which no check runs.
     """
-    check_bounds(n, p)
+    _check_field(n, p)
     explicit = checks is not None
     selected = list(checks) if explicit else list(SUITE_CHECKS)
     if not selected:
@@ -854,14 +876,17 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
             raise ValueError(f"unknown check {name!r}; pick from {SUITE_CHECKS}")
         if name in selected[:k]:
             raise ValueError(f"check {name!r} selected twice")
+    for name in selected if explicit else ():  # a named check that cannot run is an error
+        _admit(name, n, p)
+    reasons = [_CHECKS[name][0](n, p) for name in selected]
+    if None not in reasons:
+        listed = "; ".join(f"{name} ({reason})" for name, reason in zip(selected, reasons))
+        raise ValueError(f"no check runs at n={n}, p={p}: {listed}")
     rows: List[Dict[str, object]] = []
-    for name in selected:
-        refusal, keys, check_rows = _CHECKS[name]
+    for name, reason in zip(selected, reasons):
+        _, keys, check_rows = _CHECKS[name]
         base = {key: value for key, value in (("n", n), ("p", p)) if key in keys}
-        reason = refusal(n, p)
         if reason is not None:
-            if explicit:
-                raise ValueError(f"{name} refused at n={n}, p={p}: {reason}")
             rows.append(
                 {"check": name, "params": base, "expected": None, "observed": f"skipped: {reason}", "pass": True, "skipped": True}
             )

@@ -119,18 +119,13 @@ def positive_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
     )
 
 
-def spec_simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
-    """Delta_P: the simple roots (i, i+1) inside each block, sorted; the
-    spec goes through check_spec.
+def _simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
+    """Delta_P: the simple roots (i, i+1) inside each block, sorted, of a
+    spec that has been through check_spec.
 
-    >>> spec_simple_roots({"t": (2, 1)})
+    >>> _simple_roots({"t": (2, 1)})
     (Root(tau='t', i=1, j=2),)
     """
-    return _simple_roots(check_spec(spec))
-
-
-def _simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
-    """spec_simple_roots of a spec that has been through check_spec."""
     return tuple(
         Root(tau, i, i + 1)
         for tau, blocks in sorted(spec.items())
@@ -139,14 +134,9 @@ def _simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
     )
 
 
-def levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
-    """R_P (or R_P^+): roots with both endpoints in one block; the spec
-    goes through check_spec."""
-    return _levi_roots(check_spec(spec), positive_only)
-
-
 def _levi_roots(spec: ParabolicSpec, positive_only: bool = False) -> frozenset:
-    """levi_roots of a spec that has been through check_spec."""
+    """R_P (or R_P^+): roots with both endpoints in one block, of a spec
+    that has been through check_spec."""
     pairs = itertools.combinations if positive_only else itertools.permutations
     return frozenset(
         Root(tau, i, j)

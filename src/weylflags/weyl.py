@@ -14,8 +14,8 @@ transpositions ``s_1, ..., s_{n-1}``.
 (2, 3, 1)
 >>> length((3, 2, 1))
 3
->>> reduced_word((3, 2, 1))
-(1, 2, 1)
+>>> multi_reduced_word({"t": (3, 2, 1)})
+(('t', 1), ('t', 2), ('t', 1))
 >>> bruhat_leq((2, 1, 3), (3, 1, 2))
 True
 >>> multi_length({"a": (2, 1), "b": (1, 3, 2)})
@@ -89,21 +89,6 @@ def simple_reflection(n: int, i: int) -> Perm:
     w = list(range(1, n + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
-
-
-def reduced_word(w: Perm) -> Tuple[int, ...]:
-    """A deterministic reduced word for w, as simple indices.
-
-    Repeatedly strips the smallest right descent, so the returned word
-    multiplies left to right (starting from the identity) to w and has
-    length exactly length(w).
-
-    >>> reduced_word((3, 2, 1))
-    (1, 2, 1)
-    >>> reduced_word((1, 2, 3))
-    ()
-    """
-    return tuple(i for _, i in multi_reduced_word({"": w}))
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:

@@ -323,12 +323,26 @@ def test_ff_verify_p_over_the_cap_names_the_variable(capsys, monkeypatch):
     assert "WEYLFLAGS_FF_MAX_P" in err
 
 
-def _cli_subprocess(env, *argv):
+def _cli_subprocess(env, *argv, timeout=120):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "weylflags.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-m", "weylflags.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+@pytest.mark.parametrize("p, code", [(3, 0), (2, 2)])
+def test_ff_verify_at_a_huge_n_answers_at_once(p, code):
+    # every cap is multiplied out lazily, so n = 10^6 is decided at once:
+    # at p = 3 blowup runs and every other check is skipped, at p = 2 none runs
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_")}
+    proc = _cli_subprocess(env, "ff-verify", "--n", str(10**6), "--p", str(p), timeout=2)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "no check runs at n=1000000, p=2" in proc.stderr
+    else:
+        rows = json.loads(proc.stdout)["results"]
+        assert [row["check"] for row in rows if not row.get("skipped")] == ["blowup"]
 
 
 def test_ff_verify_warns_once_when_a_cap_is_raised():
@@ -397,6 +411,22 @@ def test_quotient_cap_applies_to_every_enumerating_subcommand(capsys, monkeypatc
     monkeypatch.setenv("WEYLFLAGS_MAX_QUOTIENT", "x")
     code, out, err = run(capsys, "coset", "--perm", "[1,2]", "--blocks", "[1,1]", "--enumerate")
     assert code == 2 and "WEYLFLAGS_MAX_QUOTIENT" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["walk", "--h", "[0,1]", "--perm", "[1,2,3]"], "--perm"),
+        (["steinberg", "--blocks", "[2,1]", "--qblocks", "[2,1]", "--perm", "[2,1]"], "--perm"),
+        (["coset", "--perm", "[2,1]", "--blocks", "[2,1]"], "--blocks"),
+        (["coset", "--perm", "[2,1,3]", "--blocks", "[2,1]", "--other", "[1,2]"], "--other"),
+        (["coset", "--perm", "[2,1,3]", "--blocks", "[2,1]", "--qblocks", "[1,1]"], "--qblocks"),
+    ],
+)
+def test_a_shape_mismatch_names_its_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: shapes differ: "), err
 
 
 def test_walk_from_h(capsys):
@@ -521,10 +551,24 @@ def test_ff_verify_requires_parameters(capsys, tmp_path):
         assert message in err and "Traceback" not in err
 
 
-def test_ff_verify_out_of_bounds_exits_two(capsys):
-    code, _, err = run(capsys, "ff-verify", "--suite", "all", "--n", "9", "--p", "2")
-    assert code == 2
-    assert "enumeration cap" in err
+def test_ff_verify_named_flag_check_over_the_cap_exits_two(capsys, monkeypatch):
+    # --suite all at (9, 2) runs good_form; a flag check named there is refused
+    monkeypatch.delenv("WEYLFLAGS_FF_MAX_FLAGS", raising=False)
+    code, out, err = run(capsys, "ff-verify", "--suite", "point_count", "--n", "9", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid input: point_count refused at n=9, p=2: "
+        "flag count [n]_p! > 30000; WEYLFLAGS_FF_MAX_FLAGS raises it\n"
+    )
+
+
+def test_ff_verify_with_no_runnable_check_exits_two(capsys):
+    # exit 0 means something was verified: every check refused is an error
+    code, out, err = run(capsys, "ff-verify", "--n", "1000000", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: no check runs at n=1000000, p=2: point_count (flag count")
+    for name in fforacle.SUITE_CHECKS:
+        assert f"; {name} (" in err or name == "point_count", name
 
 
 @pytest.mark.parametrize("suite", [",", " , ,", ""])
@@ -659,7 +703,8 @@ def _argv(draw):
         )
     if command == "walk":
         return ["walk"] + _options(draw, "--h", "--perm", "--pretty")
-    n = draw(st.one_of(st.integers(1, 2), st.integers(max_value=2)))
+    # n = 6 and 10^6 are past the flag cap, where only the flag-free checks run
+    n = draw(st.one_of(st.integers(1, 2), st.integers(max_value=2), st.sampled_from([6, 10**6])))
     p = draw(st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers()))
     argv = ["ff-verify", "--n", str(n), "--p", str(p)]
     if draw(st.booleans()):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -422,7 +423,7 @@ def test_projected_weight_map_walk_matches_the_unprojected_walk():
     for n, p in ((2, 7), (3, 2), (3, 3)):
         for blocks in oracles.compositions(n):
             for w in oracles.min_reps_brute(blocks):
-                kernels = ff._nu_kernels(w, blocks, p, ff._weight_cost)
+                kernels = ff._nu_kernels(w, blocks, p, "weight_map")
                 assert ff.weight_map_check(blocks, w, p) == oracles.weight_map_unprojected(kernels, blocks, w, p), (
                     n, p, blocks, w
                 )
@@ -451,7 +452,7 @@ def test_weight_map_small_case():
 def test_blowup_equation():
     assert ff.blowup_equation_check(3)
     assert ff.blowup_equation_check(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^blowup refused at n=2, p=2: needs p != 2$"):
         ff.blowup_equation_check(2)
 
 
@@ -642,6 +643,11 @@ def test_run_suite_skip_notes_name_cost_and_gate():
         ("weight_map", 4, 2, "nu sweep cost 76800 > 10000"),
         ("covering_degree", 3, 2, "needs p >= n"),
         ("blowup", 2, 2, "needs p != 2"),
+        # past the flag cap the flag checks go, and the nu checks go by it first
+        ("point_count", 9, 2, "flag count [n]_p! > 30000; WEYLFLAGS_FF_MAX_FLAGS raises it"),
+        ("fiber_dimension", 9, 2, "flag count [n]_p! > 30000; WEYLFLAGS_FF_MAX_FLAGS raises it"),
+        ("shortest_element", 8, 2, "mask pair cost n!*2^(n-1) > 322560"),
+        ("good_form", 33, 3, "entry update cost 60*n^3 > 1966080"),
     ],
 )
 def test_run_suite_refusals_name_the_reason(name, n, p, reason):
@@ -668,10 +674,96 @@ def test_nu_sweep_checks_refuse_over_the_gate_from_the_library():
         "        print(exc)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    # the same text as run_suite's refusal of the named check
     assert proc.stdout.splitlines() == [
-        f"nu sweep refused at n=3, p=5: nu sweep cost 203125 > {ff.NU_SWEEP_GATE}",
-        f"nu sweep refused at n=4, p=3: nu sweep cost 38510 > {ff.NU_SWEEP_GATE}",
+        f"weight_map refused at n=3, p=5: nu sweep cost 203125 > {ff.NU_SWEEP_GATE}",
+        f"fiber_dimension refused at n=4, p=3: nu sweep cost 38510 > {ff.NU_SWEEP_GATE}",
     ], proc.stderr
+
+
+FLAG_NOTE = "skipped: flag count [n]_p! > 30000; WEYLFLAGS_FF_MAX_FLAGS raises it"
+
+
+@pytest.mark.parametrize(
+    "n, p, ran",
+    [
+        (6, 2, ["shortest_element", "good_form"]),
+        (4, 7, ["shortest_element", "blowup", "good_form"]),
+        (5, 3, ["shortest_element", "blowup", "good_form"]),
+    ],
+)
+def test_run_suite_past_the_flag_cap_runs_the_flag_free_checks(monkeypatch, n, p, ran):
+    monkeypatch.delenv(ff.ENV_MAX_FLAGS, raising=False)
+    rows = ff.run_suite(n, p)
+    assert [row["check"] for row in rows if not row.get("skipped")] == ran
+    assert all(row["pass"] for row in rows)
+    notes = {row["check"]: row["observed"] for row in rows if row.get("skipped")}
+    covering = "skipped: needs p >= n" if p < n else FLAG_NOTE
+    flag_checks = ("point_count", "incidence_zero", "fiber_dimension", "weight_map")
+    assert notes == {**dict.fromkeys(flag_checks, FLAG_NOTE), "covering_degree": covering} | (
+        {"blowup": "skipped: needs p != 2"} if p == 2 else {}
+    )
+    with pytest.raises(ValueError, match=f"point_count refused at n={n}, p={p}: .*WEYLFLAGS_FF_MAX_FLAGS"):
+        ff.run_suite(n, p, checks=["point_count"])
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_each_cost_counts_the_work_it_names(monkeypatch, n, p):
+    flags = math.prod(ff._q_integers(n, p))
+    assert flags == len(ff.enumerate_flags(n, p))
+    fiber = n * (n + 1) // 2 * sum(len(ff.enumerate_partial_flags(n, p, blocks)) for blocks in oracles.compositions(n))
+    assert ff._fiber_cost(n, p) == fiber
+    # the rows look the check up as a module global, so the wrapper sees every call
+    calls = []
+    real = ff.shortest_element_fq_check
+    monkeypatch.setattr(ff, "shortest_element_fq_check", lambda *args: calls.append(args) or real(*args))
+    ff.run_suite(n, p, checks=["shortest_element"])
+    pairs = math.factorial(n) * 2 ** (n - 1)
+    assert pairs == len(calls)
+    # and each refusal turns on exactly past that cost
+    def admitted(name):
+        return ff._CHECKS[name][0](n, p) is None
+
+    monkeypatch.setenv(ff.ENV_MAX_FLAGS, str(flags))
+    assert admitted("point_count")
+    monkeypatch.setenv(ff.ENV_MAX_FLAGS, str(flags - 1))
+    assert not admitted("point_count")
+    monkeypatch.delenv(ff.ENV_MAX_FLAGS)
+    for name, gate, cost in (("shortest_element", "MASK_PAIR_GATE", pairs), ("fiber_dimension", "NU_SWEEP_GATE", fiber)):
+        monkeypatch.setattr(ff, gate, cost)
+        assert admitted(name)
+        monkeypatch.setattr(ff, gate, cost - 1)
+        assert not admitted(name)
+
+
+def test_every_public_check_refuses_a_huge_rank_at_once():
+    # each check's own gate refuses, multiplied out lazily, before any work
+    # that grows with the rank; in a subprocess, so a check that lacks its
+    # gate fails by timeout instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(ff.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import time\n"
+        "from weylflags import fforacle as ff\n"
+        "w, blocks = tuple(range(100_000, 0, -1)), (100_000,)\n"
+        "for call in (lambda: ff.point_count_identity(10**6, 2),\n"
+        "             lambda: ff.shortest_element_fq_check(w, blocks, 2),\n"
+        "             lambda: ff.covering_degree_check((10**6,), 7),\n"
+        "             lambda: ff.fiber_dimension_check(w, blocks, 2),\n"
+        "             lambda: ff.weight_map_check(blocks, w, 2)):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(time.perf_counter() - start, str(exc).split(' refused at ')[0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for _, name in lines] == [
+        "point_count", "shortest_element", "covering_degree", "fiber_dimension", "weight_map"
+    ], proc.stderr
+    assert all(float(seconds) < 0.1 for seconds, _ in lines), lines
 
 
 def test_run_suite_refuses_an_empty_selection():

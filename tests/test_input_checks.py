@@ -41,8 +41,6 @@ ENTRIES = {
     "wp_elements": (POSITIVE, cosets.wp_elements),
     "longest_in_levi": (POSITIVE, cosets.longest_in_levi),
     "shortest_double_coset_rep": (SHAPE, lambda s: cosets.shortest_double_coset_rep(W, s, GOOD)),
-    "levi_roots": (POSITIVE, roots.levi_roots),
-    "spec_simple_roots": (POSITIVE, roots.spec_simple_roots),
     "p_regular_witness": (POSITIVE, roots.p_regular_witness),
     "p_regular_antidominant": (SHAPE, lambda s: roots.p_regular_antidominant({"t": (0, 0, 1)}, s)),
     "dominance": (SHAPE, lambda s: roots.dominance({"t": (1, 0, 0)}, s, "strict")),
@@ -81,7 +79,7 @@ def test_entries_accept_the_good_spec_as_tuples_or_lists():
     "call",
     [
         roots.check_spec, cosets.enumerate_quotient, cosets.wp_elements, cosets.longest_in_levi,
-        roots.levi_roots, roots.spec_simple_roots, roots.p_regular_witness,
+        roots.p_regular_witness,
     ],
 )
 def test_entries_refuse_an_empty_spec_or_a_bare_composition(call):

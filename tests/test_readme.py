@@ -25,7 +25,8 @@ def test_readme_cli_examples_exit_zero_with_json(capsys, monkeypatch, tmp_path):
     for name in (fforacle.ENV_MAX_FLAGS, fforacle.ENV_MAX_P, cosets.ENV_MAX_QUOTIENT):
         assert f"`{name}`" in text, name
         monkeypatch.delenv(name, raising=False)
-    assert f"{fforacle.DEFAULT_MAX_FLAGS:,}" in text
+    for cap in (fforacle.DEFAULT_MAX_FLAGS, fforacle.MASK_PAIR_GATE, fforacle.GOOD_FORM_GATE):
+        assert f"{cap:,}" in text, cap
     lines = [
         line
         for block in fenced(text, "sh")

@@ -54,9 +54,10 @@ def test_root_counts():
 
 def test_levi_roots_blocks():
     spec = {"t": (2, 2)}
-    plus = roots.levi_roots(spec, positive_only=True)
+    plus = roots._levi_roots(roots.check_spec(spec), positive_only=True)
     assert plus == {roots.Root("t", 1, 2), roots.Root("t", 3, 4)}
-    assert roots.levi_roots(spec) == plus | {a.negate() for a in plus}
+    assert roots._levi_roots(roots.check_spec(spec)) == plus | {a.negate() for a in plus}
+    assert roots._simple_roots(roots.check_spec(spec)) == tuple(sorted(plus))
 
 
 def test_shape_mismatches_raise_value_error():
@@ -160,6 +161,6 @@ def test_p_regular_negative_roots_are_complement_of_levi():
             for (i, j) in oracles.negative_pairing_roots(h[tau])
         }
     assert negative == expected
-    levi_plus = roots.levi_roots(spec, positive_only=True)
+    levi_plus = roots._levi_roots(roots.check_spec(spec), positive_only=True)
     positive = set(roots.positive_roots(roots.shape_of(h)))
     assert {a for a in positive if roots.pairing(a, h) < 0} == positive - levi_plus
