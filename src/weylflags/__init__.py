@@ -40,6 +40,7 @@ _EXPORTS = {
         "quotient_leq",
         "shortest_double_coset_rep",
     ),
+    "fforacle": ("shortest_element_fq_check",),
     "roots": (
         "Root",
         "act",

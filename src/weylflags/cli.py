@@ -104,8 +104,8 @@ def cmd_weyl(args) -> int:
         "reduced_word": [{"tau": tau, "i": i} for tau, i in weyl.multi_reduced_word(w)],
     }
     if args.other:
-        v = _parse(args.other, "--other", weyl.check_multi)
-        payload["compose"] = jsonio.perm_to_json(weyl.multi_compose(w, v))
+        v, composed = _parse(args.other, "--other", lambda v: (v, weyl.multi_compose(w, weyl.check_multi(v))))
+        payload["compose"] = jsonio.perm_to_json(composed)
         payload["leq_other"] = weyl.multi_bruhat_leq(w, v)
         payload["geq_other"] = weyl.multi_bruhat_leq(v, w)
     _emit(payload, args.pretty)

@@ -17,9 +17,8 @@ eigenvalue labels, and only weights are computed on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import weyl
 from .cosets import CosetRep, _interval
@@ -27,8 +26,10 @@ from .roots import IntegralWeight, ParabolicSpec, act, check_spec, shape_of
 from .steinberg import InductionStep, find_induction_step
 
 
-@dataclass(frozen=True)
-class PlaceRefinement:
+class PlaceRefinement(NamedTuple("PlaceRefinement", [
+    ("place", str), ("q", int), ("embeddings", Tuple[str, ...]), ("labels", Tuple[str, ...]),
+    ("values", Optional[Tuple[Fraction, ...]]),
+])):
     """Ordered eigenvalue data at one place.
 
     labels come in refinement order; values, when present, are exact
@@ -37,36 +38,32 @@ class PlaceRefinement:
     archimedean-side embeddings attached to this place.
     """
 
-    place: str
-    q: int
-    embeddings: Tuple[str, ...]
-    labels: Tuple[str, ...]
-    values: Optional[Tuple[Fraction, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"eigenvalue labels at place {self.place!r} are not distinct")
-        if self.values is not None and len(self.values) != len(self.labels):
-            raise ValueError(f"eigenvalue values at place {self.place!r} do not match labels")
-        if self.q < 2:
-            raise ValueError(f"residue cardinality at place {self.place!r} must be >= 2")
+    def __new__(cls, place, q, embeddings, labels, values=None):
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"eigenvalue labels at place {place!r} are not distinct")
+        if values is not None and len(values) != len(labels):
+            raise ValueError(f"eigenvalue values at place {place!r} do not match labels")
+        if q < 2:
+            raise ValueError(f"residue cardinality at place {place!r} must be >= 2")
+        return super().__new__(cls, place, q, embeddings, labels, values)
 
 
-@dataclass(frozen=True)
-class RefinementSpec:
-    places: Tuple[PlaceRefinement, ...]
+class RefinementSpec(NamedTuple("RefinementSpec", [("places", Tuple[PlaceRefinement, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [p.place for p in self.places]
+    def __new__(cls, places):
+        names = [p.place for p in places]
         if len(set(names)) != len(names):
             raise ValueError("place labels are not distinct")
-        embs = [e for p in self.places for e in p.embeddings]
+        embs = [e for p in places for e in p.embeddings]
         if len(set(embs)) != len(embs):
             raise ValueError("embedding labels are not distinct across places")
+        return super().__new__(cls, places)
 
 
-@dataclass(frozen=True)
-class CharacterSymbol:
+class CharacterSymbol(NamedTuple):
     """delta_{R,w} reduced to its computable shadow.
 
     algebraic_weight holds the twisted weight when twisted is set: per
@@ -79,8 +76,7 @@ class CharacterSymbol:
     twisted: bool = True
 
 
-@dataclass(frozen=True)
-class CompanionCertificate:
+class CompanionCertificate(NamedTuple):
     """A saturated certified chain w_R = u_0 < u_1 < ... < u_k = top."""
 
     start: CosetRep

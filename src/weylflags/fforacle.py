@@ -28,10 +28,10 @@ fiber size and the weights, and acts transitively on G/B, so they fix
 g1 = 1 and multiply each pair count by |G/B| = [n]_p!.  The pairs are then the partial
 flags g2 P in the cell of w, and the fiber of g2 is the kernel of the
 linear map b -> g/p, nu -> Ad(g2^{-1})nu read below the block diagonal.
-One elimination per g2 gives its rank and a basis of its kernel.  The
-weight map walks each kernel's projection onto the Levi blocks and the
-weights, comparing block characteristic polynomials (Faddeev-LeVerrier
-over the integers, reduced mod p).
+The fiber dimension needs only the rank of that map at each g2; the
+weight map eliminates further, for a basis of the kernel, and walks its
+projection onto the Levi blocks and the weights, comparing block
+characteristic polynomials (Faddeev-LeVerrier over the integers, mod p).
 
 The shortest-element check compares two masks: the coordinates of b that
 Ad(dot(w)^{-1}) sends outside b, and outside p.  Ad(dot(w)^{-1})E_ab is
@@ -47,10 +47,9 @@ import operator
 import random
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cosets import _cap, _min_reps_perm, _min_reps_with_length, min_rep_perm
 from .roots import block_index, block_slices, check_blocks
@@ -121,19 +120,18 @@ def check_bounds(n: int, p: int) -> None:
 Rows = Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FqMatrix:
-    p: int
-    entries: Rows
+class FqMatrix(NamedTuple("FqMatrix", [("p", int), ("entries", Rows)])):
+    """A square matrix over F_p, reduced mod p; _make((p, entries)) skips the checks."""
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be a prime, got {self.p}")
-        n = len(self.entries)
-        norm = tuple(tuple(x % self.p for x in row) for row in self.entries)
-        if any(len(row) != n for row in norm):
+    __slots__ = ()
+
+    def __new__(cls, p: int, entries: Rows):
+        if not _is_prime(p):
+            raise ValueError(f"p must be a prime, got {p}")
+        norm = tuple(tuple(x % p for x in row) for row in entries)
+        if any(len(row) != len(norm) for row in norm):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", norm)
+        return super().__new__(cls, p, norm)
 
     @property
     def n(self) -> int:
@@ -207,8 +205,7 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
 # ---------------------------------------------------------------------------
 # flag enumeration
 
-@dataclass(frozen=True)
-class FlagPoint:
+class FlagPoint(NamedTuple):
     """A point of G/P: canonical_matrix is u·dot(cell), cell in W^P, with u
     upper unipotent and zero off the diagonal outside the cell's free
     positions; inverse is the inverse of canonical_matrix."""
@@ -256,9 +253,9 @@ def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, .
             u = [list(r) for r in identity]
             for (i, j), value in zip(free, coords):
                 u[i - 1][j - 1] = value
-            # (u·dot(w))[i][j] = u[i][w(j) - 1]
+            # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed
             g = tuple(tuple(row[k - 1] for k in w) for row in u)
-            points.append(FlagPoint(w, FqMatrix(p, g), _cell_point_inverse(u, w, p)))
+            points.append(FlagPoint(w, FqMatrix._make((p, g)), _cell_point_inverse(u, w, p)))
     return tuple(points)
 
 
@@ -338,8 +335,7 @@ CONDITIONS = {
 SPACES = ("full_flag", "partial_flag")
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     count: int
     witnesses: tuple
     by_cell: Tuple[Tuple[Perm, int], ...]
@@ -389,36 +385,40 @@ def incidence_count(
 # pairwise incidence: fibers and the weight map
 
 def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, check: str):
-    """For each partial flag g2 P in the cell of w, a basis of the fiber
-    {nu in b : Ad(g2^{-1})nu in p}: the kernel of b -> g/p, nu ->
-    Ad(g2^{-1})nu read below the block diagonal.  Each basis vector is
-    Ad(g2^{-1})nu, flattened row by row, then the diagonal of nu.  The
-    inputs, and (n, p) by the gate of the calling check, are checked at once.
+    """For each partial flag g2 P in the cell of w, the fiber {nu in b :
+    Ad(g2^{-1})nu in p}, the kernel of b -> g/p, nu -> Ad(g2^{-1})nu read
+    below the block diagonal: its dimension for fiber_dimension, for
+    weight_map a basis, each vector Ad(g2^{-1})nu flattened row by row,
+    then the diagonal of nu.  The inputs, and (n, p) by the gate of the
+    calling check, are checked at once.
 
     Ad(g2^{-1})E_ac is column a of g2^{-1} times row c of g2.  Row (a, c)
-    of the elimination is that vector read below the block diagonal, then
-    the whole vector; the dim b - rank rows whose pivot falls past the
-    first part are zero there, and span the kernel."""
+    of the elimination is that vector read below the block diagonal, of
+    rank dim b - dimension; for a basis the whole vector follows, and the
+    rows whose pivot falls past the first part are zero there and span it."""
     n = len(w)
     _admit(check, n, p)
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
     zeros = _zero_positions(blocks, False)
+    basis = check != "fiber_dimension"
+    read = zeros + (tuple(itertools.product(range(n), repeat=2)) if basis else ())
 
-    def kernel(g: Rows, ginv: Rows) -> List[List[int]]:
+    def kernel(g: Rows, ginv: Rows):
         vectors = [
-            [ginv[i][a] * g[c][j] % p for i in range(n) for j in range(n)] + [int(a == c == j) for j in range(n)]
+            [ginv[i][a] * g[c][j] % p for i, j in read] + ([int(a == c == j) for j in range(n)] if basis else [])
             for a, c in itertools.combinations_with_replacement(range(n), 2)
         ]
-        work, pivots = _eliminate([[v[i * n + j] for i, j in zeros] + v for v in vectors], p)
+        work, pivots = _eliminate(vectors, p)
+        if not basis:
+            return len(vectors) - len(pivots)
         return [work[r][len(zeros):] for column, r in pivots if column >= len(zeros)]
 
     points = _flags_cached(n, p, blocks)
     return (kernel(point.canonical_matrix.entries, point.inverse) for point in points if point.cell == w)
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     passed: bool
     expected: int
     histogram: Tuple[Tuple[int, int], ...]  # (fiber size, number of pairs)
@@ -436,11 +436,10 @@ def fiber_dimension_check(w: Perm, blocks: Tuple[int, ...], p: int) -> FiberRepo
     the cell of w, and the fiber of g2 is the kernel of b -> g/p, with
     p^(dim b - rank) points (see _nu_kernels)."""
     w = check_perm(w)
-    kernels = _nu_kernels(w, tuple(blocks), p, "fiber_dimension")
+    dimensions = Counter(_nu_kernels(w, tuple(blocks), p, "fiber_dimension"))
     n = len(w)
     expected = p ** (n * (n + 1) // 2 - length(w))
-    sizes = Counter(p ** len(kernel) for kernel in kernels)
-    histogram = {size: count * q_factorial(n, p) for size, count in sizes.items()}
+    histogram = {p**dimension: count * q_factorial(n, p) for dimension, count in dimensions.items()}
     count = sum(histogram.values())
     return FiberReport(
         passed=count > 0 and set(histogram) == {expected},
@@ -685,8 +684,11 @@ def shortest_element_fq_check(w: Perm, blocks: Tuple[int, ...], p: int) -> bool:
     is the support of some nu in b(F_p), so two masks decide: none may be
     outside p but not b, and they are equal exactly when w is in W^P."""
     w = check_perm(w)
-    blocks = tuple(blocks)
     _admit("shortest_element", len(w), p)
+    return _masks_decide(w, tuple(blocks))
+
+
+def _masks_decide(w: Perm, blocks: Tuple[int, ...]) -> bool:  # shortest_element past its gate
     is_rep = w == min_rep_perm(w, blocks)
     images = _ad_basis_images(w)
     off_b = images.intersection(_zero_positions((1,) * len(w), False))
@@ -723,11 +725,11 @@ def _cosets(blocks: Tuple[int, ...], factorial) -> int:
     return out
 
 
-# The nu checks are refused when their kernel work over every composition
-# exceeds this gate; a unit took 10-20 us on a 2-vCPU Xeon under CPython 3.11.
+# The nu checks are refused when their kernel work over every composition exceeds this gate.  A unit,
+# flags enumerated, took 5-20 us in fiber_dimension and 8-35 us in weight_map (2-vCPU Xeon, CPython 3.11).
 NU_SWEEP_GATE = 10_000
 # shortest_element compares two masks per pair (w, P), n!*2^(n-1) pairs: its
-# rows took 0.58-0.63 s at n = 6 and 5.8-6.6 s at n = 7 (322,560 pairs),
+# rows took 0.20-0.37 s at n = 6 and 3.6-5.0 s at n = 7 (322,560 pairs),
 # in-process on the same machine; n = 8 has 16 times the pairs.
 MASK_PAIR_GATE = 322_560
 # good_form conjugates 60 random upper triangular matrices of size at most n,
@@ -764,8 +766,8 @@ def _admit(check: str, n: int, p: int) -> None:
 
 
 # Each rows function yields (params beyond n and p, expected, observed,
-# pass).  They look the public checks up as module globals when they run,
-# so wrappers installed on those names after import still see the calls.
+# pass).  They look the checks they call up as module globals when they
+# run, so wrappers installed on those names after import see the calls.
 
 def _point_count_rows(n: int, p: int):
     result = point_count_identity(n, p)
@@ -780,8 +782,9 @@ def _incidence_zero_rows(n: int, p: int):
 
 
 def _shortest_element_rows(n: int, p: int):
+    _admit("shortest_element", n, p)  # once, not once per pair (w, P)
     perms = list(itertools.permutations(range(1, n + 1)))
-    ok = all([shortest_element_fq_check(w, blocks, p) for blocks in _compositions(n) for w in perms])
+    ok = all([_masks_decide(w, blocks) for blocks in _compositions(n) for w in perms])
     yield {"sweep": "all (w, blocks)"}, True, ok, ok
 
 

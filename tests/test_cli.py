@@ -420,6 +420,7 @@ def test_quotient_cap_applies_to_every_enumerating_subcommand(capsys, monkeypatc
         (["steinberg", "--blocks", "[2,1]", "--qblocks", "[2,1]", "--perm", "[2,1]"], "--perm"),
         (["coset", "--perm", "[2,1]", "--blocks", "[2,1]"], "--blocks"),
         (["coset", "--perm", "[2,1,3]", "--blocks", "[2,1]", "--other", "[1,2]"], "--other"),
+        (["weyl", "--perm", "[2,1,3]", "--other", "[1,2]"], "--other"),
         (["coset", "--perm", "[2,1,3]", "--blocks", "[2,1]", "--qblocks", "[1,1]"], "--qblocks"),
     ],
 )

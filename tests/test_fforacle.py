@@ -224,6 +224,15 @@ def test_flag_points_are_cell_points_with_their_inverses():
             assert ff.mat_mul(g, point.inverse, p) == identity, (n, p, point)
 
 
+def test_trusted_flag_points_equal_checked_matrices():
+    # _flags_cached builds each point with FqMatrix._make, skipping the
+    # prime and reduction checks that FqMatrix(p, entries) makes
+    for n, p in GRID:
+        for point in ff._flags_cached(n, p, (1,) * n):
+            g = point.canonical_matrix
+            assert type(g) is ff.FqMatrix and g == ff.FqMatrix(p, g.entries), (n, p, point)
+
+
 def test_flag_enumeration_and_incidence_refuse_bad_blocks():
     # (3, -1) sums to 2 but is no composition, and the blocks of a
     # condition must have the rank of nu, as the flag blocks must
@@ -713,10 +722,10 @@ def test_each_cost_counts_the_work_it_names(monkeypatch, n, p):
     assert flags == len(ff.enumerate_flags(n, p))
     fiber = n * (n + 1) // 2 * sum(len(ff.enumerate_partial_flags(n, p, blocks)) for blocks in oracles.compositions(n))
     assert ff._fiber_cost(n, p) == fiber
-    # the rows look the check up as a module global, so the wrapper sees every call
+    # the rows look the mask comparison up as a module global, so the wrapper sees every call
     calls = []
-    real = ff.shortest_element_fq_check
-    monkeypatch.setattr(ff, "shortest_element_fq_check", lambda *args: calls.append(args) or real(*args))
+    real = ff._masks_decide
+    monkeypatch.setattr(ff, "_masks_decide", lambda *args: calls.append(args) or real(*args))
     ff.run_suite(n, p, checks=["shortest_element"])
     pairs = math.factorial(n) * 2 ** (n - 1)
     assert pairs == len(calls)

@@ -33,7 +33,8 @@ def run_isolated(code):
 
 
 # the weylflags modules each command loads, and whether it loads the
-# dataclasses and fractions modules, which a light request has no use for
+# fractions module, which a light request has no use for; no command
+# loads the dataclasses module
 _LIGHT = ["cli", "jsonio", "weyl"]
 COMMAND_IMPORTS = [
     (["weyl", "--perm", "[3,2,1]", "--other", "[1,3,2]"], _LIGHT, False),
@@ -54,7 +55,7 @@ def test_each_command_loads_only_the_modules_it_answers_from(tmp_path):
         "label": "v", "q": 3, "embeddings": ["t"], "hodge_weights": {"t": [1, 1, 2]},
         "refinement_order": ["a", "b", "c"], "eigenvalues": {"a": "1", "b": "5", "c": "28/3"},
     }]}))
-    for argv, modules, heavy in COMMAND_IMPORTS:
+    for argv, modules, fractions in COMMAND_IMPORTS:
         argv = [str(scenario) if arg == "SCENARIO" else arg for arg in argv]
         loaded = run_isolated(
             "import json\n"
@@ -63,7 +64,16 @@ def test_each_command_loads_only_the_modules_it_answers_from(tmp_path):
             "mods = sorted(name[10:] for name in sys.modules if name.startswith('weylflags.'))\n"
             "print(json.dumps([code, mods, 'dataclasses' in sys.modules, 'fractions' in sys.modules]))\n"
         )
-        assert loaded == [0, sorted(modules), heavy, heavy], argv
+        assert loaded == [0, sorted(modules), False, fractions], argv
+
+
+def test_the_star_import_loads_no_dataclasses():
+    loaded = run_isolated(
+        "import json\n"
+        "from weylflags import *\n"
+        "print(json.dumps('dataclasses' in sys.modules))\n"
+    )
+    assert loaded is False
 
 
 def test_importing_the_package_loads_no_submodule():
