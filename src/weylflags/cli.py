@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 
 # each handler imports the modules it answers from, so a light request
 # pays for no others
-from . import jsonio, weyl
+from . import weyl
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,9 +58,7 @@ def _parse(text: str, flag: str, check: Optional[Callable] = None):
         raise CliError(f"{flag}: expected a JSON object or array")
     out = {}
     for tau, vec in value.items():
-        if not isinstance(vec, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in vec
-        ):
+        if not isinstance(vec, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in vec):
             raise CliError(f"{flag}: value at {tau!r} must be an array of integers")
         out[tau] = tuple(vec)
     if check is None:
@@ -69,6 +67,16 @@ def _parse(text: str, flag: str, check: Optional[Callable] = None):
         return check(out)
     except ValueError as err:
         raise CliError(f"{flag}: {err}")
+
+
+def _load_scenario(path: str):
+    """The scenario file at path; its refusals are usage errors, as a flag's are."""
+    from . import jsonio
+
+    try:
+        return jsonio.load_scenario(path)
+    except jsonio.ScenarioError as err:
+        raise CliError(str(err)) from err
 
 
 def _json(value) -> str:
@@ -96,6 +104,8 @@ def _emit(payload: dict, pretty: bool) -> None:
 # subcommands
 
 def cmd_weyl(args) -> int:
+    from . import jsonio
+
     w = _parse(args.perm, "--perm", weyl.check_multi)
     payload = {
         "perm": jsonio.perm_to_json(w),
@@ -113,7 +123,7 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_coset(args) -> int:
-    from . import cosets, roots
+    from . import cosets, jsonio, roots
 
     w = _parse(args.perm, "--perm", weyl.check_multi)
     spec = _parse(args.blocks, "--blocks", lambda s: roots.check_spec(s, weyl.shape_of(w)))
@@ -142,17 +152,14 @@ def cmd_coset(args) -> int:
 
 
 def cmd_steinberg(args) -> int:
-    from . import cosets, roots, steinberg
+    from . import cosets, jsonio, roots, steinberg
 
     if args.h and not args.perm:
         raise CliError("steinberg: --h needs --perm")
     spec = _parse(args.blocks, "--blocks", roots.check_spec)
     shape = {tau: sum(blocks) for tau, blocks in spec.items()}
     qspec = _parse(args.qblocks, "--qblocks", lambda q: roots.check_spec(q, shape))
-    payload = {
-        "blocks": jsonio.spec_to_json(spec),
-        "q_blocks": jsonio.spec_to_json(qspec),
-    }
+    payload = {"blocks": jsonio.spec_to_json(spec), "q_blocks": jsonio.spec_to_json(qspec)}
     if args.perm:
         w, coset = _parse(args.perm, "--perm", lambda w: (w, cosets.CosetRep(w, spec)))
         root_route = steinberg.component_in_ZQP_roots(coset, spec, qspec)
@@ -173,9 +180,9 @@ def cmd_steinberg(args) -> int:
 
 
 def cmd_companion(args) -> int:
-    from . import companion
+    from . import companion, jsonio
 
-    sc = jsonio.load_scenario(args.scenario)
+    sc = _load_scenario(args.scenario)
     h = sc.hodge_weights
     lam, spec = companion.weights_from_hodge(h)
     w_R = sc.start_coset(spec)
@@ -207,13 +214,13 @@ def cmd_companion(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    from . import companion, cosets
+    from . import companion, cosets, jsonio
 
     if args.scenario:
         extra = [flag for flag, value in (("--h", args.h), ("--perm", args.perm)) if value]
         if extra:
             raise CliError(f"walk: --scenario takes no {' or '.join(extra)}")
-        sc = jsonio.load_scenario(args.scenario)
+        sc = _load_scenario(args.scenario)
         h = sc.hodge_weights
         spec = companion.hodge_spec(h)
         start = sc.start_coset(spec)
@@ -279,15 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qblocks", required=True, help="JSON block composition for Q")
     sp.add_argument("--perm", help="JSON permutation indexing the component")
     sp.add_argument("--h", help="P-regular antidominant weight (JSON)")
-    sp.add_argument(
-        "--list-components", action="store_true", help="list full-flag components in the Q-locus"
-    )
+    sp.add_argument("--list-components", action="store_true", help="list full-flag components in the Q-locus")
 
     sp = add("companion", cmd_companion, "companion characters from a scenario file")
     sp.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    sp.add_argument(
-        "--jordan-holder", action="store_true", help="also list the lower coset ideal"
-    )
+    sp.add_argument("--jordan-holder", action="store_true", help="also list the lower coset ideal")
 
     sp = add("walk", cmd_walk, "certified covering-step walk up to the top coset")
     sp.add_argument("--scenario", help="path to a scenario JSON file")
@@ -305,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, jsonio.ScenarioError, OSError) as err:
+    except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as err:

@@ -13,14 +13,15 @@ diagonal (and, for u and n_Q, on it) vanish.  The rest of the package
 reasons about these incidences combinatorially.  Everything here is
 counting; no claim beyond membership and cardinality is certified.
 
-Each check has one gate, its refusal in _CHECKS, which run_suite and the
-check's public function both ask after the field check (p <= 7 and prime).
-The checks that enumerate flags are capped at 30,000 flags, |G/B| = [n]_p!,
-and the nu checks then by NU_SWEEP_GATE; shortest_element is capped by its
-MASK_PAIR_GATE pairs (w, P), good_form by GOOD_FORM_GATE entry updates.
-Each cost is multiplied out lazily, so a huge n is refused at once.  The
-environment variables WEYLFLAGS_FF_MAX_P / WEYLFLAGS_FF_MAX_FLAGS raise the
-first two caps (with one warning per process).
+Each check has one gate, its refusal in _CHECKS, which run_suite, the
+check's rows (once) and its public function ask after the field check
+(p <= 7 and prime).  The checks that enumerate flags are capped at
+30,000 flags, |G/B| = [n]_p!, and the nu checks then by NU_SWEEP_GATE;
+shortest_element is capped by its MASK_PAIR_GATE pairs (w, P), good_form
+by GOOD_FORM_GATE entry updates.  Each cost is multiplied out lazily, so
+a huge n is refused at once.  The environment variables
+WEYLFLAGS_FF_MAX_P / WEYLFLAGS_FF_MAX_FLAGS raise the first two caps
+(with one warning per process).
 
 The nu checks (fiber dimension, weight map) look at pairs (g1 B, g2 P) in
 relative position w.  G acts on such pairs preserving the position, the
@@ -57,8 +58,8 @@ from .weyl import Perm, check_perm, inverse, length
 
 DEFAULT_MAX_P = 7
 # |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
-# on a 2-vCPU Xeon took 4.1-5.1 s and 68 MB RSS at (4,5), 29,016 flags, and
-# 1.3-1.7 s and 40 MB at (5,2), 9,765 flags.
+# on a 2-vCPU Xeon (CPython 3.11) took 1.5-2.2 s and 59 MB RSS at (4,5),
+# 29,016 flags, and 0.5-0.8 s and 31 MB at (5,2), 9,765 flags.
 DEFAULT_MAX_FLAGS = 30_000
 ENV_MAX_P = "WEYLFLAGS_FF_MAX_P"
 ENV_MAX_FLAGS = "WEYLFLAGS_FF_MAX_FLAGS"
@@ -144,14 +145,10 @@ def mat_identity(n: int) -> Rows:
 
 def mat_mul(a: Rows, b: Rows, p: int) -> Rows:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a)
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]], p: int
-) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
+def _eliminate(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
     """Gauss-Jordan elimination mod p, taking the columns left to right.
 
     Rows are never swapped.  A column's pivot is the lowest row not yet
@@ -182,18 +179,21 @@ def _eliminate(
     return work, pivots
 
 
-def _cell_point_inverse(u: Sequence[Sequence[int]], w: Perm, p: int) -> Rows:
+def _cell_point_inverse(u: List[List[int]], take, p: int) -> Rows:
     """The inverse dot(w)^{-1}·u^{-1} of the cell point u·dot(w), u unit
-    upper triangular: row j is row w(j) of v = u^{-1}.  v comes by back
-    substitution, with no pivot search: row i is e_i - sum_{k>i} u[i][k] v[k]."""
+    upper triangular: rows w(1), ..., w(n) of v = u^{-1}, which take picks.
+    v comes by back substitution, with no pivot search: row i is
+    e_i - sum_{k>i} u[i][k] v[k], and row k of v is zero left of column k."""
     n = len(u)
     v: List[List[int]] = [[]] * n
     for i in reversed(range(n)):
-        v[i] = [int(i == j) for j in range(n)]
+        row = v[i] = [int(i == j) for j in range(n)]
         for k in range(i + 1, n):
-            if u[i][k]:
-                v[i] = [(x - u[i][k] * y) % p for x, y in zip(v[i], v[k])]
-    return tuple(tuple(v[k - 1]) for k in w)
+            if c := u[i][k]:
+                for j in range(k, n):
+                    if y := v[k][j]:
+                        row[j] = (row[j] - c * y) % p
+    return tuple(map(tuple, take(v)))
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
@@ -221,12 +221,7 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
     length(w) of them."""
     wi = inverse(check_perm(w))
     n = len(w)
-    out = tuple(
-        (i, j)
-        for i in range(1, n)
-        for j in range(i + 1, n + 1)
-        if wi[i - 1] > wi[j - 1]
-    )
+    out = tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1) if wi[i - 1] > wi[j - 1])
     assert len(out) == length(w)
     return out
 
@@ -248,14 +243,16 @@ def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, .
     points = []
     identity = mat_identity(n)
     for _, w in sorted(_min_reps_with_length(full)):
-        free = cell_free_positions(w)
+        free = [(i - 1, j - 1) for i, j in cell_free_positions(w)]
+        # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed;
+        # take also picks v's rows for the inverse, and one index gives no tuple
+        take = operator.itemgetter(*(k - 1 for k in w)) if n > 1 else tuple
         for coords in itertools.product(range(p), repeat=len(free)):
             u = [list(r) for r in identity]
             for (i, j), value in zip(free, coords):
-                u[i - 1][j - 1] = value
-            # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed
-            g = tuple(tuple(row[k - 1] for k in w) for row in u)
-            points.append(FlagPoint(w, FqMatrix._make((p, g)), _cell_point_inverse(u, w, p)))
+                u[i][j] = value
+            g = FqMatrix._make((p, tuple(map(take, u))))
+            points.append(FlagPoint(w, g, _cell_point_inverse(u, take, p)))
     return tuple(points)
 
 
@@ -272,9 +269,9 @@ def cell_normal_form(g: FqMatrix) -> Tuple[Perm, Rows]:
     The point depends only on gB, so it is a complete coset key, and every
     point of _flags_cached is its own normal form.  The columns of g are
     taken left to right.  Each is reduced by the earlier reduced columns
-    at their pivot rows, then scaled to 1 at its lowest nonzero row, which
-    is w(j).  Both steps are right multiplications by B.  Column j ends
-    zero below w(j) and at w(k) for k < j: it is column w(j) of u.
+    at their pivot rows, then scaled to 1 at its lowest nonzero row, found
+    scanning up, which is w(j).  Both steps are right multiplications by B.
+    Column j ends zero below w(j) and at w(k) for k < j: column w(j) of u.
 
     >>> cell_normal_form(FqMatrix(3, ((1, 1), (2, 1))))
     ((2, 1), ((2, 1), (1, 0)))
@@ -290,12 +287,16 @@ def cell_normal_form(g: FqMatrix) -> Tuple[Perm, Rows]:
         for r, col in zip(cell, cols):
             if f := v[r]:
                 v = [(x - f * y) % p for x, y in zip(v, col)]
-        r = max((i for i, x in enumerate(v) if x), default=None)
-        if r is None:
-            raise ValueError("singular matrix")
-        inv = pow(v[r], p - 2, p)
+        r = len(v) - 1
+        while not v[r]:
+            r -= 1
+            if r < 0:
+                raise ValueError("singular matrix")
+        if v[r] != 1:  # every enumerated point has its pivots 1 already
+            inv = pow(v[r], p - 2, p)
+            v = [x * inv % p for x in v]
         cell.append(r)
-        cols.append([x * inv % p for x in v])
+        cols.append(v)
     return tuple(r + 1 for r in cell), tuple(zip(*cols))
 
 
@@ -315,9 +316,7 @@ def _zero_positions(blocks: Tuple[int, ...], diagonal: bool) -> Tuple[Tuple[int,
     composition: i's block after j's, and with diagonal also i and j in
     one block (the nilradical).  b and u are blocks (1,)*n."""
     bl = block_index(blocks)
-    return tuple(
-        (i, j) for i, a in enumerate(bl) for j, b in enumerate(bl) if a > b or diagonal and a == b
-    )
+    return tuple((i, j) for i, a in enumerate(bl) for j, b in enumerate(bl) if a > b or diagonal and a == b)
 
 
 def in_b(m: Rows) -> bool:
@@ -341,17 +340,13 @@ class IncidenceReport(NamedTuple):
     by_cell: Tuple[Tuple[Perm, int], ...]
 
 
-def incidence_count(
-    nu: FqMatrix,
-    condition: str,
-    space: str,
-    blocks: Optional[Tuple[int, ...]] = None,
-    qblocks: Optional[Tuple[int, ...]] = None,
-) -> IncidenceReport:
+def incidence_count(nu: FqMatrix, condition: str, space: str, blocks: Optional[Tuple[int, ...]] = None,
+                    qblocks: Optional[Tuple[int, ...]] = None) -> IncidenceReport:
     """Count flag (or partial-flag) points g with Ad(g^{-1})nu in the
     requested subalgebra; the witnesses (FlagPoints in both spaces) and a
-    per-cell breakdown ride along.  Each point forms nu·g once, then
-    g^{-1}·(nu·g) only at the tested entries, up to the first nonzero."""
+    per-cell breakdown ride along.  Each point forms only the columns of
+    nu·g that the tested entries read, unreduced, then g^{-1}·(nu·g) only
+    at those entries, each reduced mod p once, up to the first nonzero."""
     n = nu.n
     p = nu.p
     check_bounds(n, p)
@@ -370,10 +365,12 @@ def incidence_count(
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
     zeros = _zero_positions(parabolic, diagonal)
+    read = {j for _, j in zeros}
     witnesses = []
     by_cell: Dict[Perm, int] = {}
     for point in _flags_cached(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
-        cols = tuple(zip(*mat_mul(nu.entries, point.canonical_matrix.entries, p)))
+        gcols = tuple(zip(*point.canonical_matrix.entries))
+        cols = {j: [sum(map(operator.mul, row, gcols[j])) for row in nu.entries] for j in read}
         if not any(sum(map(operator.mul, point.inverse[i], cols[j])) % p for i, j in zeros):
             witnesses.append(point)
             by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
@@ -384,24 +381,21 @@ def incidence_count(
 # ---------------------------------------------------------------------------
 # pairwise incidence: fibers and the weight map
 
-def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, check: str):
+def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, basis: bool):
     """For each partial flag g2 P in the cell of w, the fiber {nu in b :
     Ad(g2^{-1})nu in p}, the kernel of b -> g/p, nu -> Ad(g2^{-1})nu read
-    below the block diagonal: its dimension for fiber_dimension, for
-    weight_map a basis, each vector Ad(g2^{-1})nu flattened row by row,
-    then the diagonal of nu.  The inputs, and (n, p) by the gate of the
-    calling check, are checked at once.
+    below the block diagonal: its dimension, or with basis a basis, each
+    vector Ad(g2^{-1})nu flattened row by row, then the diagonal of nu.
+    The inputs are checked at once; the caller has admitted (n, p).
 
     Ad(g2^{-1})E_ac is column a of g2^{-1} times row c of g2.  Row (a, c)
     of the elimination is that vector read below the block diagonal, of
     rank dim b - dimension; for a basis the whole vector follows, and the
     rows whose pivot falls past the first part are zero there and span it."""
     n = len(w)
-    _admit(check, n, p)
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
     zeros = _zero_positions(blocks, False)
-    basis = check != "fiber_dimension"
     read = zeros + (tuple(itertools.product(range(n), repeat=2)) if basis else ())
 
     def kernel(g: Rows, ginv: Rows):
@@ -436,17 +430,18 @@ def fiber_dimension_check(w: Perm, blocks: Tuple[int, ...], p: int) -> FiberRepo
     the cell of w, and the fiber of g2 is the kernel of b -> g/p, with
     p^(dim b - rank) points (see _nu_kernels)."""
     w = check_perm(w)
-    dimensions = Counter(_nu_kernels(w, tuple(blocks), p, "fiber_dimension"))
+    _admit("fiber_dimension", len(w), p)
+    return _fiber_report(w, tuple(blocks), p)
+
+
+def _fiber_report(w: Perm, blocks: Tuple[int, ...], p: int) -> FiberReport:  # fiber_dimension past its gate
+    dimensions = Counter(_nu_kernels(w, blocks, p, False))
     n = len(w)
     expected = p ** (n * (n + 1) // 2 - length(w))
     histogram = {p**dimension: count * q_factorial(n, p) for dimension, count in dimensions.items()}
     count = sum(histogram.values())
-    return FiberReport(
-        passed=count > 0 and set(histogram) == {expected},
-        expected=expected,
-        histogram=tuple(sorted(histogram.items())),
-        pairs=count,
-    )
+    passed = count > 0 and set(histogram) == {expected}
+    return FiberReport(passed=passed, expected=expected, histogram=tuple(sorted(histogram.items())), pairs=count)
 
 
 # polynomial helpers for block characteristic polynomials (coefficients mod p,
@@ -497,19 +492,28 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
     Ad(dot(w)^{-1})nu = (nu_{w(i) w(j)}) are upper triangular with
     diagonal d_{w(j)}, and the two sides agree by construction."""
     w = check_perm(w)
-    blocks = tuple(blocks)
-    kernels = _nu_kernels(w, blocks, p, "weight_map")  # gated before the O(n^2) coordinate list
+    _admit("weight_map", len(w), p)  # before the O(n^2) coordinate list
+    return _weights_match(tuple(blocks), w, p)
+
+
+def _weights_match(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:  # weight_map past its gate
+    kernels = _nu_kernels(w, blocks, p, True)
     n = len(w)
     # the Levi-block entries of Ad(g2^{-1})nu, block by block and row by row, then the weights
     levi = [i * n + j for lo, hi in block_slices(blocks) for i in range(lo, hi) for j in range(lo, hi)]
     coordinates = levi + [n * n + k - 1 for k in w]
+    cut, zero = len(levi), (0,) * len(coordinates)
     for kernel in kernels:
-        points = [(0,) * len(coordinates)]
-        for vector in rref([[v[c] for c in coordinates] for v in kernel], p):
-            points = [tuple((x + c * y) % p for x, y in zip(point, vector)) for point in points for c in range(p)]
-        for point in points:
-            if _levi_charpolys(point[: len(levi)], blocks, p) != _block_root_polys(point[len(levi) :], blocks, p):
-                return False
+        basis = rref([[v[c] for c in coordinates] for v in kernel], p)
+        # each point once, one held at a time: the last vector's multiples are added to each
+        # head sum of the others' in turn; zero keeps the width of an empty basis
+        *rest, last = [[tuple(c * y % p for y in vector) for c in range(p)] for vector in basis] or [[zero]]
+        for parts in itertools.product(*rest):
+            head = list(map(sum, zip(zero, *parts)))
+            for tail in last:
+                point = tuple(map(p.__rmod__, map(operator.add, head, tail)))
+                if _levi_charpolys(point[:cut], blocks, p) != _block_root_polys(point[cut:], blocks, p):
+                    return False
     return True
 
 
@@ -524,9 +528,7 @@ def _levi_charpolys(levi: Tuple[int, ...], blocks: Tuple[int, ...], p: int) -> T
 
 
 @lru_cache(maxsize=None)
-def _block_root_polys(
-    roots: Tuple[int, ...], blocks: Tuple[int, ...], p: int
-) -> Tuple[Tuple[int, ...], ...]:
+def _block_root_polys(roots: Tuple[int, ...], blocks: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], ...]:
     """prod_{j in block}(X - roots[j]) for each block, in charpoly layout."""
     out = []
     for lo, hi in block_slices(blocks):
@@ -654,15 +656,8 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     keys = {rows for _, rows in forms}
     roundtrip = all(cell == point.cell for (cell, _), point in zip(forms, flags))
     passed = len(flags) == by_cells == qf == quotient == len(keys) and roundtrip
-    return {
-        "enumerated": len(flags),
-        "cell_sum": by_cells,
-        "q_factorial": qf,
-        "group_quotient": quotient,
-        "distinct_cosets": len(keys),
-        "cells_roundtrip": roundtrip,
-        "pass": passed,
-    }
+    return {"enumerated": len(flags), "cell_sum": by_cells, "q_factorial": qf, "group_quotient": quotient,
+            "distinct_cosets": len(keys), "cells_roundtrip": roundtrip, "pass": passed}
 
 
 def _ad_basis_images(w: Perm) -> FrozenSet[Tuple[int, int]]:
@@ -702,8 +697,12 @@ def covering_degree_check(blocks: Tuple[int, ...], p: int) -> Dict[str, object]:
     """A split regular semisimple nu = diag(0..n-1) must lie in exactly
     |W/W_P| partial-flag Lie algebras."""
     blocks = tuple(blocks)
+    _admit("covering_degree", sum(blocks), p)  # p >= n, for n distinct diagonal values
+    return _covering_degree(blocks, p)
+
+
+def _covering_degree(blocks: Tuple[int, ...], p: int) -> Dict[str, object]:  # covering_degree past its gate
     n = sum(blocks)
-    _admit("covering_degree", n, p)  # p >= n, for n distinct diagonal values
     nu = FqMatrix(p, tuple(tuple(i if i == j else 0 for j in range(n)) for i in range(n)))
     report = incidence_count(nu, "in_p", "partial_flag", blocks=blocks)
     expected = _cosets(blocks, math.factorial)
@@ -726,15 +725,15 @@ def _cosets(blocks: Tuple[int, ...], factorial) -> int:
 
 
 # The nu checks are refused when their kernel work over every composition exceeds this gate.  A unit,
-# flags enumerated, took 5-20 us in fiber_dimension and 8-35 us in weight_map (2-vCPU Xeon, CPython 3.11).
+# flags enumerated, took 3-10 us in fiber_dimension and 4-20 us in weight_map (2-vCPU Xeon, CPython 3.11).
 NU_SWEEP_GATE = 10_000
 # shortest_element compares two masks per pair (w, P), n!*2^(n-1) pairs: its
-# rows took 0.20-0.37 s at n = 6 and 3.6-5.0 s at n = 7 (322,560 pairs),
+# rows took 0.34-0.35 s at n = 6 and 4.4-4.6 s at n = 7 (322,560 pairs),
 # in-process on the same machine; n = 8 has 16 times the pairs.
 MASK_PAIR_GATE = 322_560
 # good_form conjugates 60 random upper triangular matrices of size at most n,
-# about n^3 entry updates each: its rows took 0.36-0.66 s at n = 16, 2.5 s
-# at n = 24 and 3.6-4.2 s at n = 32, in-process on the same machine.
+# about n^3 entry updates each: its rows took 0.63-0.64 s at n = 16, 1.3-2.4 s
+# at n = 24 and 2.1-2.6 s at n = 32, in-process on the same machine.
 GOOD_FORM_GATE = 60 * 32**3
 
 
@@ -766,8 +765,9 @@ def _admit(check: str, n: int, p: int) -> None:
 
 
 # Each rows function yields (params beyond n and p, expected, observed,
-# pass).  They look the checks they call up as module globals when they
-# run, so wrappers installed on those names after import see the calls.
+# pass).  One that runs a check per row admits (n, p) once and calls the
+# check past its gate.  They look what they call up as module globals when
+# they run, so wrappers installed on those names after import see the calls.
 
 def _point_count_rows(n: int, p: int):
     result = point_count_identity(n, p)
@@ -789,23 +789,26 @@ def _shortest_element_rows(n: int, p: int):
 
 
 def _covering_degree_rows(n: int, p: int):
+    _admit("covering_degree", n, p)
     for blocks in _compositions(n):
-        result = covering_degree_check(blocks, p)
+        result = _covering_degree(blocks, p)
         yield {"blocks": list(blocks)}, result["expected"], result["observed"], bool(result["pass"])
 
 
 def _fiber_dimension_rows(n: int, p: int):
+    _admit("fiber_dimension", n, p)
     for blocks in _compositions(n):
         for w in _min_reps_perm(blocks):
-            report = fiber_dimension_check(w, blocks, p)
+            report = _fiber_report(w, blocks, p)
             params = {"blocks": list(blocks), "w": list(w)}
             yield params, report.expected, dict(report.histogram), report.passed
 
 
 def _weight_map_rows(n: int, p: int):
+    _admit("weight_map", n, p)
     for blocks in _compositions(n):
         for w in _min_reps_perm(blocks):
-            ok = weight_map_check(blocks, w, p)
+            ok = _weights_match(blocks, w, p)
             yield {"blocks": list(blocks), "w": list(w)}, True, ok, ok
 
 
@@ -895,7 +898,5 @@ def run_suite(n: int, p: int, checks: Optional[Sequence[str]] = None) -> List[Di
             )
             continue
         for extra, expected, observed, ok in check_rows(n, p):
-            rows.append(
-                {"check": name, "params": {**base, **extra}, "expected": expected, "observed": observed, "pass": ok}
-            )
+            rows.append({"check": name, "params": {**base, **extra}, "expected": expected, "observed": observed, "pass": ok})
     return rows

@@ -175,12 +175,8 @@ def _parse_place(obj, path: str, n_expected: Optional[int]) -> Tuple[PlaceRefine
 
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    _require_keys(
-        obj,
-        path,
-        required=("label", "q", "embeddings", "hodge_weights", "refinement_order"),
-        optional=("eigenvalues",),
-    )
+    required = ("label", "q", "embeddings", "hodge_weights", "refinement_order")
+    _require_keys(obj, path, required=required, optional=("eigenvalues",))
     label = obj["label"]
     if not isinstance(label, str) or not label:
         _fail(f"{path}.label", "expected a non-empty string")
@@ -219,12 +215,7 @@ def parse_scenario(data: object) -> Scenario:
 
     if not isinstance(data, dict):
         _fail("scenario", "expected a JSON object at top level")
-    _require_keys(
-        data,
-        "scenario",
-        required=("places",),
-        optional=("position", "character_weight"),
-    )
+    _require_keys(data, "scenario", required=("places",), optional=("position", "character_weight"))
     raw_places = data["places"]
     if not isinstance(raw_places, list) or not raw_places:
         _fail("scenario.places", "expected a non-empty array of places")

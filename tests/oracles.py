@@ -561,6 +561,86 @@ def nu_sweep_rows(n, p, full_flags, partial_flags):
     return rows
 
 
+# ---------------------------------------------------------------------------
+# reference forms of fforacle's per-flag kernels: each point built entry by
+# entry, whole rows subtracted, every pivot scaled and whole products formed
+
+
+def flag_points_listwise(n, p):
+    """(cell, (p, u·dot(w)), inverse) for every Borel coset, in the order of
+    fforacle._flags_cached: cells by (length, w), then coordinates.  The
+    point's entries are read one by one through w, and u^{-1} comes by
+    back substitution of whole rows."""
+    out = []
+    for w in sorted(all_perms(n), key=lambda w: (inversion_count(w), w)):
+        wi = inverse(w)
+        free = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if wi[i - 1] > wi[j - 1]]
+        for coords in itertools.product(range(p), repeat=len(free)):
+            u = [[int(i == j) for j in range(n)] for i in range(n)]
+            for (i, j), value in zip(free, coords):
+                u[i - 1][j - 1] = value
+            v = [[]] * n
+            for i in reversed(range(n)):
+                v[i] = [int(i == j) for j in range(n)]
+                for k in range(i + 1, n):
+                    if u[i][k]:
+                        v[i] = [(x - u[i][k] * y) % p for x, y in zip(v[i], v[k])]
+            g = tuple(tuple(row[k - 1] for k in w) for row in u)
+            out.append((w, (p, g), tuple(tuple(v[k - 1]) for k in w)))
+    return out
+
+
+def cell_normal_form_max_scan(g, p):
+    """fforacle.cell_normal_form with the pivot found by max() over the
+    nonzero rows and every column scaled, its pivot 1 or not."""
+    cell, cols = [], []
+    for v in zip(*g):
+        for r, col in zip(cell, cols):
+            if f := v[r]:
+                v = [(x - f * y) % p for x, y in zip(v, col)]
+        r = max((i for i, x in enumerate(v) if x), default=None)
+        if r is None:
+            raise ValueError("singular matrix")
+        inv = pow(v[r], p - 2, p)
+        cell.append(r)
+        cols.append([x * inv % p for x in v])
+    return tuple(r + 1 for r in cell), tuple(zip(*cols))
+
+
+def incidence_full_product(nu, p, points, zeros):
+    """(count, witnesses, by_cell) of fforacle.incidence_count over the
+    given flag points: the whole of nu·g formed mod p at each point, then
+    g^{-1}·(nu·g) at the tested entries zeros."""
+    witnesses, by_cell = [], {}
+    for point in points:
+        cols = tuple(zip(*_mat_mul_mod(nu, point.canonical_matrix.entries, p)))
+        if not any(sum(x * y for x, y in zip(point.inverse[i], cols[j])) % p for i, j in zeros):
+            witnesses.append(point)
+            by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
+    return len(witnesses), tuple(witnesses), tuple(by_cell.items())
+
+
+def span_points(vectors, width, p):
+    """Every point of the span of vectors over F_p, once per coefficient
+    tuple, as the whole list built one vector at a time."""
+    points = [(0,) * width]
+    for vector in vectors:
+        points = [tuple((x + c * y) % p for x, y in zip(point, vector)) for point in points for c in range(p)]
+    return points
+
+
+def levi_projection(point, blocks, w):
+    """What fforacle's weight_map walk reads of a kernel point (Ad(g2^{-1})nu
+    row by row, then the diagonal of nu): the Levi-block entries, block by
+    block and row by row, and the weights d_{w(j)}."""
+    n = len(w)
+    bounds = list(itertools.accumulate((0,) + tuple(blocks)))
+    levi = tuple(
+        point[i * n + j] for lo, hi in zip(bounds, bounds[1:]) for i in range(lo, hi) for j in range(lo, hi)
+    )
+    return levi, tuple(point[n * n + k - 1] for k in w)
+
+
 def weight_map_unprojected(kernels, blocks, w, p):
     """weight_map_check's verdict by walking every point of each kernel:
     kernels yields, per partial flag, a basis of vectors holding
@@ -570,10 +650,7 @@ def weight_map_unprojected(kernels, blocks, w, p):
     n = len(w)
     blocks = tuple(blocks)
     for kernel in kernels:
-        points = [(0,) * (n * n + n)]
-        for vector in kernel:
-            points = [tuple((x + c * y) % p for x, y in zip(point, vector)) for point in points for c in range(p)]
-        for point in points:
+        for point in span_points(kernel, n * n + n, p):
             image = tuple(point[i * n : (i + 1) * n] for i in range(n))
             weights = tuple(point[n * n + k - 1] for k in w)
             if levi_charpolys_laplace(image, blocks, p) != block_root_polys(weights, blocks, p):

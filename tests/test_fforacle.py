@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -187,6 +188,18 @@ def test_every_flag_is_its_own_normal_form():
             assert ff.cell_normal_form(g) == ff.cell_normal_form(moved) == (point.cell, g.entries), (n, p, point)
 
 
+def test_cell_normal_form_matches_the_max_scan_reference():
+    # on every enumerated point, whose pivots are 1, and on the point moved
+    # by a random b in B and on random matrices, whose pivots need not be
+    rng = random.Random(37)
+    for n, p in GRID:
+        matrices = [point.canonical_matrix.entries for point in ff.enumerate_flags(n, p)]
+        matrices += [ff.mat_mul(g, rand_upper_invertible(rng, n, p), p) for g in matrices]
+        matrices += [rand_invertible(rng, n, p) for _ in range(12)]
+        for g in matrices:
+            assert ff.cell_normal_form(ff.FqMatrix(p, g)) == oracles.cell_normal_form_max_scan(g, p), (n, p, g)
+
+
 def test_normal_forms_agree_with_the_per_prefix_rref_keys():
     # g·b has the normal form of g, and two matrices have equal normal
     # forms exactly when their full flags have equal keys, one rref per
@@ -231,6 +244,14 @@ def test_trusted_flag_points_equal_checked_matrices():
         for point in ff._flags_cached(n, p, (1,) * n):
             g = point.canonical_matrix
             assert type(g) is ff.FqMatrix and g == ff.FqMatrix(p, g.entries), (n, p, point)
+
+
+def test_flag_points_match_the_listwise_reference():
+    # cell, matrix and inverse of every point, in order, against the
+    # entry-by-entry points and whole-row back substitution
+    for n, p in GRID:
+        points = [tuple(point) for point in ff._flags_cached(n, p, (1,) * n)]
+        assert points == oracles.flag_points_listwise(n, p), (n, p)
 
 
 def test_flag_enumeration_and_incidence_refuse_bad_blocks():
@@ -376,22 +397,18 @@ def test_charpoly_matches_laplace_expansion():
             assert ff.charpoly(m, p) == oracles.charpoly_laplace(m, p), (m, p)
 
 
-def test_cold_run_suite_inverts_each_flag_once(monkeypatch):
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_cold_run_suite_inverts_each_flag_once(monkeypatch, n, p):
     for obj in vars(ff).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     calls = []
     real = ff._cell_point_inverse
-
-    def counted(u, w, p):
-        calls.append((u, w))
-        return real(u, w, p)
-
-    monkeypatch.setattr(ff, "_cell_point_inverse", counted)
-    ff.run_suite(3, 2)
-    # partial flags are points of the Borel enumeration: |G/B| back
-    # substitutions, one per point u·dot(w)
-    assert len(calls) == len(ff.enumerate_flags(3, 2)) == 21
+    monkeypatch.setattr(ff, "_cell_point_inverse", lambda *args: calls.append(args) or real(*args))
+    ff.run_suite(n, p)
+    # partial flags are points of the Borel enumeration: |G/B| = [n]_p!
+    # back substitutions, one per point u·dot(w)
+    assert len(calls) == oracles.q_factorial(n, p), (n, p)
 
 
 def test_nu_sets_match_brute_sweep():
@@ -428,14 +445,28 @@ def test_nu_checks_match_the_two_flag_sweep():
     assert time.perf_counter() - start < 40
 
 
-def test_projected_weight_map_walk_matches_the_unprojected_walk():
+def test_projected_weight_map_walk_matches_the_unprojected_walk(monkeypatch):
+    # the verdicts agree, and the walk compares the two sides at each
+    # projected point of each kernel exactly once; the comparison looks
+    # both sides up as module globals, left side first
+    levis, roots = [], []
+    real_levi, real_roots = ff._levi_charpolys, ff._block_root_polys
+    monkeypatch.setattr(ff, "_levi_charpolys", lambda levi, *rest: levis.append(levi) or real_levi(levi, *rest))
+    monkeypatch.setattr(ff, "_block_root_polys", lambda d, *rest: roots.append(d) or real_roots(d, *rest))
     for n, p in ((2, 7), (3, 2), (3, 3)):
         for blocks in oracles.compositions(n):
             for w in oracles.min_reps_brute(blocks):
-                kernels = ff._nu_kernels(w, blocks, p, "weight_map")
+                kernels = ff._nu_kernels(w, blocks, p, True)
                 assert ff.weight_map_check(blocks, w, p) == oracles.weight_map_unprojected(kernels, blocks, w, p), (
                     n, p, blocks, w
                 )
+                expected = Counter()
+                for kernel in ff._nu_kernels(w, blocks, p, True):
+                    points = oracles.span_points(kernel, n * n + n, p)
+                    expected.update({oracles.levi_projection(x, blocks, w) for x in points})
+                assert Counter(zip(levis, roots)) == expected, (n, p, blocks, w)
+                levis.clear()
+                roots.clear()
 
 
 def test_fiber_dimension_small_cases():
@@ -745,6 +776,16 @@ def test_each_cost_counts_the_work_it_names(monkeypatch, n, p):
         assert not admitted(name)
 
 
+@pytest.mark.parametrize("n, p", [(4, 2), (3, 3)])
+def test_run_suite_admits_each_check_once(monkeypatch, n, p):
+    # a rows function admits (n, p) once and runs its check past the gate
+    calls = Counter()
+    real = ff._admit
+    monkeypatch.setattr(ff, "_admit", lambda check, *args: calls.update([check]) or real(check, *args))
+    ff.run_suite(n, p)
+    assert calls and max(calls.values()) == 1, calls
+
+
 def test_every_public_check_refuses_a_huge_rank_at_once():
     # each check's own gate refuses, multiplied out lazily, before any work
     # that grows with the rank; in a subprocess, so a check that lacks its
@@ -815,6 +856,22 @@ def incidence_by_adjoint(nu, condition, space, blocks=None, qblocks=None):
             cell = point.cell if full else min_rep_perm(oracles.bruhat_cell_rank_profile(g.entries, g.p), blocks)
             by_cell[cell] = by_cell.get(cell, 0) + 1
     return len(witnesses), tuple(witnesses), sorted(by_cell.items(), key=lambda kv: (oracles.inversion_count(kv[0]), kv[0]))
+
+
+def test_incidence_count_matches_the_full_product_reference():
+    # every condition in every space, random nu, against whole products nu·g
+    rng = random.Random(41)
+    for n, p in ((3, 3), (4, 2)):
+        for _ in range(4):
+            nu = ff.FqMatrix(p, rand_matrix(rng, n, p))
+            blocks, qblocks = rng.sample(oracles.compositions(n), 2)
+            for condition, space in itertools.product(ff.CONDITIONS, ff.SPACES):
+                arg, diagonal = ff.CONDITIONS[condition]
+                zeros = ff._zero_positions({None: (1,) * n, "blocks": blocks, "qblocks": qblocks}[arg], diagonal)
+                points = ff._flags_cached(n, p, (1,) * n if space == "full_flag" else blocks)
+                report = ff.incidence_count(nu, condition, space, blocks=blocks, qblocks=qblocks)
+                reference = oracles.incidence_full_product(nu.entries, p, points, zeros)
+                assert report == reference, (n, p, condition, space)
 
 
 def test_incidence_count_matches_adjoint_route():

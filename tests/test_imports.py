@@ -45,7 +45,7 @@ COMMAND_IMPORTS = [
     (["companion", "--scenario", "SCENARIO", "--jordan-holder"],
      _LIGHT + ["companion", "cosets", "roots", "steinberg"], True),
     (["walk", "--h", "[0,0,1]"], _LIGHT + ["companion", "cosets", "roots", "steinberg"], True),
-    (["ff-verify", "--n", "2", "--p", "2"], _LIGHT + ["cosets", "fforacle", "roots"], True),
+    (["ff-verify", "--n", "2", "--p", "2"], ["cli", "cosets", "fforacle", "roots", "weyl"], True),
 ]
 
 
