@@ -104,18 +104,16 @@ def _emit(payload: dict, pretty: bool) -> None:
 # subcommands
 
 def cmd_weyl(args) -> int:
-    from . import jsonio
-
     w = _parse(args.perm, "--perm", weyl.check_multi)
     payload = {
-        "perm": jsonio.perm_to_json(w),
+        "perm": w,
         "length": weyl.multi_length(w),
-        "inverse": jsonio.perm_to_json(weyl.multi_inverse(w)),
+        "inverse": weyl.multi_inverse(w),
         "reduced_word": [{"tau": tau, "i": i} for tau, i in weyl.multi_reduced_word(w)],
     }
     if args.other:
         v, composed = _parse(args.other, "--other", lambda v: (v, weyl.multi_compose(w, weyl.check_multi(v))))
-        payload["compose"] = jsonio.perm_to_json(composed)
+        payload["compose"] = composed
         payload["leq_other"] = weyl.multi_bruhat_leq(w, v)
         payload["geq_other"] = weyl.multi_bruhat_leq(v, w)
     _emit(payload, args.pretty)
@@ -130,10 +128,10 @@ def cmd_coset(args) -> int:
     rep, inside = cosets.decompose(w, spec)
     coset = cosets.CosetRep(w, spec)
     payload = {
-        "perm": jsonio.perm_to_json(w),
-        "blocks": jsonio.spec_to_json(spec),
-        "min_rep": jsonio.perm_to_json(rep),
-        "levi_part": jsonio.perm_to_json(inside),
+        "perm": w,
+        "blocks": spec,
+        "min_rep": rep,
+        "levi_part": inside,
         "lg": coset.lg,
         "is_min_rep": cosets.is_min_rep(w, spec),
     }
@@ -144,7 +142,7 @@ def cmd_coset(args) -> int:
     if args.qblocks:
         qspec = _parse(args.qblocks, "--qblocks", lambda q: roots.check_spec(q, weyl.shape_of(w)))
         double = cosets.shortest_double_coset_rep(w, qspec, spec)
-        payload["double_coset_rep"] = jsonio.perm_to_json(double)
+        payload["double_coset_rep"] = double
     if args.enumerate:
         payload["quotient"] = [jsonio.coset_to_json(c) for c in cosets.enumerate_quotient(spec)]
     _emit(payload, args.pretty)
@@ -152,18 +150,18 @@ def cmd_coset(args) -> int:
 
 
 def cmd_steinberg(args) -> int:
-    from . import cosets, jsonio, roots, steinberg
+    from . import cosets, roots, steinberg
 
     if args.h and not args.perm:
         raise CliError("steinberg: --h needs --perm")
     spec = _parse(args.blocks, "--blocks", roots.check_spec)
     shape = {tau: sum(blocks) for tau, blocks in spec.items()}
     qspec = _parse(args.qblocks, "--qblocks", lambda q: roots.check_spec(q, shape))
-    payload = {"blocks": jsonio.spec_to_json(spec), "q_blocks": jsonio.spec_to_json(qspec)}
+    payload = {"blocks": spec, "q_blocks": qspec}
     if args.perm:
         w, coset = _parse(args.perm, "--perm", lambda w: (w, cosets.CosetRep(w, spec)))
         root_route = steinberg.component_in_ZQP_roots(coset, spec, qspec)
-        payload["perm"] = jsonio.perm_to_json(w)
+        payload["perm"] = w
         payload["levi_cap_u_in_nQ"] = steinberg.levi_cap_u_in_nQ(w, spec, qspec)
         payload["defect"] = steinberg.z_dimension_defect(w, spec, qspec)
         payload["component_in_ZQP_roots"] = root_route
@@ -173,8 +171,7 @@ def cmd_steinberg(args) -> int:
             payload["component_in_ZQP"] = dominance_route
             payload["routes_agree"] = root_route == dominance_route
     if args.list_components:
-        comps = steinberg.steinberg_components_full_flag(qspec)
-        payload["full_flag_components"] = [jsonio.perm_to_json(c) for c in comps]
+        payload["full_flag_components"] = steinberg.steinberg_components_full_flag(qspec)
     _emit(payload, args.pretty)
     return EXIT_OK
 
@@ -189,8 +186,8 @@ def cmd_companion(args) -> int:
     pairs = companion.companion_set(sc.refinement, h, w_R)
     payload = {
         "rank": sc.rank,
-        "blocks": jsonio.spec_to_json(spec),
-        "algebraic_weight": jsonio.weight_to_json(lam),
+        "blocks": spec,
+        "algebraic_weight": lam,
         "position": jsonio.coset_to_json(w_R),
         "companions": [
             {"coset": jsonio.coset_to_json(w), "character": jsonio.character_to_json(c)}

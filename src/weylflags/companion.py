@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import weyl
 from .cosets import CosetRep, _interval
-from .roots import IntegralWeight, ParabolicSpec, act, check_spec, shape_of
+from .roots import IntegralWeight, ParabolicSpec, check_spec, shape_of
 from .steinberg import InductionStep, find_induction_step
 
 
@@ -159,21 +159,23 @@ def _quotient_of(w_R: CosetRep, h: IntegralWeight) -> ParabolicSpec:
     return spec
 
 
-def twist(weight: IntegralWeight) -> IntegralWeight:
-    """Add the per-embedding staircase (0, 1, ..., n-1) to a weight."""
-    return {
-        tau: tuple(x + i for i, x in enumerate(v))
-        for tau, v in weight.items()
-    }
+def _twisted(part: weyl.Perm, v: Tuple[int, ...]) -> Tuple[int, ...]:
+    """w(h) plus the staircase (0, 1, ..., n-1) at one embedding, for w's
+    permutation part and h's vector v there: v_j lands at position w(j)."""
+    out = [0] * len(part)
+    for j, i in enumerate(part):
+        out[i - 1] = v[j] + i - 1
+    return tuple(out)
 
 
-def character_for(w: CosetRep, h: IntegralWeight, refinement: RefinementSpec) -> CharacterSymbol:
-    smooth = tuple((p.place, p.labels) for p in refinement.places)
-    return CharacterSymbol(
-        algebraic_weight=twist(act(w.rep, h)),
-        smooth_labels=smooth,
-        twisted=True,
-    )
+def character_for(
+    w: CosetRep, h: IntegralWeight, smooth_labels: Tuple[Tuple[str, Tuple[str, ...]], ...]
+) -> CharacterSymbol:
+    """delta_{R,w} for a coset w of the quotient derived from h, its shape
+    already checked against h, with the refinement's (place, labels)
+    pairs as its smooth part; the weight is formed label by label."""
+    rep = w.rep
+    return CharacterSymbol({tau: _twisted(rep[tau], v) for tau, v in h.items()}, smooth_labels)
 
 
 def companion_set(
@@ -182,7 +184,8 @@ def companion_set(
     """All (w, delta_{R,w}) with w >= w_R in W/W_P.
 
     Sorted by (lg_P, one-line notation, embedding label); found by
-    covering steps upward from w_R.
+    covering steps upward from w_R.  The shapes are checked once, and the
+    smooth labels built once, for the whole listing.
 
     >>> r = RefinementSpec((PlaceRefinement("v", 3, ("t",), ("a", "b")),))
     >>> h = {"t": (0, 1)}
@@ -191,7 +194,8 @@ def companion_set(
     [{'t': (0, 2)}, {'t': (1, 1)}]
     """
     _quotient_of(w_R, h)
-    return [(w, character_for(w, h, refinement)) for w in _interval(w_R, up=True)]
+    smooth = tuple((p.place, p.labels) for p in refinement.places)
+    return [(w, character_for(w, h, smooth)) for w in _interval(w_R, up=True)]
 
 
 def jordan_holder_cosets(

@@ -347,23 +347,6 @@ def left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
     return weyl.multi_inverse(min_rep(weyl.multi_inverse(w), spec))
 
 
-def _left_quotient(spec: ParabolicSpec) -> List[Tuple[int, MultiPerm]]:
-    """(length, w) for w in ^QW, in no particular order: w is in ^QW iff
-    w^{-1} is in W^Q, and inversion keeps the length."""
-    labels = sorted(spec)
-    return [
-        (lg, {tau: weyl.inverse(w) for tau, w in zip(labels, parts)})
-        for lg, parts in _quotient_parts(check_spec(spec))
-    ]
-
-
-def _sorted_by_length(pairs: List[Tuple[int, MultiPerm]]) -> List[MultiPerm]:
-    """The elements of (length, w) pairs sorted as weyl.sort_key sorts
-    them, reading each length from its pair instead of recomputing it."""
-    pairs = sorted(pairs, key=lambda pair: (pair[0], weyl.freeze(pair[1])))
-    return [w for _, w in pairs]
-
-
 def shortest_double_coset_rep(
     w: MultiPerm,
     qspec: ParabolicSpec,

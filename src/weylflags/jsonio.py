@@ -1,5 +1,10 @@
 """JSON encoding of the library's objects and scenario-file loading.
 
+The encoders turn cosets, steps, characters and certificates into plain
+dicts that hold the library's own label maps and tuples: json.dumps
+writes a tuple as an array, and cli._json sorts the labels, so nothing
+is copied on the way out.
+
 Scenario files describe a product of places: each place carries its
 residue cardinality q, embedding labels, per-embedding weakly increasing
 integer weights, an ordering of eigenvalue labels, and optionally exact
@@ -35,33 +40,20 @@ def _fail(path: str, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# encoders (plain dict/list output, ready for json.dumps)
-
-def perm_to_json(w: MultiPerm) -> Dict[str, list]:
-    """A label-keyed map of integer tuples (a multi-permutation, a weight
-    or a block spec) as lists, labels sorted."""
-    return {tau: list(w[tau]) for tau in sorted(w)}
-
-
-weight_to_json = spec_to_json = perm_to_json
-
+# encoders (plain values for json.dumps)
 
 def root_to_json(alpha: Root) -> Dict[str, object]:
     return {"tau": alpha.tau, "i": alpha.i, "j": alpha.j}
 
 
 def coset_to_json(w: CosetRep) -> Dict[str, object]:
-    return {
-        "rep": perm_to_json(w.rep),
-        "blocks": spec_to_json(w.spec),
-        "lg": w.lg,
-    }
+    return {"rep": w.rep, "blocks": w.spec, "lg": w.lg}
 
 
 def step_to_json(step: InductionStep) -> Dict[str, object]:
     return {
         "alpha": root_to_json(step.alpha),
-        "q_blocks": spec_to_json(step.Q),
+        "q_blocks": step.Q,
         "from": coset_to_json(step.w_from),
         "to": coset_to_json(step.w_to),
     }
@@ -69,10 +61,8 @@ def step_to_json(step: InductionStep) -> Dict[str, object]:
 
 def character_to_json(c: CharacterSymbol) -> Dict[str, object]:
     return {
-        "algebraic_weight": weight_to_json(c.algebraic_weight),
-        "smooth_labels": [
-            {"place": place, "labels": list(labels)} for place, labels in c.smooth_labels
-        ],
+        "algebraic_weight": c.algebraic_weight,
+        "smooth_labels": [{"place": place, "labels": labels} for place, labels in c.smooth_labels],
         "twisted": c.twisted,
     }
 

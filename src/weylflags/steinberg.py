@@ -16,8 +16,7 @@ from typing import Dict, List, NamedTuple
 from . import weyl
 from .cosets import (
     CosetRep,
-    _left_quotient,
-    _sorted_by_length,
+    _quotient_parts,
     longest_in_levi,
     quotient_leq,
     shortest_double_coset_rep,
@@ -105,16 +104,25 @@ def component_in_ZQP_roots(w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSp
 
 
 def steinberg_components_full_flag(qspec: ParabolicSpec) -> List[weyl.MultiPerm]:
-    """Indices w of the full-flag components lying in the Q-locus.
+    """Indices w of the full-flag components lying in the Q-locus, sorted
+    by (length, one-line notation, label), labels in sorted order.
 
-    These are exactly w_{Q,0}·w' for w' ranging over ^QW.  The product
-    has length l(w_{Q,0}) + l(w'), since w' is minimal in W_Q·w', so the
-    lengths of w' order the list by length.
+    These are exactly w_{Q,0}·w' for w' ranging over ^QW, the inverses of
+    the minimal representatives of W/W_Q.  The product has length
+    l(w_{Q,0}) + l(w'), since w' is minimal in W_Q·w', so the lengths of
+    w' order the list by length.  The spec is checked once, and each
+    product is formed label by label.
     """
+    qspec = check_spec(qspec)
     wq0 = longest_in_levi(qspec)
-    return _sorted_by_length(
-        [(lg, weyl.multi_compose(wq0, wprime)) for lg, wprime in _left_quotient(qspec)]
-    )
+    labels = sorted(wq0)
+    heads = [wq0[tau] for tau in labels]
+    lifted = [
+        (lg, tuple(map(weyl.compose, heads, map(weyl.inverse, parts))))
+        for lg, parts in _quotient_parts(qspec)
+    ]
+    lifted.sort()
+    return [dict(zip(labels, parts)) for _, parts in lifted]
 
 
 def components_through_point(w_x: CosetRep, w: CosetRep) -> bool:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from weylflags import companion, cosets, roots, weyl
+
 
 def all_perms(n):
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
@@ -674,3 +676,84 @@ def multi_reduced_word_rescan(w):
         lst[i - 1], lst[i] = lst[i], lst[i - 1]
         cur[tau] = tuple(lst)
     return tuple(reversed(rev))
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the listing path: every element passed through the
+# checked multi-permutation helpers, and every label map copied into lists
+# in sorted label order before json.dumps
+
+
+def listing_specs():
+    """Every spec of rank <= 5 at one label, and every two-label spec with
+    ranks <= 3, its labels given in unsorted order (b before a)."""
+    specs = [{"t": blocks} for n in range(1, 6) for blocks in compositions(n)]
+    small = [blocks for n in range(1, 4) for blocks in compositions(n)]
+    specs += [{"b": b, "a": a} for b in small for a in small]
+    return specs
+
+
+def perm_to_json(w):
+    """A label-keyed map of integer tuples (a multi-permutation, a weight
+    or a block spec) as lists, labels sorted."""
+    return {tau: list(w[tau]) for tau in sorted(w)}
+
+
+def coset_to_json(w):
+    return {"rep": perm_to_json(w.rep), "blocks": perm_to_json(w.spec), "lg": w.lg}
+
+
+def step_to_json(step):
+    return {
+        "alpha": {"tau": step.alpha.tau, "i": step.alpha.i, "j": step.alpha.j},
+        "q_blocks": perm_to_json(step.Q),
+        "from": coset_to_json(step.w_from),
+        "to": coset_to_json(step.w_to),
+    }
+
+
+def character_to_json(c):
+    return {
+        "algebraic_weight": perm_to_json(c.algebraic_weight),
+        "smooth_labels": [{"place": place, "labels": list(labels)} for place, labels in c.smooth_labels],
+        "twisted": c.twisted,
+    }
+
+
+def certificate_to_json(cert):
+    return {
+        "start": coset_to_json(cert.start),
+        "end": coset_to_json(cert.end),
+        "chain": [step_to_json(step) for step in cert.chain],
+    }
+
+
+def steinberg_components_full_flag(qspec):
+    """w_{Q,0}·w' for w' in ^QW, each w' built as an inverse dict of a
+    minimal representative of W/W_Q and composed by weyl.multi_compose,
+    sorted by (length, weyl.freeze)."""
+    wq0 = cosets.longest_in_levi(qspec)
+    labels = sorted(qspec)
+    pairs = [
+        (lg, weyl.multi_compose(wq0, {tau: weyl.inverse(w) for tau, w in zip(labels, parts)}))
+        for lg, parts in cosets._quotient_parts(roots.check_spec(qspec))
+    ]
+    pairs.sort(key=lambda pair: (pair[0], weyl.freeze(pair[1])))
+    return [w for _, w in pairs]
+
+
+def twist(weight):
+    """Add the per-embedding staircase (0, 1, ..., n-1) to a weight."""
+    return {tau: tuple(x + i for i, x in enumerate(v)) for tau, v in weight.items()}
+
+
+def character_for(w, h, refinement):
+    """delta_{R,w} through roots.act, which checks the shapes and inverts
+    w for every coset, with the smooth labels built anew."""
+    smooth = tuple((p.place, p.labels) for p in refinement.places)
+    return companion.CharacterSymbol(twist(roots.act(w.rep, h)), smooth, True)
+
+
+def companion_set(refinement, h, w_R):
+    companion._quotient_of(w_R, h)
+    return [(w, character_for(w, h, refinement)) for w in cosets._interval(w_R, up=True)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -502,6 +503,23 @@ def test_pretty_report_renders_the_json_payload(capsys, tmp_path):
         for key in payload:  # each field starts exactly one line
             assert sum(line.split(None, 1)[0] == key for line in lines) == 1, (argv, key)
         assert_report_renders(out, payload)
+
+
+def test_listings_match_the_recorded_stdout(capsys, monkeypatch, tmp_path):
+    # requests of every listing subcommand at rank <= 6, with and without
+    # --pretty, recorded as exit code and the sha256 of stdout: any change
+    # to a byte of a listing shows here
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "cli_listings.json")
+    with open(path) as handle:
+        recorded = json.load(handle)
+    for name, data in recorded["scenarios"].items():
+        write_scenario(tmp_path, data, f"{name}.json")
+    monkeypatch.chdir(tmp_path)
+    for request in recorded["requests"]:
+        argv = [f"{arg}.json" if arg in recorded["scenarios"] else arg for arg in request["argv"]]
+        code, out, err = run(capsys, *argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, err, digest) == (request["exit"], "", request["stdout_sha256"]), argv
 
 
 def test_ff_verify_all_small(capsys):

@@ -92,8 +92,10 @@ def test_relative_position_pinned_and_validated():
 
 
 def test_twist_untwist_inverse():
-    w = {"a": (4, 0, 1), "b": (2, 2)}
-    assert companion.twist(w)["a"] == (4, 1, 3)
+    # the identity coset's weight is h plus the staircase at each embedding
+    h = {"a": (4, 0, 1), "b": (2, 2)}
+    identity = CosetRep({"a": (1, 2, 3), "b": (1, 2)}, {"a": (1, 1, 1), "b": (1, 1)})
+    assert companion.character_for(identity, h, ()).algebraic_weight == {"a": (4, 1, 3), "b": (2, 3)}
 
 
 def test_companion_set_two_character_case():
@@ -224,9 +226,18 @@ def test_companion_set_matches_filter_oracle():
             w_R = CosetRep(start, spec)
             got = companion_set(refinement(), h, w_R)
             assert [w.rep for w, _ in got] == [v for v in quotient if leq(start, v)], (spec, start)
+            assert got == oracles.companion_set(refinement(), h, w_R)
             for w, c in got:
                 assert w.lg == sum(map(oracles.inversion_count, w.rep.values()))
-                assert c == companion.character_for(CosetRep(w.rep, spec), h, refinement())
+
+
+def test_companion_set_matches_the_act_reference():
+    for spec in oracles.listing_specs():
+        h = roots.p_regular_witness(spec)
+        quotient = cosets.enumerate_quotient(spec)
+        for w_R in (quotient[0], quotient[len(quotient) // 2], quotient[-1]):
+            got = companion_set(refinement(), h, w_R)
+            assert got == oracles.companion_set(refinement(), h, w_R), (spec, w_R)
 
 
 def test_jordan_holder_cosets_match_filter_oracle():

@@ -34,17 +34,18 @@ def run_isolated(code):
 
 # the weylflags modules each command loads, and whether it loads the
 # fractions module, which a light request has no use for; no command
-# loads the dataclasses module
-_LIGHT = ["cli", "jsonio", "weyl"]
+# loads the dataclasses module, and only the commands that encode cosets
+# load jsonio
+_LIGHT = ["cli", "weyl"]
 COMMAND_IMPORTS = [
     (["weyl", "--perm", "[3,2,1]", "--other", "[1,3,2]"], _LIGHT, False),
     (["coset", "--perm", "[3,1,2]", "--blocks", "[2,1]", "--qblocks", "[1,2]"],
-     _LIGHT + ["cosets", "roots"], False),
+     _LIGHT + ["cosets", "jsonio", "roots"], False),
     (["steinberg", "--blocks", "[2,1]", "--qblocks", "[3]", "--perm", "[1,3,2]", "--h", "[0,0,1]",
       "--list-components"], _LIGHT + ["cosets", "roots", "steinberg"], False),
     (["companion", "--scenario", "SCENARIO", "--jordan-holder"],
-     _LIGHT + ["companion", "cosets", "roots", "steinberg"], True),
-    (["walk", "--h", "[0,0,1]"], _LIGHT + ["companion", "cosets", "roots", "steinberg"], True),
+     _LIGHT + ["companion", "cosets", "jsonio", "roots", "steinberg"], True),
+    (["walk", "--h", "[0,0,1]"], _LIGHT + ["companion", "cosets", "jsonio", "roots", "steinberg"], True),
     (["ff-verify", "--n", "2", "--p", "2"], ["cli", "cosets", "fforacle", "roots", "weyl"], True),
 ]
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from weylflags import jsonio
-from weylflags.companion import PlaceRefinement, RefinementSpec
-from weylflags.cosets import CosetRep
+import oracles
+from weylflags import cli, jsonio
+from weylflags.companion import PlaceRefinement, RefinementSpec, certify_walk, companion_set
+from weylflags.cosets import CosetRep, enumerate_quotient
 from weylflags.jsonio import ScenarioError, load_scenario, parse_scenario
-from weylflags.roots import Root
+from weylflags.roots import Root, p_regular_witness
 from weylflags.steinberg import InductionStep
 
 
@@ -30,13 +31,12 @@ def scenario_dict(**overrides):
 
 
 def test_encoders_shapes():
-    assert jsonio.perm_to_json({"t": (2, 1)}) == {"t": [2, 1]}
-    assert jsonio.weight_to_json({"t": (0, 3)}) == {"t": [0, 3]}
-    assert jsonio.spec_to_json({"t": (2, 1)}) == {"t": [2, 1]}
     assert jsonio.root_to_json(Root("t", 1, 3)) == {"tau": "t", "i": 1, "j": 3}
     coset = CosetRep({"t": (3, 1, 2)}, {"t": (2, 1)})
     encoded = jsonio.coset_to_json(coset)
-    assert encoded == {"rep": {"t": [1, 3, 2]}, "blocks": {"t": [2, 1]}, "lg": 1}
+    # the coset's own maps, not copies
+    assert encoded == {"rep": {"t": (1, 3, 2)}, "blocks": {"t": (2, 1)}, "lg": 1}
+    assert encoded["rep"] is coset.rep and encoded["blocks"] is coset.spec
 
 
 def test_step_encoder():
@@ -49,22 +49,35 @@ def test_step_encoder():
     )
     out = jsonio.step_to_json(step)
     assert out["alpha"] == {"tau": "t", "i": 1, "j": 2}
-    assert out["q_blocks"] == {"t": [2, 1]}
-    assert out["from"]["rep"] == {"t": [1, 2, 3]}
-    assert out["to"]["rep"] == {"t": [2, 1, 3]}
+    assert out["q_blocks"] == {"t": (2, 1)}
+    assert out["from"]["rep"] == {"t": (1, 2, 3)}
+    assert out["to"]["rep"] == {"t": (2, 1, 3)}
 
 
 def test_serialized_values_reparse_to_equal_values():
-    w = {"t": (3, 1, 2)}
-    assert {tau: tuple(v) for tau, v in jsonio.perm_to_json(w).items()} == w
-    coset = CosetRep(w, {"t": (2, 1)})
-    encoded = jsonio.coset_to_json(coset)
+    coset = CosetRep({"t": (3, 1, 2)}, {"t": (2, 1)})
+    encoded = json.loads(cli._json(jsonio.coset_to_json(coset)))
     rebuilt = CosetRep(
         {tau: tuple(v) for tau, v in encoded["rep"].items()},
         {tau: tuple(v) for tau, v in encoded["blocks"].items()},
     )
     assert rebuilt == coset
     assert rebuilt.lg == encoded["lg"]
+
+
+def test_encoders_write_what_the_copying_encoders_wrote():
+    # cli._json of each encoder's output, over every coset, character and
+    # walk of the quotients of oracles.listing_specs
+    refinement = RefinementSpec((PlaceRefinement("v", 3, ("t",), ("x", "y")),))
+    for spec in oracles.listing_specs():
+        h = p_regular_witness(spec)
+        quotient = enumerate_quotient(spec)
+        for c in quotient:
+            assert cli._json(jsonio.coset_to_json(c)) == cli._json(oracles.coset_to_json(c)), c
+        for _, c in companion_set(refinement, h, quotient[0]):
+            assert cli._json(jsonio.character_to_json(c)) == cli._json(oracles.character_to_json(c)), c
+        cert = certify_walk(quotient[0], h)
+        assert cli._json(jsonio.certificate_to_json(cert)) == cli._json(oracles.certificate_to_json(cert))
 
 
 def test_parse_scenario_happy_path():

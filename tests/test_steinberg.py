@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import oracles
-from weylflags import cosets, roots, steinberg, weyl
+from weylflags import cli, companion, cosets, roots, steinberg, weyl
 from weylflags.cosets import CosetRep
 
 
@@ -143,15 +143,38 @@ def test_find_induction_step_postconditions():
 
 
 def test_component_lists_keep_sort_key_order():
-    qspecs = [{"t": q} for n in range(1, 6) for q in oracles.compositions(n)]
-    qspecs += [{"a": (1, 2), "b": (2, 1)}, {"a": (1, 1, 1), "b": (1, 1)}]
+    # against the body the per-label listing replaced: a multi_compose per
+    # element, then a sort by (length, weyl.freeze)
+    qspecs = oracles.listing_specs() + [{"a": (1, 2), "b": (2, 1)}, {"a": (1, 1, 1), "b": (1, 1)}]
     for qspec in qspecs:
-        left = sorted(
-            (weyl.multi_inverse(c.rep) for c in cosets.enumerate_quotient(qspec)),
-            key=weyl.sort_key,
-        )
         comps = steinberg.steinberg_components_full_flag(qspec)
-        wq0 = cosets.longest_in_levi(qspec)
-        assert comps == sorted(
-            (weyl.multi_compose(wq0, w) for w in left), key=weyl.sort_key
-        ), qspec
+        reference = oracles.steinberg_components_full_flag(qspec)
+        assert comps == reference == sorted(reference, key=weyl.sort_key), qspec
+        assert all(list(w) == sorted(qspec) for w in comps), qspec
+        assert cli._json(comps) == cli._json([oracles.perm_to_json(w) for w in reference]), qspec
+
+
+def test_listings_check_shapes_once_per_listing(monkeypatch):
+    # a shape check per element (weyl.multi_compose, roots.act) would
+    # count |W/W_Q| at each rank; roots imports check_shapes by name
+    calls = []
+    check = weyl.check_shapes
+
+    def counted(a, b):
+        calls.append(1)
+        return check(a, b)
+
+    monkeypatch.setattr(weyl, "check_shapes", counted)
+    monkeypatch.setattr(roots, "check_shapes", counted)
+    refinement = companion.RefinementSpec((companion.PlaceRefinement("v", 3, ("t",), ("x",)),))
+    counts = []
+    for n in (2, 6):
+        calls.clear()
+        assert steinberg.steinberg_components_full_flag({"t": (1,) * n})
+        counts.append(len(calls))
+        h = {"t": (0,) * (n - 2) + (1, 2)}
+        bottom = CosetRep(weyl.multi_identity({"t": n}), companion.hodge_spec(h))
+        calls.clear()
+        assert len(companion.companion_set(refinement, h, bottom)) == n * (n - 1)
+        counts.append(len(calls))
+    assert counts[:2] == counts[2:] and max(counts) <= 2, counts
