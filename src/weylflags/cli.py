@@ -121,7 +121,7 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_coset(args) -> int:
-    from . import cosets, jsonio, roots
+    from . import cosets, roots
 
     w = _parse(args.perm, "--perm", weyl.check_multi)
     spec = _parse(args.blocks, "--blocks", lambda s: roots.check_spec(s, weyl.shape_of(w)))
@@ -133,7 +133,7 @@ def cmd_coset(args) -> int:
         "min_rep": rep,
         "levi_part": inside,
         "lg": coset.lg,
-        "is_min_rep": cosets.is_min_rep(w, spec),
+        "is_min_rep": rep == w,
     }
     if args.other:
         v = _parse(args.other, "--other", lambda v: cosets.CosetRep(v, spec))
@@ -144,6 +144,8 @@ def cmd_coset(args) -> int:
         double = cosets.shortest_double_coset_rep(w, qspec, spec)
         payload["double_coset_rep"] = double
     if args.enumerate:
+        from . import jsonio
+
         payload["quotient"] = [jsonio.coset_to_json(c) for c in cosets.enumerate_quotient(spec)]
     _emit(payload, args.pretty)
     return EXIT_OK

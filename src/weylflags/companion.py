@@ -66,14 +66,13 @@ class RefinementSpec(NamedTuple("RefinementSpec", [("places", Tuple[PlaceRefinem
 class CharacterSymbol(NamedTuple):
     """delta_{R,w} reduced to its computable shadow.
 
-    algebraic_weight holds the twisted weight when twisted is set: per
-    embedding, entry i is (w(h))_i + (i-1).  smooth_labels fixes the
-    unramified part as the eigenvalue labels per place, independent of w.
+    algebraic_weight holds the twisted weight: per embedding, entry i is
+    (w(h))_i + (i-1).  smooth_labels fixes the unramified part as the
+    eigenvalue labels per place, independent of w.
     """
 
     algebraic_weight: IntegralWeight
     smooth_labels: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    twisted: bool = True
 
 
 class CompanionCertificate(NamedTuple):
@@ -198,17 +197,14 @@ def companion_set(
     return [(w, character_for(w, h, smooth)) for w in _interval(w_R, up=True)]
 
 
-def jordan_holder_cosets(
-    w: CosetRep, at_least: Optional[CosetRep] = None
-) -> List[CosetRep]:
-    """The lower order ideal {w' <= w} in W/W_P, optionally cut below by
-    at_least (giving the Bruhat interval [at_least, w]).
+def jordan_holder_cosets(w: CosetRep) -> List[CosetRep]:
+    """The lower order ideal {w' <= w} in W/W_P.
 
     Sorted by (lg_P, one-line notation, embedding label); found by
     covering steps downward from w.  The unique maximal element of the
     returned list is w itself.
     """
-    return _interval(w, up=False, at_least=at_least)
+    return _interval(w, up=False)
 
 
 def certify_walk(w_R: CosetRep, h: IntegralWeight) -> CompanionCertificate:

@@ -35,9 +35,9 @@ from .weyl import MultiPerm, Perm
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
 ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
-# (5!)^2: the largest |W_Q|·|W_P| the exhaustive double-coset route composes
-# under method="auto"; each pair costs two compositions, so past this the
-# normalizing route (microseconds at any size) answers instead.
+# (5!)^2: the largest |W_Q|·|W_P| the exhaustive double-coset route
+# composes; each pair costs two compositions, so past this the normalizing
+# route (microseconds at any size) answers instead.
 MAX_EXHAUSTIVE_PAIRS = 14_400
 
 
@@ -52,10 +52,6 @@ def min_rep_perm(w: Perm, blocks: Tuple[int, ...]) -> Perm:
 def min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
     spec = check_spec(spec, shape_of(w))
     return {tau: min_rep_perm(w[tau], spec[tau]) for tau in w}
-
-
-def is_min_rep(w: MultiPerm, spec: ParabolicSpec) -> bool:
-    return w == min_rep(w, spec)
 
 
 def decompose(w: MultiPerm, spec: ParabolicSpec) -> Tuple[MultiPerm, MultiPerm]:
@@ -90,7 +86,7 @@ class CosetRep:
     def __init__(self, w: MultiPerm, spec: ParabolicSpec):
         w = weyl.check_multi(w)
         self.spec = check_spec(spec, shape_of(w))
-        self.rep = min_rep(w, self.spec)
+        self.rep = {tau: min_rep_perm(w[tau], self.spec[tau]) for tau in w}
         self._lg = None
 
     @classmethod
@@ -268,35 +264,24 @@ def _covers(w: Perm, block: Tuple[int, ...], up: bool) -> List[Perm]:
     return out
 
 
-def _interval(start: CosetRep, up: bool, at_least: Optional[CosetRep] = None) -> List[CosetRep]:
+def _interval(start: CosetRep, up: bool) -> List[CosetRep]:
     """The upper (up) or lower order ideal of start in W/W_P, sorted by
     (length, one-line notation, label), found breadth-first by covering
     steps.  The quotient is graded by length, so level k of the search is
     exactly the ideal's cosets at distance k from start.  From the bottom
-    or top coset the ideal is the whole quotient, generated directly.
-    at_least cuts a lower ideal to the interval [at_least, start]: every
-    coset of it lies on a chain of covers down from start that stays
-    inside, so the search drops the cosets not above at_least."""
+    or top coset the ideal is the whole quotient, generated directly."""
     spec = start.spec
     _require_quotient_cap(spec)
     labels = sorted(spec)
-    if at_least is None:
-        # the top coset has length l(w_0) - l(w_{P,0})
-        top = sum(math.comb(sum(b), 2) - sum(math.comb(k, 2) for k in b) for b in spec.values())
-        if start.lg == (0 if up else top):
-            return enumerate_quotient(spec)
-    else:
-        at_least._check_comparable(start)
-        floor = [at_least.rep[tau] for tau in labels]
+    # the top coset has length l(w_0) - l(w_{P,0})
+    top = sum(math.comb(sum(b), 2) - sum(math.comb(k, 2) for k in b) for b in spec.values())
+    if start.lg == (0 if up else top):
+        return enumerate_quotient(spec)
     blocks = [block_index(spec[tau]) for tau in labels]
     lg = start.lg
     level = {tuple(start.rep[tau] for tau in labels)}
     levels = []
-    while True:
-        if at_least is not None:
-            level = {parts for parts in level if all(map(weyl.bruhat_leq, floor, parts))}
-        if not level:
-            break
+    while level:
         levels.append([CosetRep._of_parts(labels, parts, spec, lg) for parts in sorted(level)])
         level = {
             parts[:k] + (v,) + parts[k + 1 :]
@@ -347,49 +332,45 @@ def left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
     return weyl.multi_inverse(min_rep(weyl.multi_inverse(w), spec))
 
 
-def shortest_double_coset_rep(
-    w: MultiPerm,
-    qspec: ParabolicSpec,
-    pspec: ParabolicSpec,
-    method: str = "auto",
-) -> MultiPerm:
+def shortest_double_coset_rep(w: MultiPerm, qspec: ParabolicSpec, pspec: ParabolicSpec) -> MultiPerm:
     """The unique minimal-length element of W_Q · w · W_P.
 
-    method "exhaustive" materializes the double coset (small ranks);
-    "normalize" alternates left and right minimal-representative passes
-    until stable.  "auto" picks exhaustive up to rank 6 when |W_Q|·|W_P|
-    is at most MAX_EXHAUSTIVE_PAIRS.  The result lies in W^P intersected
-    with ^QW.
+    Up to rank 6, while |W_Q|·|W_P| is at most MAX_EXHAUSTIVE_PAIRS, the
+    double coset is materialized and its shortest element taken; past
+    that _normalize_double_coset answers.  The result lies in W^P
+    intersected with ^QW.
     """
     shape = shape_of(w)
     qspec = check_spec(qspec, shape)
     pspec = check_spec(pspec, shape)
-    if method == "auto":
-        small = max(shape.values()) <= 6 and (
-            _levi_order(qspec) * _levi_order(pspec) <= MAX_EXHAUSTIVE_PAIRS
-        )
-        method = "exhaustive" if small else "normalize"
-    if method == "exhaustive":
-        right = wp_elements(pspec)
-        coset = {
-            weyl.freeze(weyl.multi_compose(a, weyl.multi_compose(w, b)))
-            for a in wp_elements(qspec)
-            for b in right
-        }
-        elems = [dict(f) for f in coset]
-        elems.sort(key=weyl.sort_key)
-        best = elems[0]
-        if len(elems) > 1 and weyl.multi_length(elems[1]) == weyl.multi_length(best):
-            raise AssertionError(f"double coset minimum not unique at {w}")
-        return best
-    if method == "normalize":
-        cur = w
-        while True:
-            nxt = left_min_rep(min_rep(cur, pspec), qspec)
-            if nxt == cur:
-                return cur
-            cur = nxt
-    raise ValueError(f"unknown method {method!r}")
+    small = max(shape.values()) <= 6 and (
+        _levi_order(qspec) * _levi_order(pspec) <= MAX_EXHAUSTIVE_PAIRS
+    )
+    if not small:
+        return _normalize_double_coset(w, qspec, pspec)
+    right = wp_elements(pspec)
+    coset = {
+        weyl.freeze(weyl.multi_compose(a, weyl.multi_compose(w, b)))
+        for a in wp_elements(qspec)
+        for b in right
+    }
+    elems = [dict(f) for f in coset]
+    elems.sort(key=weyl.sort_key)
+    best = elems[0]
+    if len(elems) > 1 and weyl.multi_length(elems[1]) == weyl.multi_length(best):
+        raise AssertionError(f"double coset minimum not unique at {w}")
+    return best
+
+
+def _normalize_double_coset(w: MultiPerm, qspec: ParabolicSpec, pspec: ParabolicSpec) -> MultiPerm:
+    """The shortest element of W_Q · w · W_P, by alternating right and
+    left minimal-representative passes until stable."""
+    cur = w
+    while True:
+        nxt = left_min_rep(min_rep(cur, pspec), qspec)
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def length_split_stats(sigma: Perm, blocks: Tuple[int, ...]) -> Tuple[int, int]:
@@ -397,26 +378,16 @@ def length_split_stats(sigma: Perm, blocks: Tuple[int, ...]) -> Tuple[int, int]:
 
     Returns (n_I, n^I) for the composition I: pairs m < n with
     sigma(m) > sigma(n), counted inside one block of I and across two
-    blocks respectively.  These equal the lengths of the two factors of
-    the parabolic decomposition, and n_I + n^I is the inversion count of
-    sigma.
+    blocks respectively.  These are the lengths of the two factors of the
+    parabolic decomposition sigma = sigma^I · sigma_I, so n^I is the
+    length of sigma^I and n_I + n^I the inversion count of sigma.
 
     >>> length_split_stats((3, 2, 1), (2, 1))
     (1, 2)
     """
     sigma = weyl.check_perm(sigma)
-    check_blocks(blocks, len(sigma))
-    bl = block_index(tuple(blocks))
-    within = across = 0
-    n = len(sigma)
-    for m in range(n):
-        for k in range(m + 1, n):
-            if sigma[m] > sigma[k]:
-                if bl[m] == bl[k]:
-                    within += 1
-                else:
-                    across += 1
-    return within, across
+    across = weyl.length(min_rep_perm(sigma, blocks))
+    return weyl.length(sigma) - across, across
 
 
 if __name__ == "__main__":

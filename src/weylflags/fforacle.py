@@ -8,15 +8,15 @@ Every point carries its cell and its inverse, dot(w)^{-1}·u^{-1} with u^{-1}
 by back substitution, so every flag is inverted once per (n, p).  Any
 invertible matrix is brought to the point of its coset gB by one column
 reduction, which names both the coset and its cell.  Membership of
-Ad(g^-1)nu in b, p, u or n_Q is one test: the entries below the block
-diagonal (and, for u and n_Q, on it) vanish.  The rest of the package
-reasons about these incidences combinatorially.  Everything here is
-counting; no claim beyond membership and cardinality is certified.
+Ad(g^-1)nu in b or p is one test: the entries below the block diagonal
+vanish.  The rest of the package reasons about these incidences
+combinatorially.  Everything here is counting; no claim beyond
+membership and cardinality is certified.
 
-Each check has one gate, its refusal in _CHECKS, which run_suite, the
-check's rows (once) and its public function ask after the field check
-(p <= 7 and prime).  The checks that enumerate flags are capped at
-30,000 flags, |G/B| = [n]_p!, and the nu checks then by NU_SWEEP_GATE;
+Each check has one gate, its refusal in _CHECKS, which run_suite and
+the check's public function ask after the field check (p <= 7 and
+prime).  The checks that enumerate flags are capped at 30,000 flags,
+|G/B| = [n]_p!, and the nu checks then by NU_SWEEP_GATE;
 shortest_element is capped by its MASK_PAIR_GATE pairs (w, P), good_form
 by GOOD_FORM_GATE entry updates.  Each cost is multiplied out lazily, so
 a huge n is refused at once.  The environment variables
@@ -311,26 +311,19 @@ def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqM
 # adjoint membership masks
 
 @lru_cache(maxsize=None)
-def _zero_positions(blocks: Tuple[int, ...], diagonal: bool) -> Tuple[Tuple[int, int], ...]:
+def _zero_positions(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     """The entries (i, j), 0-indexed, that vanish on p for the block
-    composition: i's block after j's, and with diagonal also i and j in
-    one block (the nilradical).  b and u are blocks (1,)*n."""
+    composition: i's block after j's.  b is blocks (1,)*n."""
     bl = block_index(blocks)
-    return tuple((i, j) for i, a in enumerate(bl) for j, b in enumerate(bl) if a > b or diagonal and a == b)
+    return tuple((i, j) for i, a in enumerate(bl) for j, b in enumerate(bl) if a > b)
 
 
 def in_b(m: Rows) -> bool:
-    return not any(m[i][j] for i, j in _zero_positions((1,) * len(m), False))
+    return not any(m[i][j] for i, j in _zero_positions((1,) * len(m)))
 
 
-# condition -> (the argument naming its parabolic, None for the Borel;
-#               whether the block diagonal must vanish too)
-CONDITIONS = {
-    "in_b": (None, False),
-    "in_p": ("blocks", False),
-    "in_u": (None, True),
-    "in_nQ": ("qblocks", True),
-}
+# in_b tests against the Borel, in_p against the parabolic of blocks
+CONDITIONS = ("in_b", "in_p")
 SPACES = ("full_flag", "partial_flag")
 
 
@@ -340,8 +333,9 @@ class IncidenceReport(NamedTuple):
     by_cell: Tuple[Tuple[Perm, int], ...]
 
 
-def incidence_count(nu: FqMatrix, condition: str, space: str, blocks: Optional[Tuple[int, ...]] = None,
-                    qblocks: Optional[Tuple[int, ...]] = None) -> IncidenceReport:
+def incidence_count(
+    nu: FqMatrix, condition: str, space: str, blocks: Optional[Tuple[int, ...]] = None
+) -> IncidenceReport:
     """Count flag (or partial-flag) points g with Ad(g^{-1})nu in the
     requested subalgebra; the witnesses (FlagPoints in both spaces) and a
     per-cell breakdown ride along.  Each point forms only the columns of
@@ -351,20 +345,16 @@ def incidence_count(nu: FqMatrix, condition: str, space: str, blocks: Optional[T
     p = nu.p
     check_bounds(n, p)
     if condition not in CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}; pick one of {tuple(CONDITIONS)}")
-    arg, diagonal = CONDITIONS[condition]
-    parabolic = (1,) * n if arg is None else {"blocks": blocks, "qblocks": qblocks}[arg]
-    if parabolic is None:
-        raise ValueError(f"condition {condition} needs {arg}")
-    parabolic = tuple(parabolic)
-    for given in (blocks, qblocks):
-        if given is not None:
-            check_blocks(given, n)
+        raise ValueError(f"unknown condition {condition!r}; pick one of {CONDITIONS}")
+    if condition == "in_p" and blocks is None:
+        raise ValueError("condition in_p needs blocks")
+    if blocks is not None:
+        check_blocks(blocks, n)
     if space == "partial_flag" and blocks is None:
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
-    zeros = _zero_positions(parabolic, diagonal)
+    zeros = _zero_positions(tuple(blocks) if condition == "in_p" else (1,) * n)
     read = {j for _, j in zeros}
     witnesses = []
     by_cell: Dict[Perm, int] = {}
@@ -395,7 +385,7 @@ def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, basis: bool):
     n = len(w)
     if w != min_rep_perm(w, blocks):
         raise ValueError(f"{w} is not a minimal coset representative for {blocks}")
-    zeros = _zero_positions(blocks, False)
+    zeros = _zero_positions(blocks)
     read = zeros + (tuple(itertools.product(range(n), repeat=2)) if basis else ())
 
     def kernel(g: Rows, ginv: Rows):
@@ -686,8 +676,8 @@ def shortest_element_fq_check(w: Perm, blocks: Tuple[int, ...], p: int) -> bool:
 def _masks_decide(w: Perm, blocks: Tuple[int, ...]) -> bool:  # shortest_element past its gate
     is_rep = w == min_rep_perm(w, blocks)
     images = _ad_basis_images(w)
-    off_b = images.intersection(_zero_positions((1,) * len(w), False))
-    off_p = images.intersection(_zero_positions(blocks, False))
+    off_b = images.intersection(_zero_positions((1,) * len(w)))
+    off_p = images.intersection(_zero_positions(blocks))
     if off_p - off_b:
         return False
     return off_b == off_p if is_rep else off_b != off_p
@@ -765,9 +755,10 @@ def _admit(check: str, n: int, p: int) -> None:
 
 
 # Each rows function yields (params beyond n and p, expected, observed,
-# pass).  One that runs a check per row admits (n, p) once and calls the
-# check past its gate.  They look what they call up as module globals when
-# they run, so wrappers installed on those names after import see the calls.
+# pass).  run_suite has decided each check by its refusal before its rows
+# run, so one that runs a check per row calls it past its gate.  They look
+# what they call up as module globals when they run, so wrappers installed
+# on those names after import see the calls.
 
 def _point_count_rows(n: int, p: int):
     result = point_count_identity(n, p)
@@ -782,21 +773,18 @@ def _incidence_zero_rows(n: int, p: int):
 
 
 def _shortest_element_rows(n: int, p: int):
-    _admit("shortest_element", n, p)  # once, not once per pair (w, P)
     perms = list(itertools.permutations(range(1, n + 1)))
     ok = all([_masks_decide(w, blocks) for blocks in _compositions(n) for w in perms])
     yield {"sweep": "all (w, blocks)"}, True, ok, ok
 
 
 def _covering_degree_rows(n: int, p: int):
-    _admit("covering_degree", n, p)
     for blocks in _compositions(n):
         result = _covering_degree(blocks, p)
         yield {"blocks": list(blocks)}, result["expected"], result["observed"], bool(result["pass"])
 
 
 def _fiber_dimension_rows(n: int, p: int):
-    _admit("fiber_dimension", n, p)
     for blocks in _compositions(n):
         for w in _min_reps_perm(blocks):
             report = _fiber_report(w, blocks, p)
@@ -805,7 +793,6 @@ def _fiber_dimension_rows(n: int, p: int):
 
 
 def _weight_map_rows(n: int, p: int):
-    _admit("weight_map", n, p)
     for blocks in _compositions(n):
         for w in _min_reps_perm(blocks):
             ok = _weights_match(blocks, w, p)

@@ -63,7 +63,7 @@ def character_to_json(c: CharacterSymbol) -> Dict[str, object]:
     return {
         "algebraic_weight": c.algebraic_weight,
         "smooth_labels": [{"place": place, "labels": labels} for place, labels in c.smooth_labels],
-        "twisted": c.twisted,
+        "twisted": True,  # algebraic_weight is always the twisted weight
     }
 
 

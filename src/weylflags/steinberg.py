@@ -86,7 +86,7 @@ def component_in_ZQP(
     the answer does not depend on which such h is supplied.
     """
     check_p_regular(h, pspec)
-    return dominance(act(w.rep, h), qspec, "strict")
+    return dominance(act(w.rep, h), qspec)
 
 
 def component_in_ZQP_roots(w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSpec) -> bool:
@@ -172,6 +172,6 @@ def find_induction_step(w: CosetRep, pspec: ParabolicSpec, h: IntegralWeight) ->
     s_alpha = weyl.multi_simple_reflection(shape, alpha.tau, alpha.i)
     target = CosetRep(weyl.multi_compose(s_alpha, w.rep), pspec)
     assert target.lg == w.lg + 1
-    assert dominance(act(target.rep, h), qspec, "strict")
-    assert not dominance(wh, qspec, "strict")
+    assert dominance(act(target.rep, h), qspec)
+    assert not dominance(wh, qspec)
     return InductionStep(alpha, qspec, w, target)

@@ -197,6 +197,27 @@ def levi_positive_roots(blocks):
     return {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if bl[i] == bl[j]}
 
 
+def levi_plus(spec):
+    """R_P^+ of a spec as Roots, label by label."""
+    return frozenset(roots.Root(tau, i, j) for tau, blocks in spec.items() for i, j in levi_positive_roots(blocks))
+
+
+def length_split_brute(sigma, blocks):
+    """(n_I, n^I): the inversions m < k of sigma, sigma(m) > sigma(k),
+    counted inside one block of I and across two blocks."""
+    bl = block_of(blocks)
+    within = across = 0
+    n = len(sigma)
+    for m in range(n):
+        for k in range(m + 1, n):
+            if sigma[m] > sigma[k]:
+                if bl[m + 1] == bl[k + 1]:
+                    within += 1
+                else:
+                    across += 1
+    return within, across
+
+
 def negative_pairing_roots(h):
     """{(i, j) : i != j, h_i - h_j < 0} over all roots of one factor."""
     n = len(h)
@@ -259,15 +280,6 @@ def in_p_brute(blocks):
     n = sum(blocks)
     return lambda m: all(
         m[i][j] == 0 for i in range(n) for j in range(n) if bl[i + 1] > bl[j + 1]
-    )
-
-
-def in_nq_brute(blocks):
-    """n_Q: zero on and below the block diagonal; u is blocks (1,)*n."""
-    bl = block_of(blocks)
-    n = sum(blocks)
-    return lambda m: all(
-        m[i][j] == 0 for i in range(n) for j in range(n) if bl[i + 1] >= bl[j + 1]
     )
 
 
@@ -716,7 +728,7 @@ def character_to_json(c):
     return {
         "algebraic_weight": perm_to_json(c.algebraic_weight),
         "smooth_labels": [{"place": place, "labels": list(labels)} for place, labels in c.smooth_labels],
-        "twisted": c.twisted,
+        "twisted": True,
     }
 
 
@@ -751,7 +763,7 @@ def character_for(w, h, refinement):
     """delta_{R,w} through roots.act, which checks the shapes and inverts
     w for every coset, with the smooth labels built anew."""
     smooth = tuple((p.place, p.labels) for p in refinement.places)
-    return companion.CharacterSymbol(twist(roots.act(w.rep, h)), smooth, True)
+    return companion.CharacterSymbol(twist(roots.act(w.rep, h)), smooth)
 
 
 def companion_set(refinement, h, w_R):

@@ -63,8 +63,8 @@ def five_routes(w, blocks):
     mw = {"t": w}
     spec = {"t": blocks}
     shape = {"t": len(w)}
-    levi_plus = roots._levi_roots(roots.check_spec(spec), positive_only=True)
-    membership = cosets.is_min_rep(mw, spec)
+    levi_plus = oracles.levi_plus(spec)
+    membership = cosets.min_rep(mw, spec) == mw
     adjoint_symbolic = not any(
         roots.act_root(mw, beta.negate()).positive for beta in levi_plus
     )
@@ -93,7 +93,7 @@ def test_criterion_02_five_way_shortest_element_equivalence():
                     ), (w, blocks)
                     # closing length formula of the same lemma
                     assert cosets.lg_P({"t": w}, {"t": blocks}) == len(
-                        roots.inversion_set({"t": w}, relative_to={"t": blocks})
+                        roots.inversion_set({"t": w}) - oracles.levi_plus({"t": blocks})
                     )
         for n in (1, 2, 3):
             for p in (2, 3):
@@ -154,13 +154,9 @@ def test_criterion_04_induction_step_and_certified_walks():
                         assert step.w_to.lg == coset.lg + 1
                         assert cosets.quotient_leq(coset, step.w_to)
                         # (b) s_alpha w(h) strictly Q-dominant
-                        assert roots.dominance(
-                            roots.act(step.w_to.rep, h), step.Q, "strict"
-                        )
+                        assert roots.dominance(roots.act(step.w_to.rep, h), step.Q)
                         # (c) w(h) not strictly Q-dominant
-                        assert not roots.dominance(
-                            roots.act(coset.rep, h), step.Q, "strict"
-                        )
+                        assert not roots.dominance(roots.act(coset.rep, h), step.Q)
                     cert = companion.certify_walk(coset, h)
                     assert cert.end == top
                     assert len(cert.chain) == top.lg - coset.lg
@@ -304,11 +300,12 @@ def test_criterion_12_companion_set_and_cover_step():
             {"t": (1, 3, 3)},
             {"t": (2, 2, 3)},
         ]
-        assert all(c.twisted for _, c in out)
+        assert all(jsonio.character_to_json(c)["twisted"] is True for _, c in out)
         assert all(
             c.smooth_labels == (("v", ("phi1", "phi2", "phi3")),) for _, c in out
         )
         assert companion.genericity_check(refinement)
         assert top.lg == w_R.lg + 1
-        pair = companion.jordan_holder_cosets(top, at_least=w_R)
+        ideal = companion.jordan_holder_cosets(top)
+        pair = [c for c in ideal if cosets.quotient_leq(w_R, c)]
         assert pair == [w_R, top]

@@ -46,11 +46,9 @@ def test_weights_from_hodge_pinned():
     lam, spec = weights_from_hodge({"t": (1, 1, 2)})
     assert lam == {"t": (2, 2, 3)}
     assert spec == {"t": (2, 1)}
-    # lambda + staircase must be dominant
-    shifted = {"t": tuple(x + i for i, x in enumerate(reversed(lam["t"])))}
-    assert roots.dominance(
-        {"t": tuple(reversed(shifted["t"]))}, {"t": (3,)}, "dominant"
-    )
+    # lambda + staircase must be dominant: weakly decreasing
+    shifted = [x + r for x, r in zip(lam["t"], roots.staircase({"t": 3})["t"])]
+    assert shifted == sorted(shifted, reverse=True)
 
 
 def test_dot_action_recovers_hodge_tail():
@@ -67,7 +65,7 @@ def test_relative_position_roundtrip_and_minimality():
         cw = roots.act({"t": tuple(w)}, h)
         pos = relative_position(cw, h)
         assert roots.act(pos.rep, h) == cw
-        assert cosets.is_min_rep(pos.rep, pos.spec)
+        assert cosets.min_rep(pos.rep, pos.spec) == pos.rep
         assert pos == CosetRep({"t": tuple(w)}, {"t": (2, 1)})
     # every rearrangement of every weakly increasing h with n <= 5 and
     # entries in {0, 1, 2}, reached from every w
@@ -106,7 +104,6 @@ def test_companion_set_two_character_case():
     weights = [c.algebraic_weight for _, c in out]
     assert weights == [{"t": (1, 3, 3)}, {"t": (2, 2, 3)}]
     for _, c in out:
-        assert c.twisted
         assert c.smooth_labels == (("v", ("a", "b", "c")),)
 
 
@@ -135,8 +132,7 @@ def test_jordan_holder_cosets_ideal_and_interval():
     assert len(ideal) == 6
     assert ideal[-1] == top
     mid = CosetRep({"t": (2, 1, 3)}, spec)
-    interval = jordan_holder_cosets(top, at_least=mid)
-    assert all(cosets.quotient_leq(mid, c) for c in interval)
+    interval = [c for c in ideal if cosets.quotient_leq(mid, c)]
     assert len(interval) == 4  # {s1, s1s2, s2s1, w0} above s1 in S_3
 
 
@@ -145,7 +141,7 @@ def test_jordan_holder_cover_step_has_two_cosets():
     w_R = CosetRep({"t": (1, 3, 2)}, spec)
     cover = CosetRep({"t": (2, 3, 1)}, spec)
     assert cover.lg == w_R.lg + 1
-    pair = jordan_holder_cosets(cover, at_least=w_R)
+    pair = [c for c in jordan_holder_cosets(cover) if cosets.quotient_leq(w_R, c)]
     assert pair == [w_R, cover]
 
 
@@ -248,11 +244,6 @@ def test_jordan_holder_cosets_match_filter_oracle():
             got = jordan_holder_cosets(w)
             assert [c.rep for c in got] == below, (spec, top)
             assert [c.lg for c in got] == [weyl.multi_length(v) for v in below]
-            for bottom in quotient:
-                cut = jordan_holder_cosets(w, at_least=CosetRep(bottom, spec))
-                assert [c.rep for c in cut] == [v for v in below if leq(bottom, v)], (
-                    spec, top, bottom,
-                )
 
 
 def test_intervals_refuse_quotients_over_the_cap(monkeypatch):
@@ -263,6 +254,3 @@ def test_intervals_refuse_quotients_over_the_cap(monkeypatch):
         companion_set(refinement(), h, top)
     with pytest.raises(ValueError, match="6 cosets"):
         jordan_holder_cosets(top)
-    with pytest.raises(ValueError, match="different quotients"):
-        monkeypatch.delenv(cosets.ENV_MAX_QUOTIENT)
-        jordan_holder_cosets(top, at_least=CosetRep({"t": (1, 2, 3)}, {"t": (2, 1)}))

@@ -54,7 +54,7 @@ def test_decompose_is_length_additive():
         mw = {"t": w}
         rep, inside = cosets.decompose(mw, spec)
         assert weyl.multi_compose(rep, inside) == mw
-        assert cosets.is_min_rep(rep, spec)
+        assert cosets.min_rep(rep, spec) == rep
         assert weyl.multi_length(mw) == weyl.multi_length(rep) + weyl.multi_length(inside)
 
 
@@ -137,16 +137,6 @@ def test_shortest_double_coset_rep_brute_force():
                     assert got == {"t": best}, (w, qblocks, pblocks)
 
 
-def test_shortest_double_coset_methods_agree():
-    for w in perms(4):
-        mw = {"t": w}
-        a = cosets.shortest_double_coset_rep(mw, {"t": (2, 2)}, {"t": (1, 2, 1)}, "exhaustive")
-        b = cosets.shortest_double_coset_rep(mw, {"t": (2, 2)}, {"t": (1, 2, 1)}, "normalize")
-        assert a == b, w
-    with pytest.raises(ValueError):
-        cosets.shortest_double_coset_rep({"t": (1, 2)}, {"t": (2,)}, {"t": (2,)}, "magic")
-
-
 def test_normalising_double_coset_route_matches_oracle():
     # every (w, Q, P) with n <= 5, against the materialized double coset
     for n in range(1, 6):
@@ -154,16 +144,14 @@ def test_normalising_double_coset_route_matches_oracle():
             for pblocks in oracles.compositions(n):
                 minima = oracles.double_coset_minima(qblocks, pblocks)
                 for w in perms(n):
-                    got = cosets.shortest_double_coset_rep(
-                        {"t": w}, {"t": qblocks}, {"t": pblocks}, "normalize"
-                    )
+                    got = cosets._normalize_double_coset({"t": w}, {"t": qblocks}, {"t": pblocks})
                     assert got == {"t": minima[w]}, (w, qblocks, pblocks)
 
 
 def test_two_label_double_coset_rep_is_per_label():
-    # method="auto" composes W_Q x W_P only while that is small; two rank-4
-    # labels with one block each are past the bound and take the
-    # normalizing route, the mixed pairs below stay exhaustive
+    # the double coset is composed from W_Q x W_P only while that is
+    # small; two rank-4 labels with one block each are past the bound and
+    # take the normalizing route, the mixed pairs below stay exhaustive
     specs = [((4,), (4,)), ((2, 2), (1, 3)), ((1, 1, 1, 1), (2, 1, 1))]
     minima = {spec: oracles.double_coset_minima(*spec) for spec in specs}
     for (qa, pa), (qb, pb) in itertools.product(specs, repeat=2):
@@ -184,6 +172,15 @@ def test_length_split_stats_pinned_and_total():
             rep, inside = cosets.decompose({"t": sigma}, {"t": blocks})
             assert within == weyl.multi_length(inside)
             assert across == weyl.multi_length(rep)
+
+
+def test_length_split_stats_matches_the_pair_count():
+    for n in range(1, 7):
+        for blocks in oracles.compositions(n):
+            for sigma in perms(n):
+                assert cosets.length_split_stats(sigma, blocks) == oracles.length_split_brute(sigma, blocks), (
+                    sigma, blocks,
+                )
 
 
 def test_min_reps_perm_is_lexicographic():

@@ -40,6 +40,8 @@ _LIGHT = ["cli", "weyl"]
 COMMAND_IMPORTS = [
     (["weyl", "--perm", "[3,2,1]", "--other", "[1,3,2]"], _LIGHT, False),
     (["coset", "--perm", "[3,1,2]", "--blocks", "[2,1]", "--qblocks", "[1,2]"],
+     _LIGHT + ["cosets", "roots"], False),
+    (["coset", "--perm", "[3,1,2]", "--blocks", "[2,1]", "--enumerate"],
      _LIGHT + ["cosets", "jsonio", "roots"], False),
     (["steinberg", "--blocks", "[2,1]", "--qblocks", "[3]", "--perm", "[1,3,2]", "--h", "[0,0,1]",
       "--list-components"], _LIGHT + ["cosets", "roots", "steinberg"], False),

@@ -54,7 +54,7 @@ def test_root_counts():
 
 def test_levi_roots_blocks():
     spec = {"t": (2, 2)}
-    plus = roots._levi_roots(roots.check_spec(spec), positive_only=True)
+    plus = oracles.levi_plus(spec)
     assert plus == {roots.Root("t", 1, 2), roots.Root("t", 3, 4)}
     assert roots._levi_roots(roots.check_spec(spec)) == plus | {a.negate() for a in plus}
     assert roots._simple_roots(roots.check_spec(spec)) == tuple(sorted(plus))
@@ -117,21 +117,27 @@ def test_inversion_set_sizes_match_length():
 
 
 def test_inversion_set_relative_counts_min_rep_length():
+    # the inversions outside R_P^+ count the length of the minimal representative
     for blocks in oracles.compositions(3):
         spec = {"t": blocks}
         for w in perms(3):
-            rel = roots.inversion_set({"t": w}, relative_to=spec)
+            rel = roots.inversion_set({"t": w}) - oracles.levi_plus(spec)
             rep = oracles.min_coset_rep_brute(w, blocks)
             assert len(rel) == oracles.inversion_count(rep), (w, blocks)
 
 
 def test_dominance_modes():
+    # strict is the one mode
     spec = {"t": (2, 1)}
-    assert roots.dominance({"t": (3, 3, 0)}, spec, "dominant")
-    assert not roots.dominance({"t": (3, 3, 0)}, spec, "strict")
-    assert roots.dominance({"t": (0, 1, 9)}, spec, "antidominant")
-    with pytest.raises(ValueError):
-        roots.dominance({"t": (0, 0, 0)}, spec, "weakly")
+    assert not roots.dominance({"t": (3, 3, 0)}, spec)
+    assert roots.dominance({"t": (4, 3, 0)}, spec)
+    # <alpha, x> > 0 on each simple root inside a block, and nothing else
+    for n in (1, 2, 3, 4):
+        for blocks in oracles.compositions(n):
+            bl = oracles.block_of(blocks)
+            for x in itertools.product(range(-1, 2), repeat=n):
+                strict = all(x[i - 1] > x[i] for i in range(1, n) if bl[i] == bl[i + 1])
+                assert roots.dominance({"t": x}, {"t": blocks}) == strict, (x, blocks)
 
 
 def test_p_regular_witness_is_p_regular():
@@ -161,6 +167,6 @@ def test_p_regular_negative_roots_are_complement_of_levi():
             for (i, j) in oracles.negative_pairing_roots(h[tau])
         }
     assert negative == expected
-    levi_plus = roots._levi_roots(roots.check_spec(spec), positive_only=True)
+    levi_plus = oracles.levi_plus(spec)
     positive = set(roots.positive_roots(roots.shape_of(h)))
     assert {a for a in positive if roots.pairing(a, h) < 0} == positive - levi_plus

@@ -98,7 +98,7 @@ def test_full_flag_components_against_dominance_sweep():
             swept = [
                 {"t": w}
                 for w in perms(n)
-                if roots.dominance(roots.act({"t": w}, h), qspec, "strict")
+                if roots.dominance(roots.act({"t": w}, h), qspec)
             ]
             assert sorted(listed, key=weyl.sort_key) == sorted(swept, key=weyl.sort_key)
             assert len(listed) == len(oracles.all_perms(n)) // len(
@@ -138,8 +138,8 @@ def test_find_induction_step_postconditions():
                 assert step.w_to.lg == coset.lg + 1
                 assert cosets.quotient_leq(step.w_from, step.w_to)
                 moved = roots.act(step.w_to.rep, h)
-                assert roots.dominance(moved, step.Q, "strict")
-                assert not roots.dominance(roots.act(coset.rep, h), step.Q, "strict")
+                assert roots.dominance(moved, step.Q)
+                assert not roots.dominance(roots.act(coset.rep, h), step.Q)
 
 
 def test_component_lists_keep_sort_key_order():
