@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import weyl
-from .roots import ParabolicSpec, block_index, block_slices, check_blocks, check_spec, shape_of
-from .weyl import MultiPerm, Perm
+from .roots import ParabolicSpec, check_spec, shape_of
+from .weyl import MultiPerm, Perm, _cap, _min_reps_with_length, block_index, block_slices, min_rep_perm
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
 ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
@@ -39,14 +38,6 @@ ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
 # composes; each pair costs two compositions, so past this the normalizing
 # route (microseconds at any size) answers instead.
 MAX_EXHAUSTIVE_PAIRS = 14_400
-
-
-def min_rep_perm(w: Perm, blocks: Tuple[int, ...]) -> Perm:
-    """Minimal representative of w·W_P for one symmetric group factor."""
-    out = []
-    for lo, hi in check_blocks(blocks, len(w)):
-        out += sorted(w[lo:hi])
-    return tuple(out)
 
 
 def min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
@@ -136,19 +127,6 @@ def quotient_leq(u: CosetRep, v: CosetRep) -> bool:
     return weyl.multi_bruhat_leq(u.rep, v.rep)
 
 
-def _cap(env_name: str, default: int) -> Tuple[int, bool]:
-    """An enumeration cap, overridden by an integer environment variable;
-    returns (cap, whether it was raised above the default)."""
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return default, False
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
-    return value, value > default
-
-
 def _require_quotient_cap(spec: ParabolicSpec) -> None:
     """Refuse a quotient with more cosets than the cap allows; the size is
     the product over labels of the multinomials n!/prod b!."""
@@ -164,46 +142,6 @@ def _require_quotient_cap(spec: ParabolicSpec) -> None:
             f"quotient W/W_P has {size} cosets, over the enumeration cap {cap}; "
             f"{ENV_MAX_QUOTIENT} raises it"
         )
-
-
-def _min_reps_with_length(blocks: Tuple[int, ...]) -> List[Tuple[int, Perm]]:
-    """(length, w) for the minimal representatives w of S_n/W_P, in
-    lexicographic order of w.
-
-    w increases on each block, so it is fixed by the value set of each
-    block, chosen in turn from the values still free.  A block's values
-    invert only with smaller values placed later: choosing the entries at
-    indices idx of the sorted free values adds sum(idx) - C(size, 2)
-    inversions.  The choices for each set of free values are computed once.
-    """
-    splits: Dict[Tuple[Tuple[int, ...], int], list] = {}
-
-    def split(free, size):
-        if (free, size) not in splits:
-            shift = math.comb(size, 2)
-            splits[free, size] = [
-                (
-                    sum(idx) - shift,
-                    tuple(free[k] for k in idx),
-                    tuple(v for k, v in enumerate(free) if k not in idx),
-                )
-                for idx in itertools.combinations(range(len(free)), size)
-            ]
-        return splits[free, size]
-
-    reps = [(0, (), tuple(range(1, sum(blocks) + 1)))]
-    for size in blocks[:-1]:
-        reps = [
-            (lg + inc, w + chosen, rest)
-            for lg, w, free in reps
-            for inc, chosen, rest in split(free, size)
-        ]
-    return [(lg, w + free) for lg, w, free in reps]
-
-
-def _min_reps_perm(blocks: Tuple[int, ...]) -> List[Perm]:
-    """Minimal representatives of S_n/W_P in lexicographic order."""
-    return [w for _, w in _min_reps_with_length(blocks)]
 
 
 def _quotient_parts(spec: ParabolicSpec) -> List[Tuple[int, Tuple[Perm, ...]]]:

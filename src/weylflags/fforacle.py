@@ -32,7 +32,8 @@ linear map b -> g/p, nu -> Ad(g2^{-1})nu read below the block diagonal.
 The fiber dimension needs only the rank of that map at each g2; the
 weight map eliminates further, for a basis of the kernel, and walks its
 projection onto the Levi blocks and the weights, comparing block
-characteristic polynomials (Faddeev-LeVerrier over the integers, mod p).
+characteristic polynomials (by Hessenberg reduction over F_p); each
+distinct image, keyed by its RREF, is walked once.
 
 The shortest-element check compares two masks: the coordinates of b that
 Ad(dot(w)^{-1}) sends outside b, and outside p.  Ad(dot(w)^{-1})E_ab is
@@ -52,9 +53,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cosets import _cap, _min_reps_perm, _min_reps_with_length, min_rep_perm
-from .roots import block_index, block_slices, check_blocks
-from .weyl import Perm, check_perm, inverse, length
+from .weyl import Perm, _cap, _min_reps_perm, _min_reps_with_length, block_index, block_slices, check_blocks
+from .weyl import check_perm, inverse, length, min_rep_perm
 
 DEFAULT_MAX_P = 7
 # |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
@@ -141,11 +141,6 @@ class FqMatrix(NamedTuple("FqMatrix", [("p", int), ("entries", Rows)])):
 
 def mat_identity(n: int) -> Rows:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Rows, b: Rows, p: int) -> Rows:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in bt) for row in a)
 
 
 def _eliminate(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
@@ -448,21 +443,39 @@ def _poly_mul(a, b, p):
 def charpoly(m: Rows, p: int) -> Tuple[int, ...]:
     """det(X·I - m) as a coefficient tuple mod p, constant term first.
 
-    Faddeev-LeVerrier over the integers, reduced mod p at the end: with
-    A_1 = m, c_{n-k} = -tr(A_k)/k and A_{k+1} = m (A_k + c_{n-k} I).  The
-    division by k is exact for an integer matrix."""
+    m is brought to upper Hessenberg form h by similarity over F_p: in
+    each column c, a row below c + 1 with a nonzero entry there is swapped
+    (row and column) into c + 1, and its multiples clear the entries
+    below it.  The leading blocks are then expanded column by column:
+    P_{k+1} = (X - h_kk) P_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} P_i.
+    Only field operations, with no division by k, so any p works."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    coeffs = [0] * n + [1]
-    a = m
-    for k in range(1, n + 1):
-        c = coeffs[n - k] = -sum(a[i][i] for i in range(n)) // k
-        if k < n:
-            shifted = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-            cols = tuple(zip(*shifted))
-            a = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in m]
-    return tuple(x % p for x in coeffs)
+    h = [[x % p for x in row] for row in m]
+    for c in range(n - 2):
+        r = next((r for r in range(c + 1, n) if h[r][c]), None)
+        if r is None:
+            continue
+        h[r], h[c + 1] = h[c + 1], h[r]
+        for row in h:
+            row[r], row[c + 1] = row[c + 1], row[r]
+        inv = pow(h[c + 1][c], p - 2, p)
+        for r in range(c + 2, n):
+            if f := h[r][c] * inv % p:  # row r -= f·row c+1, then column c+1 += f·column r
+                h[r] = [(x - f * y) % p for x, y in zip(h[r], h[c + 1])]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + f * row[r]) % p
+    polys = [[1]]
+    for k in range(n):
+        poly, beta = [0] + polys[k], 1
+        for i in range(k, -1, -1):  # beta = h_{i+1,i}...h_{k,k-1}, empty at i = k
+            if f := h[i][k] * beta % p:
+                for d, x in enumerate(polys[i]):
+                    poly[d] -= f * x
+            beta = beta * h[i][i - 1] % p
+        polys.append([x % p for x in poly])
+    return tuple(polys[n])
 
 
 def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
@@ -480,7 +493,9 @@ def weight_map_check(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:
     onto dot(w) P, but fixing g2 = dot(w) too would make the check vacuous:
     w in W^P increases on each block, so the Levi blocks of
     Ad(dot(w)^{-1})nu = (nu_{w(i) w(j)}) are upper triangular with
-    diagonal d_{w(j)}, and the two sides agree by construction."""
+    diagonal d_{w(j)}, and the two sides agree by construction.  So every
+    flag computes its own kernel and its image's RREF, and the verdict is
+    kept per image: an image already walked is not walked again."""
     w = check_perm(w)
     _admit("weight_map", len(w), p)  # before the O(n^2) coordinate list
     return _weights_match(tuple(blocks), w, p)
@@ -492,18 +507,24 @@ def _weights_match(blocks: Tuple[int, ...], w: Perm, p: int) -> bool:  # weight_
     # the Levi-block entries of Ad(g2^{-1})nu, block by block and row by row, then the weights
     levi = [i * n + j for lo, hi in block_slices(blocks) for i in range(lo, hi) for j in range(lo, hi)]
     coordinates = levi + [n * n + k - 1 for k in w]
-    cut, zero = len(levi), (0,) * len(coordinates)
-    for kernel in kernels:
-        basis = rref([[v[c] for c in coordinates] for v in kernel], p)
-        # each point once, one held at a time: the last vector's multiples are added to each
-        # head sum of the others' in turn; zero keeps the width of an empty basis
-        *rest, last = [[tuple(c * y % p for y in vector) for c in range(p)] for vector in basis] or [[zero]]
-        for parts in itertools.product(*rest):
-            head = list(map(sum, zip(zero, *parts)))
-            for tail in last:
-                point = tuple(map(p.__rmod__, map(operator.add, head, tail)))
-                if _levi_charpolys(point[:cut], blocks, p) != _block_root_polys(point[cut:], blocks, p):
-                    return False
+    return all(_image_agrees(rref([[v[c] for c in coordinates] for v in kernel], p), blocks, p) for kernel in kernels)
+
+
+@lru_cache(maxsize=None)
+def _image_agrees(basis: Rows, blocks: Tuple[int, ...], p: int) -> bool:
+    """Both sides at every point of the span of basis, an RREF in the
+    coordinates of _weights_match; the verdict is a function of the image."""
+    cut = sum(size * size for size in blocks)
+    zero = (0,) * (cut + sum(blocks))
+    # each point once, one held at a time: the last vector's multiples are added to each
+    # head sum of the others' in turn; zero keeps the width of an empty basis
+    *rest, last = [[tuple(c * y % p for y in vector) for c in range(p)] for vector in basis] or [[zero]]
+    for parts in itertools.product(*rest):
+        head = list(map(sum, zip(zero, *parts)))
+        for tail in last:
+            point = tuple(map(p.__rmod__, map(operator.add, head, tail)))
+            if _levi_charpolys(point[:cut], blocks, p) != _block_root_polys(point[cut:], blocks, p):
+                return False
     return True
 
 
@@ -539,15 +560,16 @@ def blowup_equation_check(p: int) -> bool:
     computation; the solution-set case split is asserted as well.  p = 2
     is refused: the equation carries a coefficient 2."""
     _admit("blowup", 2, p)
-    for t, y, x, c in itertools.product(range(p), repeat=4):
-        b = ((c + t) % p, y), (0, (c - t) % p)
-        u = ((1, 0), (x, 1))
-        uinv = ((1, 0), ((-x) % p, 1))
-        m = mat_mul(uinv, mat_mul(b, u, p), p)
-        q = (2 * x * t + x * x * y) % p
-        assert m[1][0] == (-q) % p
-        if (m[1][0] == 0) != (q == 0):
-            return False
+    for x in range(p):
+        u, uinv = ((1, 0), (x, 1)), ((1, 0), ((-x) % p, 1))
+        for t, y, c in itertools.product(range(p), repeat=3):
+            b = ((c + t) % p, y), (0, (c - t) % p)
+            # the one entry read, the lower-left of u^{-1}·b·u: row 2 of u^{-1}, times b, times column 1 of u
+            lower_left = sum(r * (b0 * u[0][0] + b1 * u[1][0]) for r, (b0, b1) in zip(uinv[1], b)) % p
+            q = (2 * x * t + x * x * y) % p
+            assert lower_left == (-q) % p
+            if (lower_left == 0) != (q == 0):
+                return False
     for t, y in itertools.product(range(p), repeat=2):
         sols = {x for x in range(p) if (2 * x * t + x * x * y) % p == 0}
         if t == 0 and y == 0:
@@ -577,8 +599,10 @@ def good_form_conjugate(v):
         p = v.p
         convert = norm = lambda x: x % p
         div = lambda a, b: a * pow(b % p, p - 2, p) % p
-    else:  # each entry becomes a Fraction once, and Fraction arithmetic stays exact
-        convert, div, norm = Fraction, operator.truediv, lambda x: x
+    else:  # integers stay int, a division is a Fraction only when inexact, any other entry a Fraction
+        convert = lambda x: x if type(x) is int else Fraction(x)
+        div = lambda a, b: a // b if type(a) is type(b) is int and not a % b else Fraction(a) / b
+        norm = lambda x: x
 
     rows = [[convert(x) for x in row] for row in (v.entries if modular else v)]
     n = len(rows)
@@ -714,8 +738,8 @@ def _cosets(blocks: Tuple[int, ...], factorial) -> int:
     return out
 
 
-# The nu checks are refused when their kernel work over every composition exceeds this gate.  A unit,
-# flags enumerated, took 3-10 us in fiber_dimension and 4-20 us in weight_map (2-vCPU Xeon, CPython 3.11).
+# The nu checks are refused when their kernel work over every composition exceeds this gate.  A unit, flags
+# enumerated, took 2.5-9 us in fiber_dimension and 2.7-21 us in weight_map (2-vCPU Xeon, CPython 3.11).
 NU_SWEEP_GATE = 10_000
 # shortest_element compares two masks per pair (w, P), n!*2^(n-1) pairs: its
 # rows took 0.34-0.35 s at n = 6 and 4.4-4.6 s at n = 7 (322,560 pairs),
@@ -811,8 +835,7 @@ def _good_form_rows(n: int, p: int):
     for _ in range(trials):
         size = rng.randint(1, n)
         diag = [rng.randint(0, 2) for _ in range(size)]
-        rows_q = [[Fraction(diag[i] if i == j else rng.randint(-4, 4) if j > i else 0) for j in range(size)]
-                  for i in range(size)]
+        rows_q = [[diag[i] if i == j else rng.randint(-4, 4) if j > i else 0 for j in range(size)] for i in range(size)]
         _, vq = good_form_conjugate(rows_q)
         entries = tuple(
             tuple(rng.randrange(p) if j > i else (rng.randrange(p) if i == j else 0) for j in range(size))

@@ -16,6 +16,7 @@ Validation errors name the offending field by JSON path.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from .weyl import MultiPerm, multi_longest, shape_of
@@ -62,9 +63,15 @@ def step_to_json(step: InductionStep) -> Dict[str, object]:
 def character_to_json(c: CharacterSymbol) -> Dict[str, object]:
     return {
         "algebraic_weight": c.algebraic_weight,
-        "smooth_labels": [{"place": place, "labels": labels} for place, labels in c.smooth_labels],
+        "smooth_labels": _smooth_labels_to_json(c.smooth_labels),
         "twisted": True,  # algebraic_weight is always the twisted weight
     }
+
+
+@lru_cache(maxsize=1)
+def _smooth_labels_to_json(smooth_labels: Tuple[Tuple[str, Tuple[str, ...]], ...]) -> Tuple[Dict[str, object], ...]:
+    """Built once for the characters of a listing, which share one smooth_labels tuple."""
+    return tuple({"place": place, "labels": labels} for place, labels in smooth_labels)
 
 
 def certificate_to_json(cert: CompanionCertificate) -> Dict[str, object]:

@@ -7,11 +7,11 @@ from embedding label to an integer n-vector.  A parabolic subgroup is
 described by its per-embedding block composition; its Levi's simple roots
 are the pairs (i, i+1) inside a block.
 
-Each input kind has one check, raising ValueError: block_slices refuses
-block sizes below 1 (block_index is cached on it, so every reader of block
-numbers refuses them too), check_blocks fits a composition to a rank, and
-check_spec refuses an empty or non-dict spec and fits a spec to a shape
-through weyl.check_shapes.  Every spec reader goes through check_spec once
+Each input kind has one check, raising ValueError: weyl.block_slices
+refuses block sizes below 1 (weyl.block_index is cached on it, so every
+reader of block numbers refuses them too), weyl.check_blocks fits a
+composition to a rank, and check_spec refuses an empty or non-dict spec
+and fits a spec to a shape through weyl.check_shapes.  Every spec reader goes through check_spec once
 a call, and those given a weight or permutation fit the spec to its shape.
 
 The Weyl group acts by place permutation, (w·x)_i = x_{w^{-1}(i)}, which
@@ -32,10 +32,9 @@ ValueError: shapes differ: {'t': 4} vs {'t': 3}
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .weyl import MultiPerm, check_shapes, multi_inverse, shape_of
+from .weyl import MultiPerm, block_index, block_slices, check_shapes, multi_inverse, shape_of
 
 IntegralWeight = Dict[str, Tuple[int, ...]]
 ParabolicSpec = Dict[str, Tuple[int, ...]]
@@ -75,35 +74,6 @@ def check_spec(spec: ParabolicSpec, shape: Optional[Dict[str, int]] = None) -> P
     if shape is not None:
         check_shapes(shape, sums)
     return out
-
-
-@lru_cache(maxsize=None)
-def block_slices(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
-    """(start, stop) of each block, 0-indexed, so block k of w is
-    w[start:stop].  The one refusal of a block size below 1; the cache
-    keeps it off the hot path."""
-    if any(size < 1 for size in blocks):
-        raise ValueError(f"blocks must be positive: {blocks}")
-    out = []
-    start = 0
-    for size in blocks:
-        out.append((start, start + size))
-        start += size
-    return tuple(out)
-
-
-def check_blocks(blocks: Tuple[int, ...], n: int) -> Tuple[Tuple[int, int], ...]:
-    """The slices of blocks, refusing anything but a composition of n."""
-    slices = block_slices(tuple(blocks))
-    if (slices[-1][1] if slices else 0) != n:
-        raise ValueError(f"blocks {tuple(blocks)} do not sum to {n}")
-    return slices
-
-
-@lru_cache(maxsize=None)
-def block_index(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Block number of each position, 0-indexed; position i is entry i-1."""
-    return tuple(b for b, (lo, hi) in enumerate(block_slices(blocks)) for _ in range(lo, hi))
 
 
 def simple_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:

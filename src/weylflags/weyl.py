@@ -20,11 +20,19 @@ transpositions ``s_1, ..., s_{n-1}``.
 True
 >>> multi_length({"a": (2, 1), "b": (1, 3, 2)})
 2
+
+A block composition of one factor (positive sizes summing to its rank)
+cuts out W_P, whose minimal coset representatives increase on each
+block.  _cap reads the environment variables that raise enumeration caps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import itertools
+import math
+import os
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 Perm = Tuple[int, ...]
 MultiPerm = Dict[str, Perm]
@@ -111,6 +119,100 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
         if any(a > b for a, b in zip(us, vs)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# block compositions of one factor
+
+
+@lru_cache(maxsize=None)
+def block_slices(blocks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """(start, stop) of each block, 0-indexed, so block k of w is
+    w[start:stop].  The one refusal of a block size below 1; the cache
+    keeps it off the hot path."""
+    if any(size < 1 for size in blocks):
+        raise ValueError(f"blocks must be positive: {blocks}")
+    out = []
+    start = 0
+    for size in blocks:
+        out.append((start, start + size))
+        start += size
+    return tuple(out)
+
+
+def check_blocks(blocks: Tuple[int, ...], n: int) -> Tuple[Tuple[int, int], ...]:
+    """The slices of blocks, refusing anything but a composition of n."""
+    slices = block_slices(tuple(blocks))
+    if (slices[-1][1] if slices else 0) != n:
+        raise ValueError(f"blocks {tuple(blocks)} do not sum to {n}")
+    return slices
+
+
+@lru_cache(maxsize=None)
+def block_index(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Block number of each position, 0-indexed; position i is entry i-1."""
+    return tuple(b for b, (lo, hi) in enumerate(block_slices(blocks)) for _ in range(lo, hi))
+
+
+def min_rep_perm(w: Perm, blocks: Tuple[int, ...]) -> Perm:
+    """Minimal representative of w·W_P for one symmetric group factor."""
+    out = []
+    for lo, hi in check_blocks(blocks, len(w)):
+        out += sorted(w[lo:hi])
+    return tuple(out)
+
+
+def _min_reps_with_length(blocks: Tuple[int, ...]) -> List[Tuple[int, Perm]]:
+    """(length, w) for the minimal representatives w of S_n/W_P, in
+    lexicographic order of w.
+
+    w increases on each block, so it is fixed by the value set of each
+    block, chosen in turn from the values still free.  A block's values
+    invert only with smaller values placed later: choosing the entries at
+    indices idx of the sorted free values adds sum(idx) - C(size, 2)
+    inversions.  The choices for each set of free values are computed once.
+    """
+    splits: Dict[Tuple[Tuple[int, ...], int], list] = {}
+
+    def split(free, size):
+        if (free, size) not in splits:
+            shift = math.comb(size, 2)
+            splits[free, size] = [
+                (
+                    sum(idx) - shift,
+                    tuple(free[k] for k in idx),
+                    tuple(v for k, v in enumerate(free) if k not in idx),
+                )
+                for idx in itertools.combinations(range(len(free)), size)
+            ]
+        return splits[free, size]
+
+    reps = [(0, (), tuple(range(1, sum(blocks) + 1)))]
+    for size in blocks[:-1]:
+        reps = [
+            (lg + inc, w + chosen, rest)
+            for lg, w, free in reps
+            for inc, chosen, rest in split(free, size)
+        ]
+    return [(lg, w + free) for lg, w, free in reps]
+
+
+def _min_reps_perm(blocks: Tuple[int, ...]) -> List[Perm]:
+    """Minimal representatives of S_n/W_P in lexicographic order."""
+    return [w for _, w in _min_reps_with_length(blocks)]
+
+
+def _cap(env_name: str, default: int) -> Tuple[int, bool]:
+    """An enumeration cap, overridden by an integer environment variable;
+    returns (cap, whether it was raised above the default)."""
+    raw = os.environ.get(env_name)
+    if raw is None:
+        return default, False
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
+    return value, value > default
 
 
 # ---------------------------------------------------------------------------

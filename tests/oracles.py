@@ -261,7 +261,7 @@ def q_factorial(n, p):
 
 def _mat_mul_mod(a, b, p):
     n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)) for i in range(n))
 
 
 def _perm_matrix(w):

@@ -186,7 +186,7 @@ def test_length_split_stats_matches_the_pair_count():
 def test_min_reps_perm_is_lexicographic():
     for n in range(1, 7):
         for blocks in oracles.compositions(n):
-            reps = cosets._min_reps_perm(blocks)
+            reps = weyl._min_reps_perm(blocks)
             assert reps == sorted(oracles.min_reps_brute(blocks)), blocks
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -7,12 +8,13 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from weylflags import fforacle as ff
+from weylflags import cli, fforacle as ff
 from weylflags.cosets import min_rep_perm
 
 
@@ -66,8 +68,8 @@ def test_matrix_arithmetic_roundtrips():
             for _ in range(20):
                 m = rand_invertible(rng, n, p)
                 inv = oracles._inv_mod(m, p)
-                assert ff.mat_mul(m, inv, p) == ff.mat_identity(n)
-                assert ff.mat_mul(inv, m, p) == ff.mat_identity(n)
+                assert oracles._mat_mul_mod(m, inv, p) == ff.mat_identity(n)
+                assert oracles._mat_mul_mod(inv, m, p) == ff.mat_identity(n)
                 assert len(ff.rref(m, p)) == n
 
 
@@ -77,7 +79,7 @@ def test_rref_is_canonical_under_row_operations():
     for _ in range(25):
         m = rand_matrix(rng, n, p)
         g = rand_invertible(rng, n, p)
-        assert ff.rref(ff.mat_mul(g, m, p), p) == ff.rref(m, p)
+        assert ff.rref(oracles._mat_mul_mod(g, m, p), p) == ff.rref(m, p)
 
 
 def test_perm_matrix_convention_and_homomorphism():
@@ -90,7 +92,7 @@ def test_perm_matrix_convention_and_homomorphism():
     for u in perms(3):
         for v in perms(3):
             lhs = ff.FqMatrix(5, oracles._perm_matrix(oracles.compose(u, v))).entries
-            rhs = ff.mat_mul(oracles._perm_matrix(u), oracles._perm_matrix(v), 5)
+            rhs = oracles._mat_mul_mod(oracles._perm_matrix(u), oracles._perm_matrix(v), 5)
             assert lhs == rhs
 
 
@@ -117,7 +119,7 @@ def test_bruhat_cell_is_borel_biinvariant():
         for _ in range(8):
             b1 = rand_upper_invertible(rng, n, p)
             b2 = rand_upper_invertible(rng, n, p)
-            g = ff.mat_mul(b1, ff.mat_mul(oracles._perm_matrix(w), b2, p), p)
+            g = oracles._mat_mul_mod(b1, oracles._mat_mul_mod(oracles._perm_matrix(w), b2, p), p)
             assert ff.cell_normal_form(ff.FqMatrix(p, g))[0] == w
 
 
@@ -127,7 +129,7 @@ def test_bruhat_cell_matches_rank_profile_route():
     for n, p in ((3, 3), (4, 2)):
         for point in ff.enumerate_flags(n, p):
             g = point.canonical_matrix.entries
-            moved = ff.mat_mul(g, rand_upper_invertible(rng, n, p), p)
+            moved = oracles._mat_mul_mod(g, rand_upper_invertible(rng, n, p), p)
             for m in (g, moved):
                 assert oracles.bruhat_cell_rank_profile(m, p) == point.cell
     # and the normal form's cell on random invertible matrices, over every GRID point
@@ -184,7 +186,7 @@ def test_every_flag_is_its_own_normal_form():
     for n, p in GRID:
         for point in ff.enumerate_flags(n, p):
             g = point.canonical_matrix
-            moved = ff.FqMatrix(p, ff.mat_mul(g.entries, rand_upper_invertible(rng, n, p), p))
+            moved = ff.FqMatrix(p, oracles._mat_mul_mod(g.entries, rand_upper_invertible(rng, n, p), p))
             assert ff.cell_normal_form(g) == ff.cell_normal_form(moved) == (point.cell, g.entries), (n, p, point)
 
 
@@ -194,7 +196,7 @@ def test_cell_normal_form_matches_the_max_scan_reference():
     rng = random.Random(37)
     for n, p in GRID:
         matrices = [point.canonical_matrix.entries for point in ff.enumerate_flags(n, p)]
-        matrices += [ff.mat_mul(g, rand_upper_invertible(rng, n, p), p) for g in matrices]
+        matrices += [oracles._mat_mul_mod(g, rand_upper_invertible(rng, n, p), p) for g in matrices]
         matrices += [rand_invertible(rng, n, p) for _ in range(12)]
         for g in matrices:
             assert ff.cell_normal_form(ff.FqMatrix(p, g)) == oracles.cell_normal_form_max_scan(g, p), (n, p, g)
@@ -207,7 +209,7 @@ def test_normal_forms_agree_with_the_per_prefix_rref_keys():
     rng = random.Random(23)
     for n, p in GRID:
         matrices = [rand_invertible(rng, n, p) for _ in range(12)]
-        matrices += [ff.mat_mul(g, rand_upper_invertible(rng, n, p), p) for g in matrices]
+        matrices += [oracles._mat_mul_mod(g, rand_upper_invertible(rng, n, p), p) for g in matrices]
         forms = [ff.cell_normal_form(ff.FqMatrix(p, g)) for g in matrices]
         assert forms[:12] == forms[12:], (n, p)
         keys = [oracles.partial_flag_key_by_prefix(g, p, (1,) * n) for g in matrices]
@@ -231,10 +233,10 @@ def test_flag_points_are_cell_points_with_their_inverses():
         identity = ff.mat_identity(n)
         for point in ff.enumerate_flags(n, p):
             g = point.canonical_matrix.entries
-            u = ff.mat_mul(g, oracles._perm_matrix(oracles.inverse(point.cell)), p)
-            assert g == ff.mat_mul(u, oracles._perm_matrix(point.cell), p), (n, p, point)
+            u = oracles._mat_mul_mod(g, oracles._perm_matrix(oracles.inverse(point.cell)), p)
+            assert g == oracles._mat_mul_mod(u, oracles._perm_matrix(point.cell), p), (n, p, point)
             assert ff.in_b(u) and all(u[i][i] == 1 for i in range(n)), (n, p, point)
-            assert ff.mat_mul(g, point.inverse, p) == identity, (n, p, point)
+            assert oracles._mat_mul_mod(g, point.inverse, p) == identity, (n, p, point)
 
 
 def test_trusted_flag_points_equal_checked_matrices():
@@ -289,7 +291,7 @@ def test_point_count_identity_can_fail(monkeypatch, corruption):
     clean = ff.point_count_identity(n, p)
     if corruption == "repeated coset":
         x = points[7]
-        xb = ff.FqMatrix(p, ff.mat_mul(x.canonical_matrix.entries, ((1, 1, 1), (0, 1, 1), (0, 0, 1)), p))
+        xb = ff.FqMatrix(p, oracles._mat_mul_mod(x.canonical_matrix.entries, ((1, 1, 1), (0, 1, 1), (0, 0, 1)), p))
         assert xb != x.canonical_matrix
         k, point, changed = 12, ff.FlagPoint(x.cell, xb, x.inverse), {"distinct_cosets": len(points) - 1}
     else:
@@ -299,6 +301,57 @@ def test_point_count_identity_can_fail(monkeypatch, corruption):
     broken = tuple(points[:k] + [point] + points[k + 1 :])
     monkeypatch.setattr(ff, "_flags_cached", lambda *args: broken)
     assert ff.point_count_identity(n, p) == {**clean, **changed, "pass": False}
+
+
+def clear_fforacle_caches():
+    for obj in vars(ff).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+
+
+@pytest.fixture
+def cold_fforacle(monkeypatch):
+    """fforacle's lru caches, the weight_map verdict memo included, empty
+    before the test and again once its patches are undone, so a planted
+    corruption meets no clean cached result and leaves none of its own."""
+    clear_fforacle_caches()
+    yield
+    monkeypatch.undo()
+    clear_fforacle_caches()
+
+
+@pytest.mark.parametrize("check", ["fiber_dimension", "weight_map"])
+def test_nu_checks_report_a_corrupted_point_in_the_middle_of_a_cell(monkeypatch, capsys, cold_fforacle, check):
+    # the middle point of the 9-point cell of (2, 3, 1) at (3, 3) keeps its
+    # matrix, and its inverse loses its last row: that flag's kernel map
+    # drops rank and its image changes, so the rows of that cell fail in
+    # both partial flag varieties it lies in, and a check that read only
+    # the first flag of each cell would pass them
+    n, p, w = 3, 3, (2, 3, 1)
+    clean = {blocks: ff._flags_cached(n, p, blocks) for blocks in oracles.compositions(n)}
+    cell = [point for point in clean[(1,) * n] if point.cell == w]
+    target = cell[len(cell) // 2]
+    bad = target._replace(inverse=target.inverse[:-1] + ((0,) * n,))
+    monkeypatch.setattr(ff, "_flags_cached", lambda n, p, blocks: tuple(bad if x is target else x for x in clean[blocks]))
+    failed = {(tuple(row["params"]["blocks"]), tuple(row["params"]["w"])) for row in ff.run_suite(n, p, [check])
+              if not row["pass"]}
+    assert failed == {((1, 1, 1), w), ((2, 1), w)}
+    assert cli.main(["ff-verify", "--n", "3", "--p", "3", "--suite", check]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
+def test_blowup_reports_a_sign_flip_in_its_closed_form(monkeypatch, capsys):
+    # the nonzero root of 2xt + x^2 y = 0 taken as +2t/y: the solution set
+    # of every (t, y) with t, y != 0 then disagrees with its case split
+    source = inspect.getsource(ff.blowup_equation_check)
+    closed_form = "(-2 * t * pow(y, p - 2, p)) % p"
+    assert source.count(closed_form) == 1
+    namespace = dict(vars(ff))
+    exec(source.replace(closed_form, "(2 * t * pow(y, p - 2, p)) % p"), namespace)
+    monkeypatch.setattr(ff, "blowup_equation_check", namespace["blowup_equation_check"])
+    assert [row["pass"] for row in ff.run_suite(2, 3, ["blowup"])] == [False]
+    assert cli.main(["ff-verify", "--n", "2", "--p", "3", "--suite", "blowup"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_incidence_classics():
@@ -339,7 +392,7 @@ def relative_position_pair(g1, g2, blocks):
     """The W/W_P position of (g1 B, g2 P): minimal representative of the
     cell of g1^{-1} g2."""
     p = g1.p
-    cell, _ = ff.cell_normal_form(ff.FqMatrix(p, ff.mat_mul(oracles._inv_mod(g1.entries, p), g2.entries, p)))
+    cell, _ = ff.cell_normal_form(ff.FqMatrix(p, oracles._mat_mul_mod(oracles._inv_mod(g1.entries, p), g2.entries, p)))
     return min_rep_perm(cell, blocks)
 
 
@@ -355,7 +408,7 @@ def test_relative_position_pair_pinned_and_invariant():
         g2 = ff.FqMatrix(p, rand_invertible(rng, n, p))
         base = relative_position_pair(g1, g2, blocks)
         b = rand_upper_invertible(rng, n, p)
-        moved = ff.FqMatrix(p, ff.mat_mul(g1.entries, b, p))
+        moved = ff.FqMatrix(p, oracles._mat_mul_mod(g1.entries, b, p))
         assert relative_position_pair(moved, g2, blocks) == base
 
 
@@ -377,7 +430,9 @@ def test_charpoly_against_closed_forms():
 
 def test_charpoly_matches_laplace_expansion():
     # every matrix with n <= 2 at p <= 7 and every 3x3 matrix at p <= 3,
-    # then random 4x4 matrices
+    # then random 4x4 and 5x5 matrices, and matrices that steer the
+    # Hessenberg pivot search: a zero first subdiagonal entry (a swap), a
+    # zero subcolumn (no pivot), strictly upper and block diagonal
     for p in (2, 3, 5, 7):
         for n in (1, 2, 3):
             if n == 3 and p > 3:
@@ -387,16 +442,27 @@ def test_charpoly_matches_laplace_expansion():
                 assert ff.charpoly(m, p) == oracles.charpoly_laplace(m, p), (m, p)
     rng = random.Random(5)
     for p in (2, 3, 5, 7):
-        for _ in range(200):
-            m = rand_matrix(rng, 4, p)
+        matrices = [rand_matrix(rng, 4, p) for _ in range(200)] + [rand_matrix(rng, 5, p) for _ in range(40)]
+        for n in (3, 4, 5):
+            for _ in range(10):
+                m = [list(row) for row in rand_matrix(rng, n, p)]
+                m[1][0] = 0
+                m[n - 1][0] = rng.randrange(1, p)
+                matrices.append(m)
+                matrices.append([[0 if j <= i else x for j, x in enumerate(row)] for i, row in enumerate(m)])
+                m = [list(row) for row in rand_matrix(rng, n, p)]
+                for i in range(1, n):
+                    m[i][0] = 0
+                matrices.append(m)
+                cut = rng.randrange(1, n)
+                matrices.append([[x if (i < cut) == (j < cut) else 0 for j, x in enumerate(row)] for i, row in enumerate(m)])
+        for m in matrices:
             assert ff.charpoly(m, p) == oracles.charpoly_laplace(m, p), (m, p)
 
 
 @pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_cold_run_suite_inverts_each_flag_once(monkeypatch, n, p):
-    for obj in vars(ff).values():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
+    clear_fforacle_caches()
     calls = []
     real = ff._cell_point_inverse
     monkeypatch.setattr(ff, "_cell_point_inverse", lambda *args: calls.append(args) or real(*args))
@@ -441,27 +507,33 @@ def test_nu_checks_match_the_two_flag_sweep():
 
 
 def test_projected_weight_map_walk_matches_the_unprojected_walk(monkeypatch):
-    # the verdicts agree, and the walk compares the two sides at each
-    # projected point of each kernel exactly once; the comparison looks
+    # the verdicts agree; every kernel gets its own RREF, and with the
+    # verdict memo cleared the walk compares the two sides at each point of
+    # each distinct projected image exactly once; the comparison looks
     # both sides up as module globals, left side first
-    levis, roots = [], []
-    real_levi, real_roots = ff._levi_charpolys, ff._block_root_polys
+    levis, roots, rrefs = [], [], []
+    real_levi, real_roots, real_rref = ff._levi_charpolys, ff._block_root_polys, ff.rref
     monkeypatch.setattr(ff, "_levi_charpolys", lambda levi, *rest: levis.append(levi) or real_levi(levi, *rest))
     monkeypatch.setattr(ff, "_block_root_polys", lambda d, *rest: roots.append(d) or real_roots(d, *rest))
+    monkeypatch.setattr(ff, "rref", lambda rows, p: rrefs.append(rows) or real_rref(rows, p))
     for n, p in ((2, 7), (3, 2), (3, 3)):
         for blocks in oracles.compositions(n):
             for w in oracles.min_reps_brute(blocks):
-                kernels = ff._nu_kernels(w, blocks, p, True)
+                ff._image_agrees.cache_clear()
+                kernels = list(ff._nu_kernels(w, blocks, p, True))
                 assert ff.weight_map_check(blocks, w, p) == oracles.weight_map_unprojected(kernels, blocks, w, p), (
                     n, p, blocks, w
                 )
-                expected = Counter()
-                for kernel in ff._nu_kernels(w, blocks, p, True):
-                    points = oracles.span_points(kernel, n * n + n, p)
-                    expected.update({oracles.levi_projection(x, blocks, w) for x in points})
-                assert Counter(zip(levis, roots)) == expected, (n, p, blocks, w)
-                levis.clear()
-                roots.clear()
+                assert len(rrefs) == len(kernels), (n, p, blocks, w)
+                images = {
+                    frozenset(oracles.levi_projection(x, blocks, w) for x in oracles.span_points(kernel, n * n + n, p))
+                    for kernel in kernels
+                }
+                assert Counter(zip(levis, roots)) == Counter(point for image in images for point in image), (
+                    n, p, blocks, w
+                )
+                for calls in (levis, roots, rrefs):
+                    calls.clear()
 
 
 def test_fiber_dimension_small_cases():
@@ -517,6 +589,23 @@ def test_good_form_random_rational_and_modular():
             for j in range(n):
                 if m.entries[i][i] != m.entries[j][j]:
                     assert vp.entries[i][j] == 0
+
+
+def test_good_form_exact_route_starts_with_integers():
+    # integer rows stay int until a division is inexact, and give the same
+    # (b, v') as the same rows given as Fractions, which take the
+    # all-Fraction route; a float input still comes out as Fractions
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(0, 3) if i == j else rng.randint(-6, 6) if j > i else 0 for j in range(n)] for i in range(n)]
+        assert ff.good_form_conjugate(rows) == ff.good_form_conjugate([[Fraction(x) for x in row] for row in rows]), rows
+    b, v = ff.good_form_conjugate([[1, 4], [0, 3]])
+    assert (b, v) == (((1, 2), (0, 1)), ((1, 0), (0, 3)))
+    assert all(type(x) is int for m in (b, v) for row in m for x in row)
+    b, v = ff.good_form_conjugate([[1.0, 0.5], [0.0, 3.0]])
+    assert (b, v) == (((1, Fraction(1, 4)), (0, 1)), ((1, 0), (0, 3)))
+    assert all(type(x) is Fraction for row in v for x in row)
 
 
 def test_good_form_rejects_bad_input():
