@@ -4,8 +4,8 @@ Enumerates G/B pointwise for GL_n over F_p, the points u·dot(w) of each
 Schubert cell B·dot(w)·B/B: u with its columns permuted by w.  G/P is a
 filter of that enumeration: for w in W^P the cell maps isomorphically
 onto B·dot(w)·P/P, so the Borel's points in the minimal cells are G/P.
-Every point carries its cell and its inverse, dot(w)^{-1}·u^{-1} with u^{-1}
-by back substitution, so every flag is inverted once per (n, p).  Any
+Every point carries its cell and its inverse dot(w)^{-1}·u^{-1}, u^{-1} kept
+as a product as each cell is filled row by row, once per (n, p).  Any
 invertible matrix is brought to the point of its coset gB by one column
 reduction, which names both the coset and its cell.  Membership of
 Ad(g^-1)nu in b or p is one test: the entries below the block diagonal
@@ -49,7 +49,6 @@ import operator
 import random
 import warnings
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,8 +57,8 @@ from .weyl import check_perm, inverse, length, min_rep_perm
 
 DEFAULT_MAX_P = 7
 # |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
-# on a 2-vCPU Xeon (CPython 3.11) took 1.5-2.2 s and 59 MB RSS at (4,5),
-# 29,016 flags, and 0.5-0.8 s and 31 MB at (5,2), 9,765 flags.
+# on a 2-vCPU Xeon (CPython 3.11) took 0.5-0.9 s and 37 MB RSS at (4,5),
+# 29,016 flags, and 0.2-0.4 s and 24 MB at (5,2), 9,765 flags.
 DEFAULT_MAX_FLAGS = 30_000
 ENV_MAX_P = "WEYLFLAGS_FF_MAX_P"
 ENV_MAX_FLAGS = "WEYLFLAGS_FF_MAX_FLAGS"
@@ -139,10 +138,6 @@ class FqMatrix(NamedTuple("FqMatrix", [("p", int), ("entries", Rows)])):
         return len(self.entries)
 
 
-def mat_identity(n: int) -> Rows:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _eliminate(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
     """Gauss-Jordan elimination mod p, taking the columns left to right.
 
@@ -172,23 +167,6 @@ def _eliminate(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], 
                     work[s] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append((c, r))
     return work, pivots
-
-
-def _cell_point_inverse(u: List[List[int]], take, p: int) -> Rows:
-    """The inverse dot(w)^{-1}·u^{-1} of the cell point u·dot(w), u unit
-    upper triangular: rows w(1), ..., w(n) of v = u^{-1}, which take picks.
-    v comes by back substitution, with no pivot search: row i is
-    e_i - sum_{k>i} u[i][k] v[k], and row k of v is zero left of column k."""
-    n = len(u)
-    v: List[List[int]] = [[]] * n
-    for i in reversed(range(n)):
-        row = v[i] = [int(i == j) for j in range(n)]
-        for k in range(i + 1, n):
-            if c := u[i][k]:
-                for j in range(k, n):
-                    if y := v[k][j]:
-                        row[j] = (row[j] - c * y) % p
-    return tuple(map(tuple, take(v)))
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
@@ -225,29 +203,42 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
 def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, ...]:
     """One point u·dot(w) per coset gP, the cell of each minimal
     representative w of W/W_P in turn, sorted by (length(w), w), each with
-    its inverse.  Only the Borel, blocks (1,)*n, is enumerated and
-    inverted.  For w in W^P the cell B·dot(w)·B/B maps isomorphically onto
-    B·dot(w)·P/P, its free positions do not depend on the blocks, and G/P
-    is the disjoint union of these cells: so G/P is the Borel's points in
-    the minimal cells, in order."""
+    its inverse.  Only the Borel, blocks (1,)*n, is enumerated, a cell row
+    by row with u^{-1} = (I - A_1)...(I - A_{n-1}) kept by columns, A_i the
+    off-diagonal part of row i.  For w in W^P the cell B·dot(w)·B/B maps
+    isomorphically onto B·dot(w)·P/P, its free positions do not depend on
+    the blocks, and G/P is the disjoint union of these cells: so G/P is the
+    Borel's points in the minimal cells, in order."""
     check_blocks(blocks, n)
     full = (1,) * n
     if blocks != full:
         cells = set(_min_reps_perm(blocks))
         return tuple(point for point in _flags_cached(n, p, full) if point.cell in cells)
-    points = []
-    identity = mat_identity(n)
+    points: List[FlagPoint] = []
     for _, w in sorted(_min_reps_with_length(full)):
-        free = [(i - 1, j - 1) for i, j in cell_free_positions(w)]
         # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed;
-        # take also picks v's rows for the inverse, and one index gives no tuple
+        # take also picks the inverse's rows, and one index gives no tuple
         take = operator.itemgetter(*(k - 1 for k in w)) if n > 1 else tuple
-        for coords in itertools.product(range(p), repeat=len(free)):
-            u = [list(r) for r in identity]
-            for (i, j), value in zip(free, coords):
-                u[i][j] = value
-            g = FqMatrix._make((p, tuple(map(take, u))))
-            points.append(FlagPoint(w, g, _cell_point_inverse(u, take, p)))
+        free = cell_free_positions(w)
+        rows = []  # per row i, each choice of its coordinates: the nonzero ones, and the shared row of u·dot(w)
+        for i in range(n):
+            columns = [j - 1 for r, j in free if r == i + 1]
+            choices = [dict(zip(columns, coords)) for coords in itertools.product(range(p), repeat=len(columns))]
+            rows.append([(tuple((j, c) for j, c in u.items() if c), take([u.get(j, int(i == j)) for j in range(n)]))
+                         for u in choices])
+
+        # each choice of rows i, i+1, ... under the rows g, v_cols the columns of the factors above row i
+        def extend(i: int, g: Rows, v_cols: List[List[int]]) -> None:
+            for nonzero, row in rows[i]:
+                cols = v_cols[:]
+                for j, c in nonzero:  # times (I - A_i): column j loses u[i][j] times column i
+                    cols[j] = [(x - c * y) % p for x, y in zip(v_cols[j], v_cols[i])]
+                if i + 1 < n:
+                    extend(i + 1, g + (row,), cols)
+                else:
+                    points.append(FlagPoint(w, FqMatrix._make((p, g + (row,))), take(tuple(zip(*cols)))))
+
+        extend(0, (), [[int(i == j) for i in range(n)] for j in range(n)])
     return tuple(points)
 
 
@@ -334,8 +325,9 @@ def incidence_count(
     """Count flag (or partial-flag) points g with Ad(g^{-1})nu in the
     requested subalgebra; the witnesses (FlagPoints in both spaces) and a
     per-cell breakdown ride along.  Each point forms only the columns of
-    nu·g that the tested entries read, unreduced, then g^{-1}·(nu·g) only
-    at those entries, each reduced mod p once, up to the first nonzero."""
+    nu·g that the tested entries read, from nu's nonzero columns, and
+    passes the entries of a column that comes out zero; then g^{-1}·(nu·g)
+    at the others, each reduced mod p once, up to the first nonzero."""
     n = nu.n
     p = nu.p
     check_bounds(n, p)
@@ -350,16 +342,21 @@ def incidence_count(
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
     zeros = _zero_positions(tuple(blocks) if condition == "in_p" else (1,) * n)
-    read = {j for _, j in zeros}
+    tested = [(j, [i for i, c in zeros if c == j]) for j in sorted({j for _, j in zeros})]
+    nonzero = [(k, col) for k, col in enumerate(zip(*nu.entries)) if any(col)]
     witnesses = []
-    by_cell: Dict[Perm, int] = {}
     for point in _flags_cached(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
-        gcols = tuple(zip(*point.canonical_matrix.entries))
-        cols = {j: [sum(map(operator.mul, row, gcols[j])) for row in nu.entries] for j in read}
-        if not any(sum(map(operator.mul, point.inverse[i], cols[j])) % p for i, j in zeros):
+        g, inverse = point.canonical_matrix.entries, point.inverse
+        for j, rows in tested:
+            col = None
+            for k, nu_col in nonzero:
+                if c := g[k][j]:
+                    col = [c * x for x in nu_col] if col is None else [y + c * x for y, x in zip(col, nu_col)]
+            if col and any(sum(map(operator.mul, inverse[i], col)) % p for i in rows):
+                break
+        else:
             witnesses.append(point)
-            by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
-    # the points come sorted by (length, cell), so by_cell is too
+    by_cell = Counter(point.cell for point in witnesses)  # in the points' order, by (length, cell)
     return IncidenceReport(count=len(witnesses), witnesses=tuple(witnesses), by_cell=tuple(by_cell.items()))
 
 
@@ -586,59 +583,63 @@ def blowup_equation_check(p: int) -> bool:
 def good_form_conjugate(v):
     """Conjugate an upper-triangular v by an upper unipotent b so that
     v' = b^{-1} v b has zero entries wherever the two diagonal values
-    differ.  Works over F_p (pass an FqMatrix) or exact rationals; only
-    the normalisation and the division depend on the field.
+    differ.  Works over F_p (pass an FqMatrix) or exact rationals, where an
+    entry is an int if every input entry is an int and it is whole.
 
     Sweeps columns left to right, rows bottom-up inside a column,
     conjugating by I + v_kj/(v_jj - v_kk)·E_kj; each step clears (k, j)
     without touching entries already cleared.  Returns (b, v'), checked
     as v·b = b·v' with b unit upper triangular.
     """
-    modular = isinstance(v, FqMatrix)
-    if modular:  # entries mod p, division by the inverse mod p
-        p = v.p
-        convert = norm = lambda x: x % p
-        div = lambda a, b: a * pow(b % p, p - 2, p) % p
-    else:  # integers stay int, a division is a Fraction only when inexact, any other entry a Fraction
-        convert = lambda x: x if type(x) is int else Fraction(x)
-        div = lambda a, b: a // b if type(a) is type(b) is int and not a % b else Fraction(a) / b
-        norm = lambda x: x
+    if isinstance(v, FqMatrix):
+        b, rows, _ = _good_form(v.entries, v.p)
+        return FqMatrix(v.p, b), FqMatrix(v.p, rows)
+    from fractions import Fraction  # imported here: the suite rows read _good_form's numerators
+    ratios = [[x.as_integer_ratio() for x in row] for row in v]
+    scale = math.lcm(*(d for row in ratios for _, d in row))  # num = scale·v gives b = B/d, v' = V/(d·scale)
+    b, rows, den = _good_form([[a * (scale // d) for a, d in row] for row in ratios], 0)
+    ints = all(type(x) is int for row in v for x in row)
+    exact = lambda m, d: tuple(tuple(x // d if ints and not x % d else Fraction(x, d) for x in row) for row in m)
+    return exact(b, den), exact(rows, den * scale)
 
-    rows = [[convert(x) for x in row] for row in (v.entries if modular else v)]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+
+def _good_form(original: Sequence[Sequence[int]], p: int) -> Tuple[Rows, Rows, int]:
+    """good_form_conjugate's sweep on integer v over F_p (p prime, v
+    reduced) or Q (p = 0): (B, V, d) with b = B/d and v' = V/d.  Over Q the
+    numerators are scaled just enough that every step divides exactly."""
+    n = len(original)
+    if any(len(row) != n for row in original):
         raise ValueError("matrix must be square")
-    if not in_b(rows):
+    if not in_b(original):
         raise ValueError("input is not upper triangular")
-    original = [row[:] for row in rows]
-    b = [[convert(int(i == j)) for j in range(n)] for i in range(n)]
-    for j in range(2, n + 1):
-        for k in range(j - 1, 0, -1):
-            if rows[k - 1][k - 1] == rows[j - 1][j - 1]:
+    m, den = [list(row) for row in original] + [[int(i == j) for j in range(n)] for i in range(n)], 1
+    for j in range(1, n):
+        for k in range(j - 1, -1, -1):
+            a, q = m[k][j], (m[j][j] - m[k][k]) % p if p else m[j][j] - m[k][k]
+            if not (a and q):  # equal diagonal values, or (k, j) already zero
                 continue
-            c = div(rows[k - 1][j - 1], rows[j - 1][j - 1] - rows[k - 1][k - 1])
-            if c == 0:
-                continue
-            # v <- (I - c E_kj) v (I + c E_kj); E_kj v E_kj = 0 for upper v
-            for r in range(n):
-                rows[r][j - 1] = norm(rows[r][j - 1] + c * rows[r][k - 1])
-            for l in range(n):
-                rows[k - 1][l] = norm(rows[k - 1][l] - c * rows[j - 1][l])
-            for r in range(n):
-                b[r][j - 1] = norm(b[r][j - 1] + c * b[r][k - 1])
+            if p:
+                a, q = a * pow(q, p - 2, p) % p, 1
+            elif (s := abs(q) // math.gcd(q, a * math.gcd(*(row[k] for row in m), *m[j][j:]))) > 1:
+                m, den = [[x * s for x in row] for row in m], den * s
+            # v <- (I - c E_kj) v (I + c E_kj), b <- b (I + c E_kj); E_kj v E_kj = 0 for upper v
+            for row in m:
+                row[j] = (row[j] + a * row[k]) % p if p else row[j] + a * row[k] // q
+            m[k][j:] = [(x - a * y) % p if p else x - a * y // q for x, y in zip(m[k][j:], m[j][j:])]
+    rows, b = tuple(map(tuple, m[:n])), tuple(map(tuple, m[n:]))
 
     # postconditions: entries across distinct diagonal values vanish and
     # the result really is the conjugate.  All three factors are upper
-    # triangular, so v·b = b·v' holds when it holds on the upper triangle,
-    # where entry (i, j) sums over i <= t <= j only.
+    # triangular, so v·b = b·v' holds when d·(v·B) = B·V holds on the
+    # upper triangle, where entry (i, j) sums over i <= t <= j only.
     assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if original[i][i] != original[j][j])
-    assert in_b(b) and all(b[i][i] == 1 for i in range(n)) and in_b(rows)
+    assert in_b(b) and all(b[i][i] == den for i in range(n)) and in_b(rows)
     for i in range(n):
         for j in range(i, n):
             span = range(i, j + 1)
-            assert norm(sum(original[i][t] * b[t][j] for t in span)) == norm(sum(b[i][t] * rows[t][j] for t in span))
-    b, rows = tuple(map(tuple, b)), tuple(map(tuple, rows))
-    return (FqMatrix(p, b), FqMatrix(p, rows)) if modular else (b, rows)
+            gap = den * sum(original[i][t] * b[t][j] for t in span) - sum(b[i][t] * rows[t][j] for t in span)
+            assert gap % p == 0 if p else gap == 0
+    return b, rows, den
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +661,17 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     """Three routes to |G/B| must agree (cell sum, q-factorial, group
     order quotient); points must be pairwise distinct cosets and each
     must classify back into its own cell, both read from one normal form
-    per point."""
+    per point, one point at a time."""
     _admit("point_count", n, p)
     flags = _flags_cached(n, p, (1,) * n)
     by_cells = sum(p ** length(w) for w in itertools.permutations(range(1, n + 1)))
     qf = q_factorial(n, p)
     quotient = gl_order(n, p) // borel_order(n, p)
-    forms = [cell_normal_form(point.canonical_matrix) for point in flags]
-    keys = {rows for _, rows in forms}
-    roundtrip = all(cell == point.cell for (cell, _), point in zip(forms, flags))
+    keys, roundtrip = set(), True
+    for point in flags:
+        cell, rows = cell_normal_form(g := point.canonical_matrix)
+        keys.add(g.entries if rows == g.entries else rows)  # a point that is its own form is kept once
+        roundtrip &= cell == point.cell
     passed = len(flags) == by_cells == qf == quotient == len(keys) and roundtrip
     return {"enumerated": len(flags), "cell_sum": by_cells, "q_factorial": qf, "group_quotient": quotient,
             "distinct_cosets": len(keys), "cells_roundtrip": roundtrip, "pass": passed}
@@ -746,8 +749,8 @@ NU_SWEEP_GATE = 10_000
 # in-process on the same machine; n = 8 has 16 times the pairs.
 MASK_PAIR_GATE = 322_560
 # good_form conjugates 60 random upper triangular matrices of size at most n,
-# about n^3 entry updates each: its rows took 0.63-0.64 s at n = 16, 1.3-2.4 s
-# at n = 24 and 2.1-2.6 s at n = 32, in-process on the same machine.
+# about n^3 entry updates each: its rows took 0.04-0.07 s at n = 16, 0.09 s
+# at n = 24 and 0.16-0.17 s at n = 32, in-process on the same machine.
 GOOD_FORM_GATE = 60 * 32**3
 
 
@@ -836,11 +839,8 @@ def _good_form_rows(n: int, p: int):
         size = rng.randint(1, n)
         diag = [rng.randint(0, 2) for _ in range(size)]
         rows_q = [[diag[i] if i == j else rng.randint(-4, 4) if j > i else 0 for j in range(size)] for i in range(size)]
-        _, vq = good_form_conjugate(rows_q)
-        entries = tuple(
-            tuple(rng.randrange(p) if j > i else (rng.randrange(p) if i == j else 0) for j in range(size))
-            for i in range(size)
-        )
+        _, vq, _ = _good_form(rows_q, 0)  # a zero entry is a zero numerator: no Fraction needed
+        entries = tuple(tuple(rng.randrange(p) if j >= i else 0 for j in range(size)) for i in range(size))
         _, vp = good_form_conjugate(FqMatrix(p, entries))
         for i, j in itertools.product(range(size), repeat=2):
             if rows_q[i][i] != rows_q[j][j] and vq[i][j] or entries[i][i] != entries[j][j] and vp.entries[i][j]:

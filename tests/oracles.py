@@ -9,9 +9,10 @@ src/ may import this module.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
-from weylflags import companion, cosets, roots, weyl
+from weylflags import companion, cosets, fforacle, roots, weyl
 
 
 def all_perms(n):
@@ -670,6 +671,54 @@ def weight_map_unprojected(kernels, blocks, w, p):
             if levi_charpolys_laplace(image, blocks, p) != block_root_polys(weights, blocks, p):
                 return False
     return True
+
+
+def good_form_fraction(v):
+    """fforacle.good_form_conjugate swept entry by entry in the field
+    itself: over F_p (an FqMatrix) every entry reduced mod p and each
+    division by an inverse mod p; over Q integers stay int, a division is
+    a Fraction when inexact, and from then on every entry it reaches is a
+    Fraction; any other input entry is read as a Fraction."""
+    modular = isinstance(v, fforacle.FqMatrix)
+    if modular:
+        p = v.p
+        convert = norm = lambda x: x % p
+        div = lambda a, b: a * pow(b % p, p - 2, p) % p
+    else:
+        convert = lambda x: x if type(x) is int else Fraction(x)
+        div = lambda a, b: a // b if type(a) is type(b) is int and not a % b else Fraction(a) / b
+        norm = lambda x: x
+
+    rows = [[convert(x) for x in row] for row in (v.entries if modular else v)]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if not fforacle.in_b(rows):
+        raise ValueError("input is not upper triangular")
+    original = [row[:] for row in rows]
+    b = [[convert(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(2, n + 1):
+        for k in range(j - 1, 0, -1):
+            if rows[k - 1][k - 1] == rows[j - 1][j - 1]:
+                continue
+            c = div(rows[k - 1][j - 1], rows[j - 1][j - 1] - rows[k - 1][k - 1])
+            if c == 0:
+                continue
+            for r in range(n):
+                rows[r][j - 1] = norm(rows[r][j - 1] + c * rows[r][k - 1])
+            for l in range(n):
+                rows[k - 1][l] = norm(rows[k - 1][l] - c * rows[j - 1][l])
+            for r in range(n):
+                b[r][j - 1] = norm(b[r][j - 1] + c * b[r][k - 1])
+
+    assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if original[i][i] != original[j][j])
+    assert fforacle.in_b(b) and all(b[i][i] == 1 for i in range(n)) and fforacle.in_b(rows)
+    for i in range(n):
+        for j in range(i, n):
+            span = range(i, j + 1)
+            assert norm(sum(original[i][t] * b[t][j] for t in span)) == norm(sum(b[i][t] * rows[t][j] for t in span))
+    b, rows = tuple(map(tuple, b)), tuple(map(tuple, rows))
+    return (fforacle.FqMatrix(p, b), fforacle.FqMatrix(p, rows)) if modular else (b, rows)
 
 
 def multi_reduced_word_rescan(w):

@@ -37,6 +37,10 @@ def prefix_key(g, blocks):
     return oracles.partial_flag_key_by_prefix(g.entries, g.p, blocks)
 
 
+def identity_rows(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def rand_upper_invertible(rng, n, p):
     return tuple(
         tuple(
@@ -68,8 +72,8 @@ def test_matrix_arithmetic_roundtrips():
             for _ in range(20):
                 m = rand_invertible(rng, n, p)
                 inv = oracles._inv_mod(m, p)
-                assert oracles._mat_mul_mod(m, inv, p) == ff.mat_identity(n)
-                assert oracles._mat_mul_mod(inv, m, p) == ff.mat_identity(n)
+                assert oracles._mat_mul_mod(m, inv, p) == identity_rows(n)
+                assert oracles._mat_mul_mod(inv, m, p) == identity_rows(n)
                 assert len(ff.rref(m, p)) == n
 
 
@@ -230,7 +234,7 @@ def test_flag_points_are_cell_points_with_their_inverses():
     # u·dot(w) is u with its columns permuted; the unipotent u is the
     # point with the permutation undone
     for n, p in GRID:
-        identity = ff.mat_identity(n)
+        identity = identity_rows(n)
         for point in ff.enumerate_flags(n, p):
             g = point.canonical_matrix.entries
             u = oracles._mat_mul_mod(g, oracles._perm_matrix(oracles.inverse(point.cell)), p)
@@ -340,6 +344,33 @@ def test_nu_checks_report_a_corrupted_point_in_the_middle_of_a_cell(monkeypatch,
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+@pytest.mark.parametrize("corruption", ["dropped flag", "repeated flag"])
+def test_incidence_rows_report_a_dropped_or_repeated_flag(monkeypatch, capsys, cold_fforacle, corruption):
+    # the point dot(w) of the cell of w = (2, 3, 1) at (3, 3) is left out of
+    # every enumeration that holds it, or held twice: the zero nu's count
+    # over G/B moves off [n]_p!, and so does the count of diag(0, 1, 2),
+    # whose witnesses are the points dot(w) P, in the two partial flag
+    # varieties whose minimal cells hold w
+    n, p, w = 3, 3, (2, 3, 1)
+    clean = {blocks: ff._flags_cached(n, p, blocks) for blocks in oracles.compositions(n)}
+    target = next(point for point in clean[(1,) * n] if point.cell == w)
+    assert target.canonical_matrix.entries == tuple(map(tuple, oracles._perm_matrix(w)))
+
+    def corrupted(n, p, blocks):
+        points = list(clean[blocks])
+        if target in points:
+            k = points.index(target)
+            points[k : k + 1] = [target, target] if corruption == "repeated flag" else []
+        return tuple(points)
+
+    monkeypatch.setattr(ff, "_flags_cached", corrupted)
+    rows = ff.run_suite(n, p, ["incidence_zero", "covering_degree"])
+    failed = {(row["check"], tuple(row["params"].get("blocks", ()))) for row in rows if not row["pass"]}
+    assert failed == {("incidence_zero", ()), ("covering_degree", (1, 1, 1)), ("covering_degree", (2, 1))}
+    assert cli.main(["ff-verify", "--n", "3", "--p", "3", "--suite", "incidence_zero,covering_degree"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
 def test_blowup_reports_a_sign_flip_in_its_closed_form(monkeypatch, capsys):
     # the nonzero root of 2xt + x^2 y = 0 taken as +2t/y: the solution set
     # of every (t, y) with t, y != 0 then disagrees with its case split
@@ -399,7 +430,7 @@ def relative_position_pair(g1, g2, blocks):
 def test_relative_position_pair_pinned_and_invariant():
     rng = random.Random(17)
     p, n, blocks = 3, 3, (2, 1)
-    ident = ff.FqMatrix(p, ff.mat_identity(n))
+    ident = ff.FqMatrix(p, identity_rows(n))
     for w in perms(n):
         pos = relative_position_pair(ident, ff.FqMatrix(p, oracles._perm_matrix(w)), blocks)
         assert pos == min_rep_perm(w, blocks)
@@ -462,14 +493,15 @@ def test_charpoly_matches_laplace_expansion():
 
 @pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_cold_run_suite_inverts_each_flag_once(monkeypatch, n, p):
+    # one Borel enumeration builds every point, each with its inverse: the
+    # partial flags are its points, so a cold suite builds |G/B| = [n]_p!
     clear_fforacle_caches()
     calls = []
-    real = ff._cell_point_inverse
-    monkeypatch.setattr(ff, "_cell_point_inverse", lambda *args: calls.append(args) or real(*args))
+    real = ff.FlagPoint
+    monkeypatch.setattr(ff, "FlagPoint", lambda *args: calls.append(args[0]) or real(*args))
     ff.run_suite(n, p)
-    # partial flags are points of the Borel enumeration: |G/B| = [n]_p!
-    # back substitutions, one per point u·dot(w)
     assert len(calls) == oracles.q_factorial(n, p), (n, p)
+    assert calls == [cell for cell, _, _ in oracles.flag_points_listwise(n, p)], (n, p)
 
 
 def test_nu_sets_match_brute_sweep():
@@ -606,6 +638,36 @@ def test_good_form_exact_route_starts_with_integers():
     b, v = ff.good_form_conjugate([[1.0, 0.5], [0.0, 3.0]])
     assert (b, v) == (((1, Fraction(1, 4)), (0, 1)), ((1, 0), (0, 3)))
     assert all(type(x) is Fraction for row in v for x in row)
+
+
+def test_good_form_matches_the_fraction_reference():
+    # (b, v') equal to the entry-by-entry sweep in the field itself on int,
+    # Fraction, float and F_p inputs up to n = 32.  From int input an entry
+    # is an int exactly when its value is whole, so every int the reference
+    # returns stays an int (the reference also returns Fraction(k, 1) for a
+    # whole entry an inexact division reached); from Fraction or float
+    # input every entry is a Fraction
+    rng = random.Random(43)
+    for n in [rng.randint(1, 6) for _ in range(120)] + [16, 24, 32]:
+        diag = [rng.randint(0, 3) for _ in range(n)]
+        rows = [[diag[i] if i == j else rng.randint(-6, 6) if j > i else 0 for j in range(n)] for i in range(n)]
+        inputs = {
+            "int": rows,
+            "Fraction": [[Fraction(x, rng.choice((1, 2, 3))) for x in row] for row in rows],
+            "float": [[x / 4 for x in row] for row in rows],
+            "F_p": ff.FqMatrix(rng.choice((2, 3, 5, 7)), rows),
+        }
+        for kind, v in inputs.items():
+            got, want = ff.good_form_conjugate(v), oracles.good_form_fraction(v)
+            assert got == want, (kind, v)
+            if kind == "F_p":
+                continue
+            pairs = [(x, y) for m, ref in zip(got, want) for row, ref_row in zip(m, ref) for x, y in zip(row, ref_row)]
+            if kind == "int":
+                assert all(type(x) is (int if Fraction(x).denominator == 1 else Fraction) for x, _ in pairs), v
+                assert all(type(x) is int for x, y in pairs if type(y) is int), v
+            else:
+                assert all(type(x) is Fraction for x, _ in pairs), (kind, v)
 
 
 def test_good_form_rejects_bad_input():
@@ -940,19 +1002,40 @@ def incidence_by_adjoint(nu, condition, space, blocks=None):
     return len(witnesses), tuple(witnesses), sorted(by_cell.items(), key=lambda kv: (oracles.inversion_count(kv[0]), kv[0]))
 
 
+def structured_nus(rng, n, p):
+    """zero, diag(0..n-1), each E_ab, the strictly upper all-ones matrix and
+    a random matrix with one zero column: the columns of nu·g that come
+    out zero, which random nu almost never gives, and their skip"""
+    yield tuple((0,) * n for _ in range(n))
+    yield tuple(tuple(i % p if i == j else 0 for j in range(n)) for i in range(n))
+    for a, b in itertools.product(range(n), repeat=2):
+        yield tuple(tuple(int((i, j) == (a, b)) for j in range(n)) for i in range(n))
+    yield tuple(tuple(int(j > i) for j in range(n)) for i in range(n))
+    k = rng.randrange(n)
+    yield tuple(tuple(0 if j == k else x for j, x in enumerate(row)) for row in rand_matrix(rng, n, p))
+
+
 def test_incidence_count_matches_the_full_product_reference():
-    # every condition in every space, random nu, against whole products nu·g
+    # every condition in every space, against whole products nu·g: random
+    # nu at (3, 3) and (4, 2), and the structured nu at every grid point
+    # with the blocks taken in turn
     rng = random.Random(41)
+    cases = []
     for n, p in ((3, 3), (4, 2)):
         for _ in range(4):
-            nu = ff.FqMatrix(p, rand_matrix(rng, n, p))
-            blocks = rng.choice(oracles.compositions(n))
-            for condition, space in itertools.product(ff.CONDITIONS, ff.SPACES):
-                zeros = ff._zero_positions(blocks if condition == "in_p" else (1,) * n)
-                points = ff._flags_cached(n, p, (1,) * n if space == "full_flag" else blocks)
-                report = ff.incidence_count(nu, condition, space, blocks=blocks)
-                reference = oracles.incidence_full_product(nu.entries, p, points, zeros)
-                assert report == reference, (n, p, condition, space)
+            cases.append((ff.FqMatrix(p, rand_matrix(rng, n, p)), rng.choice(oracles.compositions(n))))
+    for n, p in GRID:
+        compositions = oracles.compositions(n)
+        for k, entries in enumerate(structured_nus(rng, n, p)):
+            cases.append((ff.FqMatrix(p, entries), compositions[k % len(compositions)]))
+    for nu, blocks in cases:
+        n, p = nu.n, nu.p
+        for condition, space in itertools.product(ff.CONDITIONS, ff.SPACES):
+            zeros = ff._zero_positions(blocks if condition == "in_p" else (1,) * n)
+            points = ff._flags_cached(n, p, (1,) * n if space == "full_flag" else blocks)
+            report = ff.incidence_count(nu, condition, space, blocks=blocks)
+            reference = oracles.incidence_full_product(nu.entries, p, points, zeros)
+            assert report == reference, (n, p, nu, blocks, condition, space)
 
 
 def test_incidence_count_matches_adjoint_route():

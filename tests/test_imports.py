@@ -48,7 +48,7 @@ COMMAND_IMPORTS = [
     (["companion", "--scenario", "SCENARIO", "--jordan-holder"],
      _LIGHT + ["companion", "cosets", "jsonio", "roots", "steinberg"], True),
     (["walk", "--h", "[0,0,1]"], _LIGHT + ["companion", "cosets", "jsonio", "roots", "steinberg"], True),
-    (["ff-verify", "--n", "2", "--p", "2"], ["cli", "fforacle", "weyl"], True),
+    (["ff-verify", "--n", "2", "--p", "2"], ["cli", "fforacle", "weyl"], False),
 ]
 
 
