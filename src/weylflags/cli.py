@@ -80,7 +80,7 @@ def _load_scenario(path: str):
 
 
 def _json(value) -> str:
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+    return json.dumps(value, separators=(",", ":"), sort_keys=True, check_circular=False)  # payloads are fresh trees
 
 
 def _emit(payload: dict, pretty: bool) -> None:

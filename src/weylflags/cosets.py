@@ -130,7 +130,7 @@ def quotient_leq(u: CosetRep, v: CosetRep) -> bool:
 def _require_quotient_cap(spec: ParabolicSpec) -> None:
     """Refuse a quotient with more cosets than the cap allows; the size is
     the product over labels of the multinomials n!/prod b!."""
-    cap, _ = _cap(ENV_MAX_QUOTIENT, DEFAULT_MAX_QUOTIENT)
+    cap = _cap(ENV_MAX_QUOTIENT, DEFAULT_MAX_QUOTIENT)
     size = 1
     for blocks in check_spec(spec).values():
         rest = sum(blocks)

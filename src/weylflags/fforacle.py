@@ -14,14 +14,13 @@ combinatorially.  Everything here is counting; no claim beyond
 membership and cardinality is certified.
 
 Each check has one gate, its refusal in _CHECKS, which run_suite and
-the check's public function ask after the field check (p <= 7 and
-prime).  The checks that enumerate flags are capped at 30,000 flags,
-|G/B| = [n]_p!, and the nu checks then by NU_SWEEP_GATE;
-shortest_element is capped by its MASK_PAIR_GATE pairs (w, P), good_form
-by GOOD_FORM_GATE entry updates.  Each cost is multiplied out lazily, so
-a huge n is refused at once.  The environment variables
-WEYLFLAGS_FF_MAX_P / WEYLFLAGS_FF_MAX_FLAGS raise the first two caps
-(with one warning per process).
+the check's public function ask after the field check (p prime, past
+PRIME_GATE trial divisions refused undivided).  The checks that enumerate
+flags are capped at 30,000 flags, |G/B| = [n]_p!, the nu checks then by
+NU_SWEEP_GATE; shortest_element by its MASK_PAIR_GATE pairs (w, P),
+good_form by GOOD_FORM_GATE entry updates, blowup by BLOWUP_GATE points.
+Each cost is multiplied out lazily, so a huge n or p is refused at once.
+WEYLFLAGS_FF_MAX_FLAGS raises the flag cap (one warning per process).
 
 The nu checks (fiber dimension, weight map) look at pairs (g1 B, g2 P) in
 relative position w.  G acts on such pairs preserving the position, the
@@ -55,32 +54,27 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 from .weyl import Perm, _cap, _min_reps_perm, _min_reps_with_length, block_index, block_slices, check_blocks
 from .weyl import check_perm, inverse, length, min_rep_perm
 
-DEFAULT_MAX_P = 7
 # |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
 # on a 2-vCPU Xeon (CPython 3.11) took 0.5-0.9 s and 37 MB RSS at (4,5),
 # 29,016 flags, and 0.2-0.4 s and 24 MB at (5,2), 9,765 flags.
 DEFAULT_MAX_FLAGS = 30_000
-ENV_MAX_P = "WEYLFLAGS_FF_MAX_P"
 ENV_MAX_FLAGS = "WEYLFLAGS_FF_MAX_FLAGS"
+# Trial division makes sqrt(p) divisions: 10^6 at p ~ 10^12 took 0.056 s on the same machine.
+PRIME_GATE = 10**6
 
 
 @lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+def _check_prime(p: int) -> None:
+    """Refuse p unless trial division finds it prime; past PRIME_GATE divisions, before dividing."""
+    if p > 1 and (reason := _gate("primality cost sqrt(p) trial divisions", (math.isqrt(p),), PRIME_GATE)):
+        raise ValueError(f"p={p} refused: {reason}")
+    if p < 2 or not all(p % d for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def _check_field(n: int, p: int) -> None:
-    """Refuse p over its cap or not a prime, and n below 1: the refusal every
-    check shares.  A raised cap warns here, one location for every caller."""
-    max_p, p_raised = _cap(ENV_MAX_P, DEFAULT_MAX_P)
-    max_flags, flags_raised = _cap(ENV_MAX_FLAGS, DEFAULT_MAX_FLAGS)
-    if p_raised or flags_raised:
-        warnings.warn(f"enumeration caps raised via environment to p<={max_p}, [n]_p!<={max_flags}")
-    # the p cap comes first: trial division of a huge p would not finish
-    if p > max_p:
-        raise ValueError(f"p={p} outside the enumeration cap p<={max_p}; {ENV_MAX_P} raises it")
-    if not _is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+    """Refuse p not a prime, and n below 1: the refusal every check shares."""
+    _check_prime(p)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
 
@@ -101,8 +95,11 @@ def _q_integers(n: int, p: int) -> Iterator[int]:
 
 
 def _flag_refusal(n: int, p: int) -> Optional[str]:
-    """The gate of every check that enumerates flags: |G/B| = [n]_p! against the flag cap."""
-    max_flags, _ = _cap(ENV_MAX_FLAGS, DEFAULT_MAX_FLAGS)
+    """The gate of every check that enumerates flags: |G/B| = [n]_p! against
+    the flag cap.  A raised cap warns here, one location for every caller."""
+    max_flags = _cap(ENV_MAX_FLAGS, DEFAULT_MAX_FLAGS)
+    if max_flags > DEFAULT_MAX_FLAGS:
+        warnings.warn(f"enumeration cap raised via environment to [n]_p!<={max_flags}")
     reason = _gate("flag count [n]_p!", _q_integers(n, p), max_flags)
     return reason and f"{reason}; {ENV_MAX_FLAGS} raises it"
 
@@ -126,8 +123,7 @@ class FqMatrix(NamedTuple("FqMatrix", [("p", int), ("entries", Rows)])):
     __slots__ = ()
 
     def __new__(cls, p: int, entries: Rows):
-        if not _is_prime(p):
-            raise ValueError(f"p must be a prime, got {p}")
+        _check_prime(p)
         norm = tuple(tuple(x % p for x in row) for row in entries)
         if any(len(row) != len(norm) for row in norm):
             raise ValueError("matrix must be square")
@@ -752,6 +748,9 @@ MASK_PAIR_GATE = 322_560
 # about n^3 entry updates each: its rows took 0.04-0.07 s at n = 16, 0.09 s
 # at n = 24 and 0.16-0.17 s at n = 32, in-process on the same machine.
 GOOD_FORM_GATE = 60 * 32**3
+# blowup walks p^4 points (x, t, y, c), about 1.0 us each: it took 0.27 s at
+# p = 23 and 1.9 s at p = 37 in-process on the same machine; p = 41 is refused.
+BLOWUP_GATE = 2_500_000
 
 
 def _mask_pair_refusal(n: int, p: int) -> Optional[str]:
@@ -864,7 +863,7 @@ _CHECKS = {
         lambda n, p: _flag_refusal(n, p) or _over_gate(_fiber_cost(n, p)), ("n", "p"), _fiber_dimension_rows
     ),
     "weight_map": (lambda n, p: _flag_refusal(n, p) or _over_gate(_weight_cost(n, p)), ("n", "p"), _weight_map_rows),
-    "blowup": (lambda n, p: "needs p != 2" if p == 2 else None, ("p",), _blowup_rows),
+    "blowup": (lambda n, p: "needs p != 2" if p == 2 else _gate("point cost p^4", [p] * 4, BLOWUP_GATE), ("p",), _blowup_rows),
     "good_form": (
         lambda n, p: _gate("entry update cost 60*n^3", (60, n, n, n), GOOD_FORM_GATE), ("n", "p"), _good_form_rows
     ),

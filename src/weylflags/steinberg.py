@@ -117,11 +117,14 @@ def steinberg_components_full_flag(qspec: ParabolicSpec) -> List[weyl.MultiPerm]
     wq0 = longest_in_levi(qspec)
     labels = sorted(wq0)
     heads = [wq0[tau] for tau in labels]
-    lifted = [
-        (lg, tuple(map(weyl.compose, heads, map(weyl.inverse, parts))))
-        for lg, parts in _quotient_parts(qspec)
-    ]
-    lifted.sort()
+
+    def lift(head: weyl.Perm, part: weyl.Perm) -> weyl.Perm:  # w_{Q,0}·w'^{-1}, one pass: w'(j) -> w_{Q,0}(j)
+        out = [0] * len(part)
+        for value, k in zip(head, part):
+            out[k - 1] = value
+        return tuple(out)
+
+    lifted = sorted((lg, tuple(map(lift, heads, parts))) for lg, parts in _quotient_parts(qspec))
     return [dict(zip(labels, parts)) for _, parts in lifted]
 
 

@@ -202,17 +202,15 @@ def _min_reps_perm(blocks: Tuple[int, ...]) -> List[Perm]:
     return [w for _, w in _min_reps_with_length(blocks)]
 
 
-def _cap(env_name: str, default: int) -> Tuple[int, bool]:
-    """An enumeration cap, overridden by an integer environment variable;
-    returns (cap, whether it was raised above the default)."""
+def _cap(env_name: str, default: int) -> int:
+    """An enumeration cap, overridden by an integer environment variable."""
     raw = os.environ.get(env_name)
     if raw is None:
-        return default, False
+        return default
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
-    return value, value > default
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,6 @@ def test_ff_verify_bad_cap_names_the_variable(capsys, monkeypatch):
     assert "WEYLFLAGS_FF_MAX_FLAGS" in err
 
 
-def test_ff_verify_p_over_the_cap_names_the_variable(capsys, monkeypatch):
-    monkeypatch.delenv("WEYLFLAGS_FF_MAX_P", raising=False)
-    code, out, err = run(capsys, "ff-verify", "--n", "2", "--p", "11")
-    assert (code, out) == (2, "")
-    assert "p=11 outside the enumeration cap p<=7" in err
-    assert "WEYLFLAGS_FF_MAX_P" in err
-
-
 def _cli_subprocess(env, *argv, timeout=120):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -346,10 +338,39 @@ def test_ff_verify_at_a_huge_n_answers_at_once(p, code):
         assert [row["check"] for row in rows if not row.get("skipped")] == ["blowup"]
 
 
+@pytest.mark.parametrize("n, p, code", [(1, 2**61 - 1, 2), (2, 2**61 - 1, 2), (1, 999999999989, 0), (2, 999999999989, 0)])
+def test_ff_verify_at_a_huge_p_answers_at_once(n, p, code):
+    # no cap on p is shared: trial division past 10^6 divisions is refused
+    # before it starts, and each check's own gate bounds what p costs it
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_")}
+    proc = _cli_subprocess(env, "ff-verify", "--n", str(n), "--p", str(p), timeout=2)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == f"invalid input: p={p} refused: primality cost sqrt(p) trial divisions > 1000000\n"
+    else:
+        rows = json.loads(proc.stdout)["results"]
+        assert all(row["pass"] for row in rows)
+        assert {row["check"]: row["observed"] for row in rows}["blowup"] == "skipped: point cost p^4 > 2500000"
+
+
+def test_ff_verify_prices_blowup_by_p4():
+    # (2, 79) walks 79^4 blowup points, about 38 s: a named blowup is refused
+    # past the gate, and --suite all skips it and answers at once
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_")}
+    proc = _cli_subprocess(env, "ff-verify", "--suite", "blowup", "--n", "2", "--p", "97", timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "invalid input: blowup refused at n=2, p=97: point cost p^4 > 2500000\n"
+    proc = _cli_subprocess(env, "ff-verify", "--suite", "all", "--n", "2", "--p", "79", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["results"]
+    assert all(row["pass"] for row in rows)
+    assert [row["observed"] for row in rows if row["check"] == "blowup"] == ["skipped: point cost p^4 > 2500000"]
+
+
 def test_ff_verify_warns_once_when_a_cap_is_raised():
-    # every check calls check_bounds; the warning must not repeat per caller
+    # every flag check reads the cap; the warning must not repeat per caller
     env = {k: v for k, v in os.environ.items() if not k.startswith("WEYLFLAGS_") and k != "PYTHONWARNINGS"}
-    proc = _cli_subprocess(dict(env, WEYLFLAGS_FF_MAX_P="11"), "ff-verify", "--n", "2", "--p", "11")
+    proc = _cli_subprocess(dict(env, WEYLFLAGS_FF_MAX_FLAGS="40000"), "ff-verify", "--n", "2", "--p", "3")
     assert proc.returncode == 0
     assert proc.stderr.count("UserWarning") == 1
 
@@ -523,19 +544,22 @@ def test_listings_match_the_recorded_stdout(capsys, monkeypatch, tmp_path):
 
 
 def test_ff_verify_all_small(capsys):
-    code, payload, _ = run_json(capsys, "ff-verify", "--suite", "all", "--n", "2", "--p", "3")
-    assert code == 0
-    assert payload["pass"] is True
-    assert {row["check"] for row in payload["results"]} == {
-        "point_count",
-        "incidence_zero",
-        "shortest_element",
-        "covering_degree",
-        "fiber_dimension",
-        "weight_map",
-        "blowup",
-        "good_form",
-    }
+    # (3, 11) is past p = 7, where only each check's own gate bounds p
+    for n, p in (("2", "3"), ("3", "11")):
+        code, payload, _ = run_json(capsys, "ff-verify", "--suite", "all", "--n", n, "--p", p)
+        assert code == 0
+        assert payload["pass"] is True
+        assert all(row["pass"] for row in payload["results"])
+        assert {row["check"] for row in payload["results"]} == {
+            "point_count",
+            "incidence_zero",
+            "shortest_element",
+            "covering_degree",
+            "fiber_dimension",
+            "weight_map",
+            "blowup",
+            "good_form",
+        }
 
 
 def test_ff_verify_named_checks(capsys):
@@ -606,12 +630,12 @@ def test_ff_verify_refuses_a_check_named_twice(capsys):
 
 
 def test_ff_verify_huge_p_exits_two(capsys):
-    # refused by the cap before the primality test, which would overflow
-    # converting p to a float (or, for a large prime, never finish)
+    # refused by the primality cost before any trial division, which for a
+    # large prime would never finish
     code, out, err = run(capsys, "ff-verify", "--n", "2", "--p", str(10**400))
     assert code == 2
     assert out == ""
-    assert "enumeration cap" in err
+    assert "primality cost sqrt(p) trial divisions > 1000000" in err
 
 
 # fuzzing: every input ends in exit 0, 1 or 2 with no traceback

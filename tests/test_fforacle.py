@@ -748,10 +748,9 @@ def test_covering_degree_pinned():
 
 
 def test_check_bounds_caps(monkeypatch):
-    # one cap on |G/B| = [n]_p! <= 30,000, one on p <= 7
-    for name in (ff.ENV_MAX_FLAGS, ff.ENV_MAX_P):
-        monkeypatch.delenv(name, raising=False)
-    for n, p in ((3, 7), (4, 3), (4, 5), (5, 2)):
+    # one cap on |G/B| = [n]_p! <= 30,000 and none on p alone: (3, 11) has 1,464 flags
+    monkeypatch.delenv(ff.ENV_MAX_FLAGS, raising=False)
+    for n, p in ((3, 7), (3, 11), (4, 3), (4, 5), (5, 2)):
         ff.check_bounds(n, p)
     for n, p in ((4, 7), (5, 3), (6, 2)):
         with pytest.raises(ValueError, match=f"n={n}, p={p} .*enumeration cap.*30000.*WEYLFLAGS_FF_MAX_FLAGS"):
@@ -763,10 +762,22 @@ def test_check_bounds_caps(monkeypatch):
     with pytest.raises(ValueError, match="enumeration cap"):
         ff.check_bounds(10**6, 2)
     assert time.perf_counter() - start < 0.1
-    with pytest.raises(ValueError):
-        ff.check_bounds(3, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must be a prime, got 4"):
         ff.check_bounds(3, 4)
+
+
+def test_a_huge_p_is_refused_before_trial_division():
+    # 2^61 - 1 is prime, and trial division would take 1.5*10^9 divisions
+    p = 2**61 - 1
+    for call in (lambda: ff.FqMatrix(p, ((1,),)), lambda: ff.check_bounds(1, p)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^p=2305843009213693951 refused: primality cost sqrt\(p\) trial divisions > 1000000$"):
+            call()
+        assert time.perf_counter() - start < 0.1
+    # at most 10^6 divisions decide the largest prime below 10^12, and 10^12 + 1 = 73 * 137 * 99990001
+    assert ff.FqMatrix(999999999989, ((-1,),)).entries == ((999999999988,),)
+    with pytest.raises(ValueError, match="p must be a prime"):
+        ff.check_bounds(1, 10**12 + 1)
 
 
 def test_check_bounds_env_override(monkeypatch):
@@ -774,9 +785,6 @@ def test_check_bounds_env_override(monkeypatch):
     for n, p in ((4, 7), (5, 3)):
         with pytest.warns(UserWarning):
             ff.check_bounds(n, p)
-    monkeypatch.setenv(ff.ENV_MAX_P, "11")
-    with pytest.warns(UserWarning):
-        ff.check_bounds(2, 11)
 
 
 def test_check_bounds_names_a_bad_cap(monkeypatch):
@@ -834,6 +842,8 @@ def test_run_suite_skip_notes_name_cost_and_gate():
         ("fiber_dimension", 9, 2, "flag count [n]_p! > 30000; WEYLFLAGS_FF_MAX_FLAGS raises it"),
         ("shortest_element", 8, 2, "mask pair cost n!*2^(n-1) > 322560"),
         ("good_form", 33, 3, "entry update cost 60*n^3 > 1966080"),
+        # 41^4 = 2,825,761 points, about 2.8 s
+        ("blowup", 2, 41, "point cost p^4 > 2500000"),
     ],
 )
 def test_run_suite_refusals_name_the_reason(name, n, p, reason):
@@ -915,7 +925,8 @@ def test_each_cost_counts_the_work_it_names(monkeypatch, n, p):
     monkeypatch.setenv(ff.ENV_MAX_FLAGS, str(flags - 1))
     assert not admitted("point_count")
     monkeypatch.delenv(ff.ENV_MAX_FLAGS)
-    for name, gate, cost in (("shortest_element", "MASK_PAIR_GATE", pairs), ("fiber_dimension", "NU_SWEEP_GATE", fiber)):
+    gates = [("shortest_element", "MASK_PAIR_GATE", pairs), ("fiber_dimension", "NU_SWEEP_GATE", fiber)]
+    for name, gate, cost in gates + ([("blowup", "BLOWUP_GATE", p**4)] if p > 2 else []):
         monkeypatch.setattr(ff, gate, cost)
         assert admitted(name)
         monkeypatch.setattr(ff, gate, cost - 1)

@@ -10,6 +10,18 @@ from test_cli import assert_report_renders
 from weylflags import cli, cosets, fforacle
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ENV_NAME = re.compile(r"WEYLFLAGS_[A-Z_]+")
+
+
+def package_env_names():
+    """Every WEYLFLAGS_* name the package's sources spell out."""
+    root = os.path.dirname(cli.__file__)
+    names = set()
+    for entry in sorted(os.listdir(root)):
+        if entry.endswith(".py"):
+            with open(os.path.join(root, entry), encoding="utf-8") as handle:
+                names |= set(ENV_NAME.findall(handle.read()))
+    return names
 
 
 def fenced(text, lang):
@@ -22,10 +34,15 @@ def test_readme_cli_examples_exit_zero_with_json(capsys, monkeypatch, tmp_path):
     (scenario,) = fenced(text, "json")
     (tmp_path / "scenario.json").write_text(scenario)
     monkeypatch.chdir(tmp_path)
-    for name in (fforacle.ENV_MAX_FLAGS, fforacle.ENV_MAX_P, cosets.ENV_MAX_QUOTIENT):
+    # the variables the README documents are exactly those the package reads
+    names = package_env_names()
+    assert {fforacle.ENV_MAX_FLAGS, cosets.ENV_MAX_QUOTIENT} <= names
+    assert set(ENV_NAME.findall(text)) == names
+    for name in names:
         assert f"`{name}`" in text, name
         monkeypatch.delenv(name, raising=False)
-    for cap in (fforacle.DEFAULT_MAX_FLAGS, fforacle.MASK_PAIR_GATE, fforacle.GOOD_FORM_GATE):
+    gates = (fforacle.MASK_PAIR_GATE, fforacle.GOOD_FORM_GATE, fforacle.BLOWUP_GATE, fforacle.PRIME_GATE)
+    for cap in (fforacle.DEFAULT_MAX_FLAGS, cosets.DEFAULT_MAX_QUOTIENT) + gates:
         assert f"{cap:,}" in text, cap
     lines = [
         line
