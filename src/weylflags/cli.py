@@ -52,6 +52,8 @@ def _parse(text: str, flag: str, check: Optional[Callable] = None):
         value = json.loads(text)
     except json.JSONDecodeError as err:
         raise CliError(f"{flag}: not valid JSON ({err})")
+    except RecursionError:
+        raise CliError(f"{flag}: JSON nested too deeply to decode") from None
     if isinstance(value, list):
         value = {DEFAULT_LABEL: value}
     elif not isinstance(value, dict):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import weyl
@@ -258,11 +259,13 @@ def wp_elements(spec: ParabolicSpec) -> List[MultiPerm]:
 
 def longest_in_levi(spec: ParabolicSpec) -> MultiPerm:
     """w_{P,0}: the longest element of W_P, reversing each block."""
-    spec = check_spec(spec)
-    return {
-        tau: tuple(v for lo, hi in block_slices(blocks) for v in range(hi, lo, -1))
-        for tau, blocks in spec.items()
-    }
+    return {tau: _levi_longest_perm(blocks) for tau, blocks in check_spec(spec).items()}
+
+
+@lru_cache(maxsize=None)
+def _levi_longest_perm(blocks: Tuple[int, ...]) -> Perm:
+    """w_{P,0} of one factor, for blocks that have been through check_spec."""
+    return tuple(v for lo, hi in block_slices(blocks) for v in range(hi, lo, -1))
 
 
 def left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:

@@ -269,4 +269,6 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"scenario: file is not valid JSON ({err})") from err
+    except RecursionError:
+        raise ScenarioError(f"scenario: file {path} is JSON nested too deeply to decode") from None
     return parse_scenario(data)

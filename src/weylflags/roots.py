@@ -11,8 +11,13 @@ Each input kind has one check, raising ValueError: weyl.block_slices
 refuses block sizes below 1 (weyl.block_index is cached on it, so every
 reader of block numbers refuses them too), weyl.check_blocks fits a
 composition to a rank, and check_spec refuses an empty or non-dict spec
-and fits a spec to a shape through weyl.check_shapes.  Every spec reader goes through check_spec once
-a call, and those given a weight or permutation fit the spec to its shape.
+and fits a spec to a shape through weyl.check_shapes.  Every public spec
+reader puts each spec it is given through check_spec once a call, and
+those given a weight or permutation fit the spec to its shape; the
+private readers (a leading underscore) take specs that have been
+through it and check nothing again.  The simple roots of a checked spec,
+split into Delta_P and the rest of Delta, are derived once per distinct
+spec and cached.
 
 The Weyl group acts by place permutation, (w·x)_i = x_{w^{-1}(i)}, which
 makes the action a left action and gives w(e_i - e_j) = e_{w(i)} - e_{w(j)}.
@@ -31,10 +36,10 @@ ValueError: shapes differ: {'t': 4} vs {'t': 3}
 
 from __future__ import annotations
 
-import itertools
+from functools import lru_cache
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .weyl import MultiPerm, block_index, block_slices, check_shapes, multi_inverse, shape_of
+from .weyl import MultiPerm, block_index, block_slices, check_shapes, shape_of
 
 IntegralWeight = Dict[str, Tuple[int, ...]]
 ParabolicSpec = Dict[str, Tuple[int, ...]]
@@ -89,6 +94,21 @@ def positive_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _delta_split(
+    key: Tuple[Tuple[str, Tuple[int, ...]], ...]
+) -> Tuple[Tuple[Root, ...], Tuple[Root, ...]]:
+    """(Delta_P, Delta minus Delta_P), each sorted, of the checked spec
+    whose sorted items are key: a simple root (i, i+1) is in Delta_P when
+    i and i+1 share a block.  Cached, so each spec is split once."""
+    inside, across = [], []
+    for tau, blocks in key:
+        block = block_index(blocks)
+        for i in range(1, len(block)):
+            (inside if block[i - 1] == block[i] else across).append(Root(tau, i, i + 1))
+    return tuple(inside), tuple(across)
+
+
 def _simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
     """Delta_P: the simple roots (i, i+1) inside each block, sorted, of a
     spec that has been through check_spec.
@@ -96,23 +116,7 @@ def _simple_roots(spec: ParabolicSpec) -> Tuple[Root, ...]:
     >>> _simple_roots({"t": (2, 1)})
     (Root(tau='t', i=1, j=2),)
     """
-    return tuple(
-        Root(tau, i, i + 1)
-        for tau, blocks in sorted(spec.items())
-        for lo, hi in block_slices(blocks)
-        for i in range(lo + 1, hi)
-    )
-
-
-def _levi_roots(spec: ParabolicSpec) -> frozenset:
-    """R_P: roots with both endpoints in one block, of a spec that has
-    been through check_spec."""
-    return frozenset(
-        Root(tau, i, j)
-        for tau, blocks in spec.items()
-        for lo, hi in block_slices(blocks)
-        for i, j in itertools.permutations(range(lo + 1, hi + 1), 2)
-    )
+    return _delta_split(tuple(sorted(spec.items())))[0]
 
 
 def pairing(alpha: Root, x: IntegralWeight) -> int:
@@ -130,8 +134,18 @@ def pairing(alpha: Root, x: IntegralWeight) -> int:
 def act(w: MultiPerm, x: IntegralWeight) -> IntegralWeight:
     """Place permutation: (w·x)_i = x_{w^{-1}(i)}, so (uv)·x = u·(v·x)."""
     check_shapes(shape_of(w), shape_of(x))
-    winv = multi_inverse(w)
-    return {tau: tuple(x[tau][winv[tau][i] - 1] for i in range(len(x[tau]))) for tau in x}
+    return _act(w, x)
+
+
+def _act(w: MultiPerm, x: IntegralWeight) -> IntegralWeight:
+    """act for w and x already known to share a shape: x_j lands at w(j)."""
+    out = {}
+    for tau, v in x.items():
+        moved = [0] * len(v)
+        for j, i in enumerate(w[tau]):
+            moved[i - 1] = v[j]
+        out[tau] = tuple(moved)
+    return out
 
 
 def act_root(w: MultiPerm, alpha: Root) -> Root:
@@ -184,10 +198,12 @@ def dominance(x: IntegralWeight, spec: ParabolicSpec) -> bool:
     >>> dominance({"t": (3, 3, 0)}, {"t": (2, 1)})
     False
     """
-    for alpha in _simple_roots(check_spec(spec, shape_of(x))):
-        if pairing(alpha, x) <= 0:
-            return False
-    return True
+    return _dominant(x, check_spec(spec, shape_of(x)))
+
+
+def _dominant(x: IntegralWeight, spec: ParabolicSpec) -> bool:
+    """dominance for a spec already fitted to the shape of x."""
+    return all(pairing(alpha, x) > 0 for alpha in _simple_roots(spec))
 
 
 def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
@@ -201,9 +217,13 @@ def p_regular_antidominant(h: IntegralWeight, spec: ParabolicSpec) -> bool:
     >>> p_regular_antidominant({"t": (0, 0, 0)}, {"t": (2, 1)})
     False
     """
-    shape = shape_of(h)
-    in_levi = frozenset(_simple_roots(check_spec(spec, shape)))
-    return all(pairing(a, h) == 0 if a in in_levi else pairing(a, h) < 0 for a in simple_roots(shape))
+    return _p_regular(h, check_spec(spec, shape_of(h)))
+
+
+def _p_regular(h: IntegralWeight, spec: ParabolicSpec) -> bool:
+    """p_regular_antidominant for a spec already fitted to the shape of h."""
+    inside, across = _delta_split(tuple(sorted(spec.items())))
+    return all(pairing(a, h) == 0 for a in inside) and all(pairing(a, h) < 0 for a in across)
 
 
 def p_regular_witness(spec: ParabolicSpec) -> IntegralWeight:

@@ -1,21 +1,26 @@
 """Component-inclusion criteria for generalized Steinberg loci.
 
-All decisions reduce to finite root-set computations, on frozensets of
-Roots: whether the w-translate of a Levi's roots meets the positive
-roots of another Levi, counted by the defect |w(R_P) n R^+ n R_Q|, and
-whether a translated coweight is strictly dominant for it.  The
-walk driver find_induction_step raises a coset one covering step at a
-time, certifying each step with a simple root and the minimal parabolic
-attached to it.
+All decisions reduce to finite root computations.  The defect
+|w(R_P) n R^+ n R_Q| is counted on block indices: the pairs i < j inside
+one P-block whose images w(i) and w(j) share a Q-block.  Strict
+dominance and P-regularity of a coweight read the simple roots, split
+into Delta_P and the rest once per spec (roots._delta_split).  The two
+component routes check each input once on entry, P against the coset's
+own spec, and decide through private helpers that check nothing again.
+The walk driver find_induction_step raises a coset one covering step at
+a time, certifying each step with a simple root and the minimal
+parabolic attached to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple
+import itertools
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import weyl
 from .cosets import (
     CosetRep,
+    _levi_longest_perm,
     _quotient_parts,
     longest_in_levi,
     quotient_leq,
@@ -25,16 +30,17 @@ from .roots import (
     IntegralWeight,
     ParabolicSpec,
     Root,
-    _levi_roots,
+    _act,
+    _dominant,
+    _p_regular,
     act,
-    act_root,
     check_spec,
     dominance,
-    p_regular_antidominant,
     pairing,
     shape_of,
     simple_roots,
 )
+from .weyl import block_index, block_slices, check_shapes, min_rep_perm
 
 
 def levi_cap_u_in_nQ(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> bool:
@@ -46,7 +52,7 @@ def levi_cap_u_in_nQ(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSp
     double coset is a whole component of the Q-locus.  The inclusion
     test for a single coset wW_P is component_in_ZQP_roots.
     """
-    return not _defect_roots(w, pspec, qspec)
+    return not z_dimension_defect(w, pspec, qspec)
 
 
 def z_dimension_defect(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> int:
@@ -56,25 +62,47 @@ def z_dimension_defect(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: Parabolic
     >>> z_dimension_defect({"t": (2, 3, 1)}, {"t": (2, 1)}, {"t": (3,)})
     1
     """
-    return len(_defect_roots(w, pspec, qspec))
-
-
-def _defect_roots(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> frozenset:
-    """w(R_P) n R^+ n R_Q, once both specs are checked against w: the
-    roots of u n Ad(w)m_P outside n_Q, since n_Q = R^+ - R_Q."""
     shape = shape_of(w)
-    r_p = _levi_roots(check_spec(pspec, shape))
-    r_q = _levi_roots(check_spec(qspec, shape))
-    translated = (act_root(w, a) for a in r_p)
-    return frozenset(a for a in translated if a.positive and a in r_q)
+    return _defect(w, check_spec(pspec, shape), check_spec(qspec, shape))
+
+
+def _defect(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: ParabolicSpec) -> int:
+    """|w(R_P) n R^+ n R_Q| for specs fitted to w.  A pair i < j inside
+    one P-block gives the roots +-(e_i - e_j) of R_P; exactly one of their
+    images is positive, and it lies in R_Q, that is in u outside n_Q,
+    iff w(i) and w(j) share a Q-block."""
+    count = 0
+    for tau, part in w.items():
+        qblock = block_index(qspec[tau])
+        for lo, hi in block_slices(pspec[tau]):
+            images = [qblock[v - 1] for v in part[lo:hi]]
+            count += sum(a == b for a, b in itertools.combinations(images, 2))
+    return count
 
 
 def check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> IntegralWeight:
     """h, refusing it unless it fits the shape of pspec and is P-regular
     antidominant for it."""
-    if not p_regular_antidominant(h, pspec):
+    return _check_p_regular(h, check_spec(pspec, shape_of(h)))
+
+
+def _check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> IntegralWeight:
+    """check_p_regular for a spec already fitted to the shape of h."""
+    if not _p_regular(h, pspec):
         raise ValueError(f"h is not P-regular antidominant for blocks {pspec}: {h}")
     return h
+
+
+def _route_specs(
+    w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSpec
+) -> Tuple[ParabolicSpec, ParabolicSpec]:
+    """The entry check of both component routes: pspec and qspec checked
+    against the shape of w, and pspec refused unless it is w's own spec."""
+    shape = shape_of(w.rep)
+    pspec = check_spec(pspec, shape)
+    if pspec != w.spec:
+        raise ValueError(f"coset {w.rep} lives in W/W_P for blocks {w.spec}, not {pspec}")
+    return pspec, check_spec(qspec, shape)
 
 
 def component_in_ZQP(
@@ -85,8 +113,10 @@ def component_in_ZQP(
     Decided by strict Q-dominance of w(h) for a P-regular antidominant h;
     the answer does not depend on which such h is supplied.
     """
-    check_p_regular(h, pspec)
-    return dominance(act(w.rep, h), qspec)
+    pspec, qspec = _route_specs(w, pspec, qspec)
+    check_shapes(shape_of(w.rep), shape_of(h))
+    _check_p_regular(h, pspec)
+    return _dominant(_act(w.rep, h), qspec)
 
 
 def component_in_ZQP_roots(w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSpec) -> bool:
@@ -94,13 +124,17 @@ def component_in_ZQP_roots(w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSp
 
     The component of wW_P lies in the Q-locus iff, for the shortest
     representative r of the double coset W_Q w W_P, Ad(r)m_P n u sits
-    inside n_Q and wW_P = w_{Q,0}·r·W_P.  Needs no coweight h.
+    inside n_Q and wW_P = w_{Q,0}·r·W_P.  Needs no coweight h.  The
+    second test compares minimal representatives label by label.
     """
+    pspec, qspec = _route_specs(w, pspec, qspec)
     r = shortest_double_coset_rep(w.rep, qspec, pspec)
-    if not levi_cap_u_in_nQ(r, pspec, qspec):
+    if _defect(r, pspec, qspec):
         return False
-    lifted = weyl.multi_compose(longest_in_levi(qspec), r)
-    return CosetRep(lifted, pspec) == w
+    return all(
+        min_rep_perm(weyl.compose(_levi_longest_perm(qspec[tau]), part), pspec[tau]) == w.rep[tau]
+        for tau, part in r.items()
+    )
 
 
 def steinberg_components_full_flag(qspec: ParabolicSpec) -> List[weyl.MultiPerm]:

@@ -203,6 +203,24 @@ def levi_plus(spec):
     return frozenset(roots.Root(tau, i, j) for tau, blocks in spec.items() for i, j in levi_positive_roots(blocks))
 
 
+def levi_roots(spec):
+    """R_P of a spec as Roots: every ordered pair i != j in one block."""
+    out = set()
+    for tau, blocks in spec.items():
+        bl = block_of(blocks)
+        out.update(roots.Root(tau, i, j) for i, j in itertools.permutations(bl, 2) if bl[i] == bl[j])
+    return frozenset(out)
+
+
+def defect_roots(w, pspec, qspec):
+    """w(R_P) n R^+ n R_Q on frozensets of Roots, the roots of
+    u n Ad(w)m_P outside n_Q (n_Q = R^+ - R_Q); the set whose size
+    steinberg.z_dimension_defect counts on block indices."""
+    r_q = levi_roots(qspec)
+    translated = (roots.act_root(w, a) for a in levi_roots(pspec))
+    return frozenset(a for a in translated if a.positive and a in r_q)
+
+
 def length_split_brute(sigma, blocks):
     """(n_I, n^I): the inversions m < k of sigma, sigma(m) > sigma(k),
     counted inside one block of I and across two blocks."""

@@ -71,7 +71,7 @@ def five_routes(w, blocks):
     no_levi_inversions = not (roots.inversion_set(mw) & levi_plus)
     image_positive = all(roots.act_root(mw, alpha).positive for alpha in levi_plus)
     positive = frozenset(roots.positive_roots(shape))
-    translated_in_u = {roots.act_root(mw, a) for a in roots._levi_roots(roots.check_spec(spec)) & positive} <= positive
+    translated_in_u = {roots.act_root(mw, a) for a in oracles.levi_roots(spec) & positive} <= positive
     return (
         membership,
         adjoint_symbolic,

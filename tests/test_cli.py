@@ -295,6 +295,19 @@ def test_scenario_with_ff_fields_exits_two(capsys, tmp_path):
             assert err == f"error: scenario: unknown field {field!r}\n"
 
 
+def test_json_nested_too_deeply_exits_two_naming_its_source(capsys, tmp_path):
+    # 60 KB of '[' fits one argv entry; json.loads would raise RecursionError
+    code, out, err = run(capsys, "weyl", "--perm", "[" * 30000)
+    assert (code, out) == (2, "")
+    assert err == "error: --perm: JSON nested too deeply to decode\n"
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    for command in ("companion", "walk"):
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: scenario: file {path} is JSON nested too deeply to decode\n"
+
+
 def test_companion_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "companion", "--scenario", str(tmp_path / "nope.json"))
     assert code == 2

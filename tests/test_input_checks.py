@@ -1,8 +1,9 @@
 """Every public entry that takes a block composition or a spec refuses
 what the conventions rule out: block sizes below 1, a composition that
 does not sum to the rank, a spec that is empty or not a dict, and a spec
-whose labels or sums differ from the shape of the permutation or weight
-it comes with."""
+whose labels or sums differ from the shape of the permutation, coset or
+weight it comes with; a weight is refused when its shape differs from
+the coset's."""
 
 import pytest
 
@@ -24,6 +25,9 @@ BAD = {
 # entry given one composition sees the blocks of the spec's only label,
 # and one given a spec alone has no rank or labels to fit
 POSITIVE, RANK, SHAPE = ("negative", "zero"), ("negative", "zero", "wrong rank"), tuple(BAD)
+# a weight made from a spec (its P-regular witness) is refused by shape alone
+FIT = ("wrong rank", "wrong label")
+COSET, H = cosets.CosetRep(W, GOOD), roots.p_regular_witness(GOOD)
 
 
 def _blocks(spec):
@@ -46,6 +50,14 @@ ENTRIES = {
     "dominance": (SHAPE, lambda s: roots.dominance({"t": (1, 0, 0)}, s)),
     "levi_cap_u_in_nQ": (SHAPE, lambda s: steinberg.levi_cap_u_in_nQ(W, GOOD, s)),
     "z_dimension_defect": (SHAPE, lambda s: steinberg.z_dimension_defect(W, GOOD, s)),
+    "component_in_ZQP_roots P": (SHAPE, lambda s: steinberg.component_in_ZQP_roots(COSET, s, GOOD)),
+    "component_in_ZQP_roots Q": (SHAPE, lambda s: steinberg.component_in_ZQP_roots(COSET, GOOD, s)),
+    "component_in_ZQP P": (SHAPE, lambda s: steinberg.component_in_ZQP(COSET, s, GOOD, H)),
+    "component_in_ZQP Q": (SHAPE, lambda s: steinberg.component_in_ZQP(COSET, GOOD, s, H)),
+    "component_in_ZQP h": (
+        FIT,
+        lambda s: steinberg.component_in_ZQP(COSET, GOOD, GOOD, roots.p_regular_witness(s)),
+    ),
     "enumerate_partial_flags": (RANK, lambda s: ff.enumerate_partial_flags(3, 2, _blocks(s))),
     "incidence_count": (
         RANK,

@@ -20,7 +20,8 @@ def test_root_space_translation_matches_hand_count():
     # Q = (3,) has n_Q = 0, so all of it is defect
     w = {"t": (2, 3, 1)}
     pspec = {"t": (2, 1)}
-    assert steinberg._defect_roots(w, pspec, {"t": (3,)}) == {roots.Root("t", 2, 3)}
+    assert oracles.defect_roots(w, pspec, {"t": (3,)}) == {roots.Root("t", 2, 3)}
+    assert steinberg.z_dimension_defect(w, pspec, {"t": (3,)}) == 1
 
 
 def test_levi_cap_u_in_nQ_is_double_coset_invariant():
@@ -59,24 +60,52 @@ def test_z_dimension_defect_matches_levi_root_count():
                         for i, j in oracles.levi_positive_roots(pblocks)
                     }
                     expected = len(in_u) - len(in_u - q_levi)
-                    got = steinberg.z_dimension_defect({"t": w}, {"t": pblocks}, {"t": qblocks})
-                    assert got == expected, (w, pblocks, qblocks)
+                    mw, pspec, qspec = {"t": w}, {"t": pblocks}, {"t": qblocks}
+                    got = steinberg.z_dimension_defect(mw, pspec, qspec)
+                    assert got == expected == len(oracles.defect_roots(mw, pspec, qspec)), (w, pblocks, qblocks)
+
+
+def test_z_dimension_defect_sums_over_labels():
+    pspec, qspec = {"a": (2, 1), "b": (2,)}, {"a": (1, 2), "b": (2,)}
+    for wa in perms(3):
+        for wb in perms(2):
+            w = {"a": wa, "b": wb}
+            got = steinberg.z_dimension_defect(w, pspec, qspec)
+            assert got == len(oracles.defect_roots(w, pspec, qspec)), w
+
+
+def _route_cases():
+    """(P, Q) for every pair of specs of rank 3 and 4 at one label, and
+    for one two-label P against every two-label Q of the same shape."""
+    for n in (3, 4):
+        for pspec in specs(n):
+            for qspec in specs(n):
+                yield pspec, qspec
+    pspec = {"a": (2, 1), "b": (1, 1)}
+    for qa in oracles.compositions(3):
+        for qb in oracles.compositions(2):
+            yield pspec, {"a": qa, "b": qb}
 
 
 def test_component_routes_agree_and_ignore_choice_of_h():
-    for pspec in specs(3):
-        hs = [
-            roots.p_regular_witness(pspec),
-            {"t": tuple(5 * x - 7 for x in roots.p_regular_witness(pspec)["t"])},
-        ]
-        for qspec in specs(3):
-            for w in perms(3):
-                coset = CosetRep({"t": w}, pspec)
-                via_roots = steinberg.component_in_ZQP_roots(coset, pspec, qspec)
-                answers = {
-                    steinberg.component_in_ZQP(coset, pspec, qspec, h) for h in hs
-                }
-                assert answers == {via_roots}, (w, pspec, qspec)
+    for pspec, qspec in _route_cases():
+        witness = roots.p_regular_witness(pspec)
+        hs = [witness, {tau: tuple(5 * x - 7 for x in v) for tau, v in witness.items()}]
+        for coset in cosets.enumerate_quotient(pspec):
+            via_roots = steinberg.component_in_ZQP_roots(coset, pspec, qspec)
+            answers = {steinberg.component_in_ZQP(coset, pspec, qspec, h) for h in hs}
+            assert answers == {via_roots}, (coset, pspec, qspec)
+
+
+def test_component_routes_refuse_a_spec_other_than_the_cosets():
+    # the root route used to answer False here and the dominance route True
+    borel = {"t": (1, 1, 1)}
+    coset = CosetRep({"t": (1, 2, 3)}, borel)
+    pspec = {"t": (2, 1)}
+    with pytest.raises(ValueError, match="lives in W/W_P for blocks"):
+        steinberg.component_in_ZQP_roots(coset, pspec, borel)
+    with pytest.raises(ValueError, match="lives in W/W_P for blocks"):
+        steinberg.component_in_ZQP(coset, pspec, borel, roots.p_regular_witness(pspec))
 
 
 def test_component_in_ZQP_rejects_bad_h():
@@ -178,3 +207,31 @@ def test_listings_check_shapes_once_per_listing(monkeypatch):
         assert len(companion.companion_set(refinement, h, bottom)) == n * (n - 1)
         counts.append(len(calls))
     assert counts[:2] == counts[2:] and max(counts) <= 2, counts
+
+
+def test_routes_check_each_spec_once_and_split_roots_once_per_spec(monkeypatch):
+    # check_spec as the routes see it (steinberg, roots); the double-coset
+    # route reads it through cosets and is not counted
+    calls = []
+    check = roots.check_spec
+
+    def counted(spec, shape=None):
+        calls.append(1)
+        return check(spec, shape)
+
+    monkeypatch.setattr(steinberg, "check_spec", counted)
+    monkeypatch.setattr(roots, "check_spec", counted)
+    roots._delta_split.cache_clear()
+    pspecs, qspecs = [{"t": (2, 1)}, {"t": (1, 2)}], [{"t": (2, 1)}, {"t": (3,)}]
+    for pspec in pspecs:
+        h = roots.p_regular_witness(pspec)
+        for qspec in qspecs:
+            for coset in cosets.enumerate_quotient(pspec):
+                calls.clear()
+                steinberg.component_in_ZQP_roots(coset, pspec, qspec)
+                assert len(calls) == 2
+                calls.clear()
+                steinberg.component_in_ZQP(coset, pspec, qspec, h)
+                assert len(calls) == 2
+    # three distinct specs among P and Q, each split into Delta_P and the rest once
+    assert roots._delta_split.cache_info().misses == 3
