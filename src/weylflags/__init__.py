@@ -40,7 +40,13 @@ _EXPORTS = {
         "quotient_leq",
         "shortest_double_coset_rep",
     ),
-    "fforacle": ("covering_degree_check", "fiber_dimension_check", "shortest_element_fq_check", "weight_map_check"),
+    "fforacle": (
+        "covering_degree_check",
+        "fiber_dimension_check",
+        "good_form_conjugate",
+        "shortest_element_fq_check",
+        "weight_map_check",
+    ),
     "roots": (
         "Root",
         "act",

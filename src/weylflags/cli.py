@@ -11,18 +11,29 @@ errors, flags that would go unread included.
 Permutations, block compositions and weights are passed as JSON: either
 an object keyed by embedding label ({"t": [3, 1, 2]}) or a bare array,
 which is shorthand for the single label "tau".
+
+One flag table (_commands) describes every command.  A well-formed command
+line (the command, then whole flag names, each value flag once with a
+value not starting with "-", int values that convert, every required flag
+present) is read from that table directly, without importing argparse.
+Anything else goes to the argparse parser built from the same table:
+--help, abbreviations, --flag=value, negative values, and every refusal,
+with argparse's own text and exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Callable, List, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 # each handler imports the modules it answers from, so a light request
 # pays for no others
 from . import weyl
+
+if TYPE_CHECKING:  # build_parser imports it when called
+    import argparse
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -33,15 +44,6 @@ DEFAULT_LABEL = "tau"
 
 class CliError(ValueError):
     pass
-
-
-class _Once(argparse.Action):
-    """Store a value flag, refusing a second one: the first would go unread."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            raise CliError(f"{option_string}: given more than once")
-        setattr(namespace, self.dest, values)
 
 
 def _parse(text: str, flag: str, check: Optional[Callable] = None):
@@ -254,60 +256,119 @@ def cmd_ff_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command line
+
+_PRETTY = ("--pretty", bool, False, "plain-text report")
+
+
+def _commands():
+    """command -> (handler, help, flags), in --help order; each flag is
+    (name, type, required, help), type str, int or bool for a switch, and
+    every command also takes _PRETTY first.  Built on each call, so that a
+    handler rebound in this module (as perfbench's tracing does) is the
+    one dispatched."""
+    return {
+        "weyl": (cmd_weyl, "length, reduced word, inverse, composition, Bruhat order", (
+            ("--perm", str, True, "JSON permutation (one-line form)"),
+            ("--other", str, False, "second permutation for compose / Bruhat comparison"),
+        )),
+        "coset": (cmd_coset, "parabolic quotient W/W_P: minimal reps, lg_P, order", (
+            ("--perm", str, True, "JSON permutation"),
+            ("--blocks", str, True, "JSON block composition for P"),
+            ("--other", str, False, "second permutation for quotient comparison"),
+            ("--qblocks", str, False, "block composition for a double coset Q\\W/P"),
+            ("--enumerate", bool, False, "list the whole quotient"),
+        )),
+        "steinberg": (cmd_steinberg, "component criteria for the Q-locus", (
+            ("--blocks", str, True, "JSON block composition for P"),
+            ("--qblocks", str, True, "JSON block composition for Q"),
+            ("--perm", str, False, "JSON permutation indexing the component"),
+            ("--h", str, False, "P-regular antidominant weight (JSON)"),
+            ("--list-components", bool, False, "list full-flag components in the Q-locus"),
+        )),
+        "companion": (cmd_companion, "companion characters from a scenario file", (
+            ("--scenario", str, True, "path to a scenario JSON file"),
+            ("--jordan-holder", bool, False, "also list the lower coset ideal"),
+        )),
+        "walk": (cmd_walk, "certified covering-step walk up to the top coset", (
+            ("--scenario", str, False, "path to a scenario JSON file"),
+            ("--h", str, False, "antidominant weight (JSON) when no scenario is given"),
+            ("--perm", str, False, "starting permutation (default: identity)"),
+        )),
+        "ff-verify": (cmd_ff_verify, "exhaustive finite-field check suite", (
+            ("--suite", str, False, "'all' (the default) or comma-separated check names"),
+            ("--n", int, True, "matrix size"),
+            ("--p", int, True, "prime field size"),
+        )),
+    }
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What build_parser().parse_args(argv) returns, for a command line in
+    canonical form: a known command, then whole flag names, each value
+    flag once with a value that does not start with "-", int values that
+    convert, every required flag present.  None for anything else."""
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    func, _, flags = commands[argv[0]]
+    table = {name: (name[2:].replace("-", "_"), kind, required) for name, kind, required, _ in (_PRETTY,) + flags}
+    args = {dest: False if kind is bool else None for dest, kind, _ in table.values()}
+    rest = iter(argv[1:])
+    for name in rest:
+        if name not in table:
+            return None
+        dest, kind, _ = table[name]
+        if kind is bool:
+            args[dest] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-") or args[dest] is not None:
+            return None
+        try:
+            args[dest] = kind(value)
+        except ValueError:
+            return None
+    if any(required and args[dest] is None for dest, _, required in table.values()):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the same table: the path for --help,
+    abbreviations and every command line refused."""
+    import argparse
+
+    class _Once(argparse.Action):
+        """Store a value flag, refusing a second one: the first would go unread."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if getattr(namespace, self.dest) is not None:
+                raise CliError(f"{option_string}: given more than once")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="weylflags",
         description="Weyl group, parabolic coset and flag-variety calculations "
         "with finite-field brute-force verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        # every value flag, present and future, refuses a repeat
-        sp.register("action", None, _Once)
-        sp.add_argument("--pretty", action="store_true", help="plain-text report")
+    for command, (func, help_text, flags) in _commands().items():
+        sp = sub.add_parser(command, help=help_text)
         sp.set_defaults(func=func)
-        return sp
-
-    sp = add("weyl", cmd_weyl, "length, reduced word, inverse, composition, Bruhat order")
-    sp.add_argument("--perm", required=True, help="JSON permutation (one-line form)")
-    sp.add_argument("--other", help="second permutation for compose / Bruhat comparison")
-
-    sp = add("coset", cmd_coset, "parabolic quotient W/W_P: minimal reps, lg_P, order")
-    sp.add_argument("--perm", required=True, help="JSON permutation")
-    sp.add_argument("--blocks", required=True, help="JSON block composition for P")
-    sp.add_argument("--other", help="second permutation for quotient comparison")
-    sp.add_argument("--qblocks", help="block composition for a double coset Q\\W/P")
-    sp.add_argument("--enumerate", action="store_true", help="list the whole quotient")
-
-    sp = add("steinberg", cmd_steinberg, "component criteria for the Q-locus")
-    sp.add_argument("--blocks", required=True, help="JSON block composition for P")
-    sp.add_argument("--qblocks", required=True, help="JSON block composition for Q")
-    sp.add_argument("--perm", help="JSON permutation indexing the component")
-    sp.add_argument("--h", help="P-regular antidominant weight (JSON)")
-    sp.add_argument("--list-components", action="store_true", help="list full-flag components in the Q-locus")
-
-    sp = add("companion", cmd_companion, "companion characters from a scenario file")
-    sp.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    sp.add_argument("--jordan-holder", action="store_true", help="also list the lower coset ideal")
-
-    sp = add("walk", cmd_walk, "certified covering-step walk up to the top coset")
-    sp.add_argument("--scenario", help="path to a scenario JSON file")
-    sp.add_argument("--h", help="antidominant weight (JSON) when no scenario is given")
-    sp.add_argument("--perm", help="starting permutation (default: identity)")
-
-    sp = add("ff-verify", cmd_ff_verify, "exhaustive finite-field check suite")
-    sp.add_argument("--suite", help="'all' (the default) or comma-separated check names")
-    sp.add_argument("--n", type=int, required=True, help="matrix size")
-    sp.add_argument("--p", type=int, required=True, help="prime field size")
+        for name, kind, required, flag_help in (_PRETTY,) + flags:
+            if kind is bool:
+                sp.add_argument(name, action="store_true", help=flag_help)
+            else:
+                sp.add_argument(name, action=_Once, type=kind, required=required, help=flag_help)
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,12 +18,14 @@ eigenvalue labels, and only weights are computed on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from . import weyl
 from .cosets import CosetRep, _interval
 from .roots import IntegralWeight, ParabolicSpec, check_spec, shape_of
-from .steinberg import InductionStep, find_induction_step
+
+if TYPE_CHECKING:  # only certify_walk needs steinberg, and imports it itself
+    from .steinberg import InductionStep
 
 
 class PlaceRefinement(NamedTuple("PlaceRefinement", [
@@ -210,6 +212,8 @@ def jordan_holder_cosets(w: CosetRep) -> List[CosetRep]:
 def certify_walk(w_R: CosetRep, h: IntegralWeight) -> CompanionCertificate:
     """Climb from w_R to the top coset one certified covering step at a
     time; the chain length is lg_P(top) - lg_P(w_R)."""
+    from .steinberg import find_induction_step
+
     spec = _quotient_of(w_R, h)
     steps: List[InductionStep] = []
     cur = w_R

@@ -550,9 +550,10 @@ def blowup_equation_check(p: int) -> bool:
     """For 2x2 b = [[c+t, y], [0, c-t]] and the lower elementary u(x):
     Ad(u(x))^{-1} b is upper triangular iff 2xt + x^2 y = 0 over F_p, with
     the sign relation lower_left = -(2xt + x^2 y) pinned by direct
-    computation; the solution-set case split is asserted as well.  p = 2
+    computation; the solution-set case split is checked as well.  p = 2
     is refused: the equation carries a coefficient 2."""
     _admit("blowup", 2, p)
+    sign_mismatches = 0
     for x in range(p):
         u, uinv = ((1, 0), (x, 1)), ((1, 0), ((-x) % p, 1))
         for t, y, c in itertools.product(range(p), repeat=3):
@@ -560,9 +561,11 @@ def blowup_equation_check(p: int) -> bool:
             # the one entry read, the lower-left of u^{-1}·b·u: row 2 of u^{-1}, times b, times column 1 of u
             lower_left = sum(r * (b0 * u[0][0] + b1 * u[1][0]) for r, (b0, b1) in zip(uinv[1], b)) % p
             q = (2 * x * t + x * x * y) % p
-            assert lower_left == (-q) % p
+            sign_mismatches += lower_left != (-q) % p
             if (lower_left == 0) != (q == 0):
                 return False
+    if sign_mismatches:
+        return False
     for t, y in itertools.product(range(p), repeat=2):
         sols = {x for x in range(p) if (2 * x * t + x * x * y) % p == 0}
         if t == 0 and y == 0:
@@ -585,23 +588,34 @@ def good_form_conjugate(v):
     Sweeps columns left to right, rows bottom-up inside a column,
     conjugating by I + v_kj/(v_jj - v_kk)·E_kj; each step clears (k, j)
     without touching entries already cleared.  Returns (b, v'), checked
-    as v·b = b·v' with b unit upper triangular.
+    as v·b = b·v' with b unit upper triangular; a failed check raises
+    ArithmeticError.
     """
     if isinstance(v, FqMatrix):
-        b, rows, _ = _good_form(v.entries, v.p)
+        b, rows, _ = _checked_good_form(v.entries, v.p)
         return FqMatrix(v.p, b), FqMatrix(v.p, rows)
     from fractions import Fraction  # imported here: the suite rows read _good_form's numerators
     ratios = [[x.as_integer_ratio() for x in row] for row in v]
     scale = math.lcm(*(d for row in ratios for _, d in row))  # num = scale·v gives b = B/d, v' = V/(d·scale)
-    b, rows, den = _good_form([[a * (scale // d) for a, d in row] for row in ratios], 0)
+    b, rows, den = _checked_good_form([[a * (scale // d) for a, d in row] for row in ratios], 0)
     ints = all(type(x) is int for row in v for x in row)
     exact = lambda m, d: tuple(tuple(x // d if ints and not x % d else Fraction(x, d) for x in row) for row in m)
     return exact(b, den), exact(rows, den * scale)
 
 
-def _good_form(original: Sequence[Sequence[int]], p: int) -> Tuple[Rows, Rows, int]:
+def _checked_good_form(original: Sequence[Sequence[int]], p: int) -> Tuple[Rows, Rows, int]:
+    """_good_form's (B, V, d), refused with an ArithmeticError if it breaks
+    a postcondition."""
+    b, rows, den, broken = _good_form(original, p)
+    if broken:
+        raise ArithmeticError(f"good form breaks {broken} of its postconditions")
+    return b, rows, den
+
+
+def _good_form(original: Sequence[Sequence[int]], p: int) -> Tuple[Rows, Rows, int, int]:
     """good_form_conjugate's sweep on integer v over F_p (p prime, v
-    reduced) or Q (p = 0): (B, V, d) with b = B/d and v' = V/d.  Over Q the
+    reduced) or Q (p = 0): (B, V, d, broken) with b = B/d and v' = V/d, and
+    broken the number of postconditions below that fail.  Over Q the
     numerators are scaled just enough that every step divides exactly."""
     n = len(original)
     if any(len(row) != n for row in original):
@@ -624,18 +638,19 @@ def _good_form(original: Sequence[Sequence[int]], p: int) -> Tuple[Rows, Rows, i
             m[k][j:] = [(x - a * y) % p if p else x - a * y // q for x, y in zip(m[k][j:], m[j][j:])]
     rows, b = tuple(map(tuple, m[:n])), tuple(map(tuple, m[n:]))
 
-    # postconditions: entries across distinct diagonal values vanish and
-    # the result really is the conjugate.  All three factors are upper
-    # triangular, so v·b = b·v' holds when d·(v·B) = B·V holds on the
-    # upper triangle, where entry (i, j) sums over i <= t <= j only.
-    assert all(rows[i][j] == 0 for i in range(n) for j in range(n) if original[i][i] != original[j][j])
-    assert in_b(b) and all(b[i][i] == den for i in range(n)) and in_b(rows)
+    # postconditions, counted where they fail: entries across distinct
+    # diagonal values vanish, and the result really is the conjugate.  All
+    # three factors are upper triangular, so v·b = b·v' holds when
+    # d·(v·B) = B·V holds on the upper triangle, where entry (i, j) sums
+    # over i <= t <= j only.
+    broken = sum(1 for i in range(n) for j in range(n) if rows[i][j] and original[i][i] != original[j][j])
+    broken += not (in_b(b) and all(b[i][i] == den for i in range(n)) and in_b(rows))
     for i in range(n):
         for j in range(i, n):
             span = range(i, j + 1)
             gap = den * sum(original[i][t] * b[t][j] for t in span) - sum(b[i][t] * rows[t][j] for t in span)
-            assert gap % p == 0 if p else gap == 0
-    return b, rows, den
+            broken += bool(gap % p if p else gap)
+    return b, rows, den, broken
 
 
 # ---------------------------------------------------------------------------
@@ -832,18 +847,16 @@ def _blowup_rows(n: int, p: int):
 
 def _good_form_rows(n: int, p: int):
     rng = random.Random(20240811)
-    ok = True
+    broken = 0
     trials = 60
     for _ in range(trials):
         size = rng.randint(1, n)
         diag = [rng.randint(0, 2) for _ in range(size)]
         rows_q = [[diag[i] if i == j else rng.randint(-4, 4) if j > i else 0 for j in range(size)] for i in range(size)]
-        _, vq, _ = _good_form(rows_q, 0)  # a zero entry is a zero numerator: no Fraction needed
+        broken += _good_form(rows_q, 0)[3]
         entries = tuple(tuple(rng.randrange(p) if j >= i else 0 for j in range(size)) for i in range(size))
-        _, vp = good_form_conjugate(FqMatrix(p, entries))
-        for i, j in itertools.product(range(size), repeat=2):
-            if rows_q[i][i] != rows_q[j][j] and vq[i][j] or entries[i][i] != entries[j][j] and vp.entries[i][j]:
-                ok = False
+        broken += _good_form(entries, p)[3]
+    ok = not broken
     yield {"trials": trials}, True, ok, ok
 
 

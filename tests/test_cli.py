@@ -742,8 +742,7 @@ def _scenario_file(draw):
     return json.dumps(data).encode()
 
 
-@st.composite
-def _argv(draw):
+def _canonical_argv(draw):
     command = draw(st.sampled_from(["weyl", "coset", "steinberg", "walk", "ff-verify", "companion"]))
     if command == "companion":
         return ["companion", "--scenario", _SCENARIO] + _options(draw, "--jordan-holder", "--pretty")
@@ -768,6 +767,44 @@ def _argv(draw):
     return argv
 
 
+_SWITCHES = ("--pretty", "--enumerate", "--list-components", "--jordan-holder")
+_VALUE_FLAGS = ("--perm", "--other", "--blocks", "--qblocks", "--h", "--scenario", "--suite", "--n", "--p")
+
+
+def _mangle(draw, argv):
+    """argv changed in one way the table parser leaves to argparse: an
+    abbreviated flag, --flag=value, a repeated or dropped value flag, -h,
+    a flag of another command, or a value that starts with "-"."""
+    kind = draw(st.sampled_from(["abbreviate", "equals", "repeat", "drop", "help", "foreign", "dash"]))
+    at = draw(st.sampled_from([1, len(argv)]))  # between flags: after the command or at the end
+    if kind == "help":
+        return argv[:at] + ["-h"] + argv[at:]
+    if kind == "foreign":
+        flag = draw(st.sampled_from(_SWITCHES + _VALUE_FLAGS))
+        return argv[:at] + ([flag] if flag in _SWITCHES else [flag, draw(_JSON_ARG)]) + argv[at:]
+    flags = [i for i, arg in enumerate(argv) if arg in _VALUE_FLAGS]
+    if not flags:
+        return argv
+    i = draw(st.sampled_from(flags))
+    flag, value = argv[i], argv[i + 1]
+    if kind == "abbreviate" and len(flag) > 3:
+        return argv[:i] + [flag[:draw(st.integers(3, len(flag) - 1))]] + argv[i + 1:]
+    if kind == "equals":
+        return argv[:i] + [f"{flag}={value}"] + argv[i + 2:]
+    if kind == "repeat":
+        return argv + [flag, value]
+    if kind == "drop":
+        return argv[:i] + argv[i + 2:]
+    return argv[:i + 1] + [draw(st.sampled_from(["-", "-1", "--"])) + value] + argv[i + 2:]
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one command, well formed or, a third of the time, mangled."""
+    argv = _canonical_argv(draw)
+    return _mangle(draw, argv) if draw(st.integers(0, 2)) == 0 else argv
+
+
 @settings(derandomize=True, deadline=None, max_examples=500,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv(), scenario=_scenario_file())
@@ -780,9 +817,12 @@ def test_cli_fuzz_keeps_the_exit_contract(capsys, tmp_path, argv, scenario):
     capsys.readouterr()
     try:
         code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejecting the command line
-        assert exc.code == 2
-        code = 2
+    except SystemExit as exc:  # argparse printing help (0) or rejecting the command line (2)
+        assert exc.code in (0, 2)
+        code = exc.code
+        if code == 0:
+            assert capsys.readouterr().out.startswith("usage: weylflags ")
+            return
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -794,3 +834,15 @@ def test_cli_fuzz_keeps_the_exit_contract(capsys, tmp_path, argv, scenario):
             assert json.loads(out)["generic"] is False
     if code == 0 and argv[0] == "ff-verify":
         assert json.loads(out)["results"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(argv=_argv())
+@example(argv=["ff-verify", "--n", " 2", "--p", "+3"])
+@example(argv=["ff-verify", "--n", "2", "--p", "1" * 5000])
+@example(argv=["coset", "--perm", "", "--blocks", "[1]", "--enumerate", "--enumerate"])
+def test_the_table_parser_agrees_with_argparse(argv):
+    # the table parser answers a command line only as argparse would
+    args = cli._parse_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))

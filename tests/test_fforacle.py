@@ -371,18 +371,32 @@ def test_incidence_rows_report_a_dropped_or_repeated_flag(monkeypatch, capsys, c
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
-def test_blowup_reports_a_sign_flip_in_its_closed_form(monkeypatch, capsys):
+def plant(monkeypatch, name, old, new):
+    """Replace fforacle.<name> by its source with old, which must occur
+    once, rewritten as new."""
+    source = inspect.getsource(getattr(ff, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(ff))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(ff, name, namespace[name])
+
+
+@pytest.mark.parametrize("name, old, new, check", [
     # the nonzero root of 2xt + x^2 y = 0 taken as +2t/y: the solution set
     # of every (t, y) with t, y != 0 then disagrees with its case split
-    source = inspect.getsource(ff.blowup_equation_check)
-    closed_form = "(-2 * t * pow(y, p - 2, p)) % p"
-    assert source.count(closed_form) == 1
-    namespace = dict(vars(ff))
-    exec(source.replace(closed_form, "(2 * t * pow(y, p - 2, p)) % p"), namespace)
-    monkeypatch.setattr(ff, "blowup_equation_check", namespace["blowup_equation_check"])
-    assert [row["pass"] for row in ff.run_suite(2, 3, ["blowup"])] == [False]
-    assert cli.main(["ff-verify", "--n", "2", "--p", "3", "--suite", "blowup"]) == 1
-    assert json.loads(capsys.readouterr().out)["pass"] is False
+    ("blowup_equation_check", "(-2 * t * pow(y, p - 2, p)) % p", "(2 * t * pow(y, p - 2, p)) % p", "blowup"),
+    # lower_left computed as +(2xt + x^2 y): it still vanishes exactly when
+    # the equation holds, so only the sign relation sees the error
+    ("blowup_equation_check", "lower_left = sum(", "lower_left = -sum(", "blowup"),
+    # b never updated: v' keeps its zeros, but v·b = b·v' fails
+    ("_good_form", "for row in m:", "for row in m[:n]:", "good_form"),
+], ids=["blowup-root-sign", "blowup-lower-left-sign", "good-form-conjugacy"])
+def test_a_planted_error_fails_its_row(monkeypatch, capsys, name, old, new, check):
+    plant(monkeypatch, name, old, new)
+    assert [row["pass"] for row in ff.run_suite(2, 3, [check])] == [False]
+    assert cli.main(["ff-verify", "--n", "2", "--p", "3", "--suite", check]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"] is False and err == ""
 
 
 def test_incidence_classics():

@@ -34,8 +34,8 @@ def run_isolated(code):
 
 # the weylflags modules each command loads, and whether it loads the
 # fractions module, which a light request has no use for; no command
-# loads the dataclasses module, and only the commands that encode cosets
-# load jsonio
+# loads the dataclasses module, only the commands that encode cosets
+# load jsonio, and a well-formed command line is parsed without argparse
 _LIGHT = ["cli", "weyl"]
 COMMAND_IMPORTS = [
     (["weyl", "--perm", "[3,2,1]", "--other", "[1,3,2]"], _LIGHT, False),
@@ -46,10 +46,37 @@ COMMAND_IMPORTS = [
     (["steinberg", "--blocks", "[2,1]", "--qblocks", "[3]", "--perm", "[1,3,2]", "--h", "[0,0,1]",
       "--list-components"], _LIGHT + ["cosets", "roots", "steinberg"], False),
     (["companion", "--scenario", "SCENARIO", "--jordan-holder"],
-     _LIGHT + ["companion", "cosets", "jsonio", "roots", "steinberg"], True),
+     _LIGHT + ["companion", "cosets", "jsonio", "roots"], True),
     (["walk", "--h", "[0,0,1]"], _LIGHT + ["companion", "cosets", "jsonio", "roots", "steinberg"], True),
     (["ff-verify", "--n", "2", "--p", "2"], ["cli", "fforacle", "weyl"], False),
 ]
+
+# command lines only argparse answers, each with its exit code and the
+# start and end of what it prints
+ARGPARSE_LINES = [
+    (["weyl", "-h"], 0, "usage: weylflags weyl [-h] [--pretty] --perm PERM", "  --other OTHER"),
+    (["weyl", "--other", "[1]"], 2, "usage: weylflags weyl [-h] [--pretty] --perm PERM",
+     "weylflags weyl: error: the following arguments are required: --perm"),
+]
+
+
+def run_main(argv):
+    """cli.main(argv) in a fresh interpreter: [exit code, the weylflags
+    modules loaded, whether dataclasses, fractions and argparse are
+    loaded, what it printed on stdout and stderr]."""
+    return run_isolated(
+        "import contextlib, io, json\n"
+        "import weylflags.cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        f"        code = weylflags.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "mods = sorted(name[10:] for name in sys.modules if name.startswith('weylflags.'))\n"
+        "loaded = ['dataclasses' in sys.modules, 'fractions' in sys.modules, 'argparse' in sys.modules]\n"
+        "print(json.dumps([code, mods, *loaded, out.getvalue(), err.getvalue()]))\n"
+    )
 
 
 def test_each_command_loads_only_the_modules_it_answers_from(tmp_path):
@@ -60,14 +87,17 @@ def test_each_command_loads_only_the_modules_it_answers_from(tmp_path):
     }]}))
     for argv, modules, fractions in COMMAND_IMPORTS:
         argv = [str(scenario) if arg == "SCENARIO" else arg for arg in argv]
-        loaded = run_isolated(
-            "import json\n"
-            "import weylflags.cli\n"
-            f"code = weylflags.cli.main({argv!r})\n"
-            "mods = sorted(name[10:] for name in sys.modules if name.startswith('weylflags.'))\n"
-            "print(json.dumps([code, mods, 'dataclasses' in sys.modules, 'fractions' in sys.modules]))\n"
-        )
-        assert loaded == [0, sorted(modules), False, fractions], argv
+        loaded = run_main(argv)
+        assert loaded[:5] == [0, sorted(modules), False, fractions, False], argv
+        assert loaded[6] == "", argv
+
+
+def test_help_and_refusals_go_through_argparse():
+    for argv, code, first, last in ARGPARSE_LINES:
+        loaded = run_main(argv)
+        assert loaded[:5] == [code, _LIGHT, False, False, True], argv
+        text = loaded[5] or loaded[6]
+        assert text.startswith(first + " ") and text.splitlines()[-1].startswith(last), argv
 
 
 def test_the_star_import_loads_no_dataclasses():
