@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from . import weyl
 from .roots import ParabolicSpec, check_spec, shape_of
-from .weyl import MultiPerm, Perm, _cap, _min_reps_with_length, block_index, block_slices, min_rep_perm
+from .weyl import MultiPerm, Perm, _cap, _cosets, _min_reps_with_length, block_index, block_slices, min_rep_perm
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
 ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
@@ -132,12 +132,7 @@ def _require_quotient_cap(spec: ParabolicSpec) -> None:
     """Refuse a quotient with more cosets than the cap allows; the size is
     the product over labels of the multinomials n!/prod b!."""
     cap = _cap(ENV_MAX_QUOTIENT, DEFAULT_MAX_QUOTIENT)
-    size = 1
-    for blocks in check_spec(spec).values():
-        rest = sum(blocks)
-        for b in blocks:
-            size *= math.comb(rest, b)
-            rest -= b
+    size = math.prod(_cosets(blocks) for blocks in check_spec(spec).values())
     if size > cap:
         raise ValueError(
             f"quotient W/W_P has {size} cosets, over the enumeration cap {cap}; "

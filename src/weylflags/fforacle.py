@@ -1,16 +1,15 @@
 """Exhaustive flag-variety checks over small prime fields.
 
-Enumerates G/B pointwise for GL_n over F_p, the points u·dot(w) of each
-Schubert cell B·dot(w)·B/B: u with its columns permuted by w.  G/P is a
-filter of that enumeration: for w in W^P the cell maps isomorphically
-onto B·dot(w)·P/P, so the Borel's points in the minimal cells are G/P.
-Every point carries its cell and its inverse dot(w)^{-1}·u^{-1}, u^{-1} kept
-as a product as each cell is filled row by row, once per (n, p).  Any
-invertible matrix is brought to the point of its coset gB by one column
-reduction, which names both the coset and its cell.  Membership of
-Ad(g^-1)nu in b or p is one test: the entries below the block diagonal
-vanish.  The rest of the package reasons about these incidences
-combinatorially.  Everything here is counting; no claim beyond
+Enumerates flag varieties of GL_n over F_p cell by cell: the Schubert cell
+B·dot(w)·B/B is the points u·dot(w), u with its columns permuted by w,
+filled once per (w, p).  G/B is every cell, G/P the cells of w in W^P, each
+of which maps isomorphically onto B·dot(w)·P/P.  Every point carries its
+cell and its inverse dot(w)^{-1}·u^{-1}, u^{-1} kept as a product as the
+cell is filled row by row.  Any invertible matrix is brought to the point of
+its coset gB by one column reduction, which names both the coset and its
+cell.  Membership of Ad(g^-1)nu in b or p is one test: the entries below the
+block diagonal vanish.  The rest of the package reasons about these
+incidences combinatorially.  Everything here is counting; no claim beyond
 membership and cardinality is certified.
 
 Each check has one gate, its refusal in _CHECKS, which run_suite and
@@ -51,8 +50,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .weyl import Perm, _cap, _min_reps_perm, _min_reps_with_length, block_index, block_slices, check_blocks
-from .weyl import check_perm, inverse, length, min_rep_perm
+from .weyl import Perm, _cap, _cosets, _min_reps_perm, _min_reps_with_length, block_index, block_slices
+from .weyl import check_blocks, check_perm, inverse, length, min_rep_perm
 
 # |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
 # on a 2-vCPU Xeon (CPython 3.11) took 0.5-0.9 s and 37 MB RSS at (4,5),
@@ -196,60 +195,62 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _flags_cached(n: int, p: int, blocks: Tuple[int, ...]) -> Tuple[FlagPoint, ...]:
-    """One point u·dot(w) per coset gP, the cell of each minimal
-    representative w of W/W_P in turn, sorted by (length(w), w), each with
-    its inverse.  Only the Borel, blocks (1,)*n, is enumerated, a cell row
-    by row with u^{-1} = (I - A_1)...(I - A_{n-1}) kept by columns, A_i the
-    off-diagonal part of row i.  For w in W^P the cell B·dot(w)·B/B maps
-    isomorphically onto B·dot(w)·P/P, its free positions do not depend on
-    the blocks, and G/P is the disjoint union of these cells: so G/P is the
-    Borel's points in the minimal cells, in order."""
-    check_blocks(blocks, n)
-    full = (1,) * n
-    if blocks != full:
-        cells = set(_min_reps_perm(blocks))
-        return tuple(point for point in _flags_cached(n, p, full) if point.cell in cells)
+def _cell_points(w: Perm, p: int) -> Tuple[FlagPoint, ...]:
+    """The points u·dot(w) of the cell B·dot(w)·B/B with their inverses, filled
+    row by row: u^{-1} = (I - A_1)...(I - A_{n-1}) by columns, A_i row i off the diagonal."""
+    n = len(w)
+    # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed;
+    # take also picks the inverse's rows, and one index gives no tuple
+    take = operator.itemgetter(*(k - 1 for k in w)) if n > 1 else tuple
+    free = cell_free_positions(w)
+    rows = []  # per row i, each choice of its coordinates: the nonzero ones, and the shared row of u·dot(w)
+    for i in range(n):
+        columns = [j - 1 for r, j in free if r == i + 1]
+        choices = [dict(zip(columns, coords)) for coords in itertools.product(range(p), repeat=len(columns))]
+        rows.append([(tuple((j, c) for j, c in u.items() if c), take([u.get(j, int(i == j)) for j in range(n)]))
+                     for u in choices])
     points: List[FlagPoint] = []
-    for _, w in sorted(_min_reps_with_length(full)):
-        # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed;
-        # take also picks the inverse's rows, and one index gives no tuple
-        take = operator.itemgetter(*(k - 1 for k in w)) if n > 1 else tuple
-        free = cell_free_positions(w)
-        rows = []  # per row i, each choice of its coordinates: the nonzero ones, and the shared row of u·dot(w)
-        for i in range(n):
-            columns = [j - 1 for r, j in free if r == i + 1]
-            choices = [dict(zip(columns, coords)) for coords in itertools.product(range(p), repeat=len(columns))]
-            rows.append([(tuple((j, c) for j, c in u.items() if c), take([u.get(j, int(i == j)) for j in range(n)]))
-                         for u in choices])
 
-        # each choice of rows i, i+1, ... under the rows g, v_cols the columns of the factors above row i
-        def extend(i: int, g: Rows, v_cols: List[List[int]]) -> None:
-            for nonzero, row in rows[i]:
-                cols = v_cols[:]
-                for j, c in nonzero:  # times (I - A_i): column j loses u[i][j] times column i
-                    cols[j] = [(x - c * y) % p for x, y in zip(v_cols[j], v_cols[i])]
-                if i + 1 < n:
-                    extend(i + 1, g + (row,), cols)
-                else:
-                    points.append(FlagPoint(w, FqMatrix._make((p, g + (row,))), take(tuple(zip(*cols)))))
+    # each choice of rows i, i+1, ... under the rows g, v_cols the columns of the factors above row i
+    def extend(i: int, g: Rows, v_cols: List[List[int]]) -> None:
+        for nonzero, row in rows[i]:
+            cols = v_cols[:]
+            for j, c in nonzero:  # times (I - A_i): column j loses u[i][j] times column i
+                cols[j] = [(x - c * y) % p for x, y in zip(v_cols[j], v_cols[i])]
+            if i + 1 < n:
+                extend(i + 1, g + (row,), cols)
+            else:
+                points.append(FlagPoint(w, FqMatrix._make((p, g + (row,))), take(tuple(zip(*cols)))))
 
-        extend(0, (), [[int(i == j) for i in range(n)] for j in range(n)])
+    extend(0, (), [[int(i == j) for i in range(n)] for j in range(n)])
     return tuple(points)
+
+
+@lru_cache(maxsize=None)
+def _cells(blocks: Tuple[int, ...]) -> Tuple[Perm, ...]:
+    """W^P by (length(w), w): each cell B·dot(w)·B/B maps onto B·dot(w)·P/P
+    isomorphically, so G/P is the Borel's points in these cells, in order."""
+    return tuple(w for _, w in sorted(_min_reps_with_length(blocks)))
+
+
+def _flags(n: int, p: int, blocks: Tuple[int, ...]) -> Iterator[FlagPoint]:
+    """G/P, one point u·dot(w) per coset gP, cell by cell (see _cells)."""
+    check_blocks(blocks, n)
+    return itertools.chain.from_iterable(_cell_points(w, p) for w in _cells(blocks))
 
 
 def enumerate_flags(n: int, p: int) -> List[FlagPoint]:
     """Every Borel coset of GL_n(F_p) exactly once, as u·dot(w) cell
     representatives; sorted by (cell length, cell, coordinates)."""
     check_bounds(n, p)
-    return list(_flags_cached(n, p, (1,) * n))
+    return list(_flags(n, p, (1,) * n))
 
 
 def cell_normal_form(g: FqMatrix) -> Tuple[Perm, Rows]:
     """The Bruhat cell w of g and the point u·dot(w) of the coset gB.
 
     The point depends only on gB, so it is a complete coset key, and every
-    point of _flags_cached is its own normal form.  The columns of g are
+    enumerated point is its own normal form.  The columns of g are
     taken left to right.  Each is reduced by the earlier reduced columns
     at their pivot rows, then scaled to 1 at its lowest nonzero row, found
     scanning up, which is w(j).  Both steps are right multiplications by B.
@@ -286,7 +287,7 @@ def enumerate_partial_flags(n: int, p: int, blocks: Tuple[int, ...]) -> List[FqM
     """One representative matrix per coset gP: the points of the cells of
     the minimal representatives, in the order of enumerate_flags."""
     check_bounds(n, p)
-    return [point.canonical_matrix for point in _flags_cached(n, p, tuple(blocks))]
+    return [point.canonical_matrix for point in _flags(n, p, tuple(blocks))]
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +321,12 @@ def incidence_count(
 ) -> IncidenceReport:
     """Count flag (or partial-flag) points g with Ad(g^{-1})nu in the
     requested subalgebra; the witnesses (FlagPoints in both spaces) and a
-    per-cell breakdown ride along.  Each point forms only the columns of
-    nu·g that the tested entries read, from nu's nonzero columns, and
-    passes the entries of a column that comes out zero; then g^{-1}·(nu·g)
-    at the others, each reduced mod p once, up to the first nonzero."""
+    per-cell breakdown ride along.  in_b on partial flags is refused: the
+    answer would depend on the representative of gP.  Each point forms
+    only the columns of nu·g that the tested entries read, from nu's
+    nonzero columns, and passes the entries of a column that comes out
+    zero; then g^{-1}·(nu·g) at the others, each reduced mod p once, up to
+    the first nonzero."""
     n = nu.n
     p = nu.p
     check_bounds(n, p)
@@ -337,11 +340,14 @@ def incidence_count(
         raise ValueError("partial_flag space needs blocks")
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}; pick one of {SPACES}")
+    if space == "partial_flag" and condition == "in_b":
+        raise ValueError("condition in_b needs space full_flag: b is not P-stable, so whether Ad(g^-1)nu "
+                         "lies in b depends on the representative g of gP")
     zeros = _zero_positions(tuple(blocks) if condition == "in_p" else (1,) * n)
     tested = [(j, [i for i, c in zeros if c == j]) for j in sorted({j for _, j in zeros})]
     nonzero = [(k, col) for k, col in enumerate(zip(*nu.entries)) if any(col)]
     witnesses = []
-    for point in _flags_cached(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
+    for point in _flags(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
         g, inverse = point.canonical_matrix.entries, point.inverse
         for j, rows in tested:
             col = None
@@ -386,8 +392,7 @@ def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, basis: bool):
             return len(vectors) - len(pivots)
         return [work[r][len(zeros):] for column, r in pivots if column >= len(zeros)]
 
-    points = _flags_cached(n, p, blocks)
-    return (kernel(point.canonical_matrix.entries, point.inverse) for point in points if point.cell == w)
+    return (kernel(point.canonical_matrix.entries, point.inverse) for point in _cell_points(w, p))
 
 
 class FiberReport(NamedTuple):
@@ -674,17 +679,17 @@ def point_count_identity(n: int, p: int) -> Dict[str, object]:
     must classify back into its own cell, both read from one normal form
     per point, one point at a time."""
     _admit("point_count", n, p)
-    flags = _flags_cached(n, p, (1,) * n)
     by_cells = sum(p ** length(w) for w in itertools.permutations(range(1, n + 1)))
     qf = q_factorial(n, p)
     quotient = gl_order(n, p) // borel_order(n, p)
-    keys, roundtrip = set(), True
-    for point in flags:
+    enumerated, keys, roundtrip = 0, set(), True
+    for point in _flags(n, p, (1,) * n):
         cell, rows = cell_normal_form(g := point.canonical_matrix)
         keys.add(g.entries if rows == g.entries else rows)  # a point that is its own form is kept once
         roundtrip &= cell == point.cell
-    passed = len(flags) == by_cells == qf == quotient == len(keys) and roundtrip
-    return {"enumerated": len(flags), "cell_sum": by_cells, "q_factorial": qf, "group_quotient": quotient,
+        enumerated += 1
+    passed = enumerated == by_cells == qf == quotient == len(keys) and roundtrip
+    return {"enumerated": enumerated, "cell_sum": by_cells, "q_factorial": qf, "group_quotient": quotient,
             "distinct_cosets": len(keys), "cells_roundtrip": roundtrip, "pass": passed}
 
 
@@ -733,7 +738,7 @@ def _covering_degree(blocks: Tuple[int, ...], p: int) -> Dict[str, object]:  # c
     n = sum(blocks)
     nu = FqMatrix(p, tuple(tuple(i if i == j else 0 for j in range(n)) for i in range(n)))
     report = incidence_count(nu, "in_p", "partial_flag", blocks=blocks)
-    expected = _cosets(blocks, math.factorial)
+    expected = _cosets(blocks)
     return {"expected": expected, "observed": report.count, "pass": report.count == expected}
 
 
@@ -741,15 +746,6 @@ def _compositions(n: int) -> List[Tuple[int, ...]]:
     if n == 0:
         return [()]
     return [(first,) + rest for first in range(1, n + 1) for rest in _compositions(n - first)]
-
-
-def _cosets(blocks: Tuple[int, ...], factorial) -> int:
-    """factorial(n) over the product of factorial(block): |W/W_P| with
-    math.factorial, |G/P|(F_p) with the q-factorial at p."""
-    out = factorial(sum(blocks))
-    for size in blocks:
-        out //= factorial(size)
-    return out
 
 
 # The nu checks are refused when their kernel work over every composition exceeds this gate.  A unit, flags
@@ -776,12 +772,13 @@ def _mask_pair_refusal(n: int, p: int) -> Optional[str]:
 def _fiber_cost(n: int, p: int) -> int:
     """One elimination of dim b rows per partial flag in a minimal cell:
     dim b times the sum over P of |G/P|."""
-    return n * (n + 1) // 2 * sum(_cosets(blocks, lambda k: q_factorial(k, p)) for blocks in _compositions(n))
+    q_binomial = lambda k, j: q_factorial(k, p) // (q_factorial(j, p) * q_factorial(k - j, p))
+    return n * (n + 1) // 2 * sum(_cosets(blocks, q_binomial) for blocks in _compositions(n))
 
 
 def _weight_cost(n: int, p: int) -> int:
     """The kernel points, p^dim b for each (P, w in W^P): a bound on the points walked."""
-    return p ** (n * (n + 1) // 2) * sum(_cosets(blocks, math.factorial) for blocks in _compositions(n))
+    return p ** (n * (n + 1) // 2) * sum(_cosets(blocks) for blocks in _compositions(n))
 
 
 def _over_gate(cost: int) -> Optional[str]:

@@ -202,6 +202,13 @@ def _min_reps_perm(blocks: Tuple[int, ...]) -> List[Perm]:
     return [w for _, w in _min_reps_with_length(blocks)]
 
 
+def _cosets(blocks: Tuple[int, ...], binomial=math.comb) -> int:
+    """n!/prod b! as a product of binomial(rest, b), rest = b + the later blocks, so no n! is
+    formed: |W/W_P| with math.comb, |G/P|(F_p) with the q-binomial at p."""
+    rests = itertools.accumulate(reversed(blocks))
+    return math.prod(map(binomial, rests, reversed(blocks)))
+
+
 def _cap(env_name: str, default: int) -> int:
     """An enumeration cap, overridden by an integer environment variable."""
     raw = os.environ.get(env_name)

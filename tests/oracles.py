@@ -601,9 +601,10 @@ def nu_sweep_rows(n, p, full_flags, partial_flags):
 
 def flag_points_listwise(n, p):
     """(cell, (p, u·dot(w)), inverse) for every Borel coset, in the order of
-    fforacle._flags_cached: cells by (length, w), then coordinates.  The
-    point's entries are read one by one through w, and u^{-1} comes by
-    back substitution of whole rows."""
+    fforacle._flags over G/B: the cells of fforacle._cell_points by
+    (length, w), each in the order of its coordinates.  The point's
+    entries are read one by one through w, and u^{-1} comes by back
+    substitution of whole rows."""
     out = []
     for w in sorted(all_perms(n), key=lambda w: (inversion_count(w), w)):
         wi = inverse(w)

@@ -224,7 +224,7 @@ def test_normal_forms_agree_with_the_per_prefix_rref_keys():
 def test_partial_flag_points_carry_their_cell():
     for n, p in GRID:
         for blocks in oracles.compositions(n):
-            for point in ff._flags_cached(n, p, blocks):
+            for point in ff._flags(n, p, blocks):
                 g = point.canonical_matrix
                 assert point.cell == ff.cell_normal_form(g)[0], (n, p, blocks)
                 assert point.cell == min_rep_perm(point.cell, blocks), (n, p, blocks)
@@ -244,10 +244,10 @@ def test_flag_points_are_cell_points_with_their_inverses():
 
 
 def test_trusted_flag_points_equal_checked_matrices():
-    # _flags_cached builds each point with FqMatrix._make, skipping the
+    # _cell_points builds each point with FqMatrix._make, skipping the
     # prime and reduction checks that FqMatrix(p, entries) makes
     for n, p in GRID:
-        for point in ff._flags_cached(n, p, (1,) * n):
+        for point in ff._flags(n, p, (1,) * n):
             g = point.canonical_matrix
             assert type(g) is ff.FqMatrix and g == ff.FqMatrix(p, g.entries), (n, p, point)
 
@@ -256,7 +256,7 @@ def test_flag_points_match_the_listwise_reference():
     # cell, matrix and inverse of every point, in order, against the
     # entry-by-entry points and whole-row back substitution
     for n, p in GRID:
-        points = [tuple(point) for point in ff._flags_cached(n, p, (1,) * n)]
+        points = [tuple(point) for point in ff._flags(n, p, (1,) * n)]
         assert points == oracles.flag_points_listwise(n, p), (n, p)
 
 
@@ -291,7 +291,7 @@ def test_point_count_identity_can_fail(monkeypatch, corruption):
     # x·b (b in B, b != 1), labelled with x's cell, in place of another
     # point; or the last point labelled with the first point's cell
     n, p = 3, 2
-    points = list(ff._flags_cached(n, p, (1,) * n))
+    points = list(ff._flags(n, p, (1,) * n))
     clean = ff.point_count_identity(n, p)
     if corruption == "repeated coset":
         x = points[7]
@@ -303,7 +303,7 @@ def test_point_count_identity_can_fail(monkeypatch, corruption):
         point = ff.FlagPoint(points[0].cell, last.canonical_matrix, last.inverse)
         k, changed = len(points) - 1, {"cells_roundtrip": False}
     broken = tuple(points[:k] + [point] + points[k + 1 :])
-    monkeypatch.setattr(ff, "_flags_cached", lambda *args: broken)
+    monkeypatch.setattr(ff, "_flags", lambda *args: broken)
     assert ff.point_count_identity(n, p) == {**clean, **changed, "pass": False}
 
 
@@ -332,11 +332,11 @@ def test_nu_checks_report_a_corrupted_point_in_the_middle_of_a_cell(monkeypatch,
     # both partial flag varieties it lies in, and a check that read only
     # the first flag of each cell would pass them
     n, p, w = 3, 3, (2, 3, 1)
-    clean = {blocks: ff._flags_cached(n, p, blocks) for blocks in oracles.compositions(n)}
-    cell = [point for point in clean[(1,) * n] if point.cell == w]
+    clean = ff._cell_points
+    cell = clean(w, p)
     target = cell[len(cell) // 2]
     bad = target._replace(inverse=target.inverse[:-1] + ((0,) * n,))
-    monkeypatch.setattr(ff, "_flags_cached", lambda n, p, blocks: tuple(bad if x is target else x for x in clean[blocks]))
+    monkeypatch.setattr(ff, "_cell_points", lambda v, q: tuple(bad if x is target else x for x in clean(v, q)))
     failed = {(tuple(row["params"]["blocks"]), tuple(row["params"]["w"])) for row in ff.run_suite(n, p, [check])
               if not row["pass"]}
     assert failed == {((1, 1, 1), w), ((2, 1), w)}
@@ -352,18 +352,18 @@ def test_incidence_rows_report_a_dropped_or_repeated_flag(monkeypatch, capsys, c
     # whose witnesses are the points dot(w) P, in the two partial flag
     # varieties whose minimal cells hold w
     n, p, w = 3, 3, (2, 3, 1)
-    clean = {blocks: ff._flags_cached(n, p, blocks) for blocks in oracles.compositions(n)}
-    target = next(point for point in clean[(1,) * n] if point.cell == w)
+    clean = ff._cell_points
+    target = clean(w, p)[0]
     assert target.canonical_matrix.entries == tuple(map(tuple, oracles._perm_matrix(w)))
 
-    def corrupted(n, p, blocks):
-        points = list(clean[blocks])
+    def corrupted(v, q):
+        points = list(clean(v, q))
         if target in points:
             k = points.index(target)
             points[k : k + 1] = [target, target] if corruption == "repeated flag" else []
         return tuple(points)
 
-    monkeypatch.setattr(ff, "_flags_cached", corrupted)
+    monkeypatch.setattr(ff, "_cell_points", corrupted)
     rows = ff.run_suite(n, p, ["incidence_zero", "covering_degree"])
     failed = {(row["check"], tuple(row["params"].get("blocks", ()))) for row in rows if not row["pass"]}
     assert failed == {("incidence_zero", ()), ("covering_degree", (1, 1, 1)), ("covering_degree", (2, 1))}
@@ -381,19 +381,22 @@ def plant(monkeypatch, name, old, new):
     monkeypatch.setattr(ff, name, namespace[name])
 
 
-@pytest.mark.parametrize("name, old, new, check", [
+@pytest.mark.parametrize("name, old, new, check, passes", [
     # the nonzero root of 2xt + x^2 y = 0 taken as +2t/y: the solution set
     # of every (t, y) with t, y != 0 then disagrees with its case split
-    ("blowup_equation_check", "(-2 * t * pow(y, p - 2, p)) % p", "(2 * t * pow(y, p - 2, p)) % p", "blowup"),
+    ("blowup_equation_check", "(-2 * t * pow(y, p - 2, p)) % p", "(2 * t * pow(y, p - 2, p)) % p", "blowup", [False]),
     # lower_left computed as +(2xt + x^2 y): it still vanishes exactly when
     # the equation holds, so only the sign relation sees the error
-    ("blowup_equation_check", "lower_left = sum(", "lower_left = -sum(", "blowup"),
+    ("blowup_equation_check", "lower_left = sum(", "lower_left = -sum(", "blowup", [False]),
     # b never updated: v' keeps its zeros, but v·b = b·v' fails
-    ("_good_form", "for row in m:", "for row in m[:n]:", "good_form"),
-], ids=["blowup-root-sign", "blowup-lower-left-sign", "good-form-conjugacy"])
-def test_a_planted_error_fails_its_row(monkeypatch, capsys, name, old, new, check):
+    ("_good_form", "for row in m:", "for row in m[:n]:", "good_form", [False]),
+    # the weights read as d_{w(n+1-j)}: both rows of the Borel fail, and
+    # the one block of (2,), whose polynomial is symmetric in them, passes
+    ("_weights_match", "for k in w]", "for k in reversed(w)]", "weight_map", [False, False, True]),
+], ids=["blowup-root-sign", "blowup-lower-left-sign", "good-form-conjugacy", "weight-map-reversed-weights"])
+def test_a_planted_error_fails_its_row(monkeypatch, capsys, name, old, new, check, passes):
     plant(monkeypatch, name, old, new)
-    assert [row["pass"] for row in ff.run_suite(2, 3, [check])] == [False]
+    assert [row["pass"] for row in ff.run_suite(2, 3, [check])] == passes
     assert cli.main(["ff-verify", "--n", "2", "--p", "3", "--suite", check]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["pass"] is False and err == ""
@@ -431,6 +434,19 @@ def test_incidence_validates_inputs():
         ff.incidence_count(nu, "in_b", "orbit_space")
     with pytest.raises(ValueError):
         ff.incidence_count(nu, "in_p", "partial_flag")
+
+
+def test_incidence_refuses_in_b_on_partial_flags():
+    # b is not P-stable, so the answer would depend on the representative:
+    # G/P for blocks (2,) is one coset, held by 1, whose Ad(1)E_21 is not in
+    # b, and by dot(s), whose Ad(dot(s)^-1)E_21 = E_12 is
+    nu = ff.FqMatrix(3, ((0, 0), (1, 0)))
+    s = ((0, 1), (1, 0))
+    assert not ff.in_b(oracles.adjoint(ff.FqMatrix(3, ((1, 0), (0, 1))), nu))
+    assert ff.in_b(oracles.adjoint(ff.FqMatrix(3, s), nu))
+    for blocks in ((2,), (1, 1)):
+        with pytest.raises(ValueError, match="^condition in_b needs space full_flag: b is not P-stable"):
+            ff.incidence_count(nu, "in_b", "partial_flag", blocks=blocks)
 
 
 def relative_position_pair(g1, g2, blocks):
@@ -1016,7 +1032,7 @@ def incidence_by_adjoint(nu, condition, space, blocks=None):
     and testing membership with the oracle predicates."""
     test = oracles.in_b_brute if condition == "in_b" else oracles.in_p_brute(blocks)
     full = space == "full_flag"
-    points = ff.enumerate_flags(nu.n, nu.p) if full else ff._flags_cached(nu.n, nu.p, blocks)
+    points = ff.enumerate_flags(nu.n, nu.p) if full else ff._flags(nu.n, nu.p, blocks)
     witnesses, by_cell = [], {}
     for point in points:
         g = point.canonical_matrix
@@ -1041,7 +1057,8 @@ def structured_nus(rng, n, p):
 
 
 def test_incidence_count_matches_the_full_product_reference():
-    # every condition in every space, against whole products nu·g: random
+    # every condition in every space it is defined on (in_b only on full
+    # flags), against whole products nu·g: random
     # nu at (3, 3) and (4, 2), and the structured nu at every grid point
     # with the blocks taken in turn
     rng = random.Random(41)
@@ -1055,9 +1072,9 @@ def test_incidence_count_matches_the_full_product_reference():
             cases.append((ff.FqMatrix(p, entries), compositions[k % len(compositions)]))
     for nu, blocks in cases:
         n, p = nu.n, nu.p
-        for condition, space in itertools.product(ff.CONDITIONS, ff.SPACES):
+        for condition, space in (("in_b", "full_flag"), ("in_p", "full_flag"), ("in_p", "partial_flag")):
             zeros = ff._zero_positions(blocks if condition == "in_p" else (1,) * n)
-            points = ff._flags_cached(n, p, (1,) * n if space == "full_flag" else blocks)
+            points = ff._flags(n, p, (1,) * n if space == "full_flag" else blocks)
             report = ff.incidence_count(nu, condition, space, blocks=blocks)
             reference = oracles.incidence_full_product(nu.entries, p, points, zeros)
             assert report == reference, (n, p, nu, blocks, condition, space)
@@ -1075,7 +1092,6 @@ def test_incidence_count_matches_adjoint_route():
                 ("in_b", "full_flag"),
                 ("in_p", "full_flag", blocks),
                 ("in_p", "partial_flag", blocks),
-                ("in_b", "partial_flag", (1, n - 1)),
             ):
                 report = ff.incidence_count(nu, *args)
                 count, witnesses, by_cell = incidence_by_adjoint(nu, *args)
