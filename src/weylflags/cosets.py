@@ -273,8 +273,9 @@ def shortest_double_coset_rep(w: MultiPerm, qspec: ParabolicSpec, pspec: Parabol
 
     Up to rank 6, while |W_Q|·|W_P| is at most MAX_EXHAUSTIVE_PAIRS, the
     double coset is materialized and its shortest element taken; past
-    that _normalize_double_coset answers.  The result lies in W^P
-    intersected with ^QW.
+    that _normalize_double_coset answers.  Both specs are fitted to w
+    once, so each pair a·w·b is composed label by label, with no shape
+    check.  The result lies in W^P intersected with ^QW.
     """
     shape = shape_of(w)
     qspec = check_spec(qspec, shape)
@@ -284,14 +285,11 @@ def shortest_double_coset_rep(w: MultiPerm, qspec: ParabolicSpec, pspec: Parabol
     )
     if not small:
         return _normalize_double_coset(w, qspec, pspec)
+    labels = sorted(w)
     right = wp_elements(pspec)
-    coset = {
-        weyl.freeze(weyl.multi_compose(a, weyl.multi_compose(w, b)))
-        for a in wp_elements(qspec)
-        for b in right
-    }
-    elems = [dict(f) for f in coset]
-    elems.sort(key=weyl.sort_key)
+    coset = {tuple(weyl.compose(a[tau], weyl.compose(w[tau], b[tau])) for tau in labels)
+             for a in wp_elements(qspec) for b in right}
+    elems = sorted((dict(zip(labels, parts)) for parts in coset), key=weyl.sort_key)
     best = elems[0]
     if len(elems) > 1 and weyl.multi_length(elems[1]) == weyl.multi_length(best):
         raise AssertionError(f"double coset minimum not unique at {w}")

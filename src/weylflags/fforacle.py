@@ -2,10 +2,12 @@
 
 Enumerates flag varieties of GL_n over F_p cell by cell: the Schubert cell
 B·dot(w)·B/B is the points u·dot(w), u with its columns permuted by w,
-filled once per (w, p).  G/B is every cell, G/P the cells of w in W^P, each
-of which maps isomorphically onto B·dot(w)·P/P.  Every point carries its
-cell and its inverse dot(w)^{-1}·u^{-1}, u^{-1} kept as a product as the
-cell is filled row by row.  Any invertible matrix is brought to the point of
+filled once per (w, p) as the product of its rows' choices.  G/B is every
+cell, G/P the cells of w in W^P, each mapping isomorphically onto
+B·dot(w)·P/P.  A point is its cell and matrix; the inverses, a table per
+cell built only for the nu kernels and a nonzero nu's incidence test, are
+dot(w)^{-1}·u^{-1}, u^{-1} a product kept as the rows are chosen.  Any
+invertible matrix is brought to the point of
 its coset gB by one column reduction, which names both the coset and its
 cell.  Membership of Ad(g^-1)nu in b or p is one test: the entries below the
 block diagonal vanish.  The rest of the package reasons about these
@@ -28,8 +30,8 @@ g1 = 1 and multiply each pair count by |G/B| = [n]_p!.  The pairs are then the p
 flags g2 P in the cell of w, and the fiber of g2 is the kernel of the
 linear map b -> g/p, nu -> Ad(g2^{-1})nu read below the block diagonal.
 The fiber dimension needs only the rank of that map at each g2; the
-weight map eliminates further, for a basis of the kernel, and walks its
-projection onto the Levi blocks and the weights, comparing block
+weight map reads a basis of the kernel off the same echelon form, and walks
+its projection onto the Levi blocks and the weights, comparing block
 characteristic polynomials (by Hessenberg reduction over F_p); each
 distinct image, keyed by its RREF, is walked once.
 
@@ -53,9 +55,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 from .weyl import Perm, _cap, _cosets, _min_reps_perm, _min_reps_with_length, block_index, block_slices
 from .weyl import check_blocks, check_perm, inverse, length, min_rep_perm
 
-# |G/B| = [n]_p!, each flag held with its inverse.  Cold `ff-verify --suite all`
-# on a 2-vCPU Xeon (CPython 3.11) took 0.5-0.9 s and 37 MB RSS at (4,5),
-# 29,016 flags, and 0.2-0.4 s and 24 MB at (5,2), 9,765 flags.
+# |G/B| = [n]_p!, each cell's points held, its inverses only once read.  Cold `ff-verify
+# --suite all` on a 2-vCPU Xeon (CPython 3.11) took 0.4-0.6 s and 33 MB RSS at (4,5),
+# 29,016 flags, and 0.2 s and 19 MB at (5,2), 9,765 flags.
 DEFAULT_MAX_FLAGS = 30_000
 ENV_MAX_FLAGS = "WEYLFLAGS_FF_MAX_FLAGS"
 # Trial division makes sqrt(p) divisions: 10^6 at p ~ 10^12 took 0.056 s on the same machine.
@@ -133,41 +135,44 @@ class FqMatrix(NamedTuple("FqMatrix", [("p", int), ("entries", Rows)])):
         return len(self.entries)
 
 
-def _eliminate(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
-    """Gauss-Jordan elimination mod p, taking the columns left to right.
+def _eliminate(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, Sequence[int]]]:
+    """Row echelon form of rows reduced mod p, taking the columns left to right.
 
-    Rows are never swapped.  A column's pivot is the lowest row not yet
-    holding a pivot whose entry there is nonzero; rank and RREF do not
-    depend on that choice.  It is scaled to 1 and cleared from every other
-    row.  Returns the worked rows and the (column, row) pivot pairs in
-    column order, so the pivot rows, read in that order, are the RREF."""
-    work = [list(r) for r in rows]
-    free = list(range(len(work) - 1, -1, -1))  # rows without a pivot, lowest first
-    pivots: List[Tuple[int, int]] = []
+    Zero rows are dropped, on entry and as they arise.  A column's pivot, the
+    first remaining row nonzero there, is scaled to 1 and cleared from the
+    rows after it.  Returns the (column, row) pivot pairs in column order:
+    their number is the rank, and the rows whose pivot lies at or past a
+    column span the part of the row space that is zero before it."""
+    work, echelon = [row for row in rows if any(row)], []
     for c in range(len(work[0]) if work else 0):
-        for k, r in enumerate(free):
-            if work[r][c] % p:
+        rest, prow = [], None
+        for row in work:
+            f = row[c]
+            if not f:
+                rest.append(row)
+            elif prow is None:
+                inv = pow(f, p - 2, p)
+                prow = row if f == 1 else [x * inv % p for x in row]
+            elif any(row := [(x - f * y) % p for x, y in zip(row, prow)]):
+                rest.append(row)
+        if prow is not None:
+            echelon.append((c, prow))
+            if not rest:
                 break
-        else:
-            if not free:
-                break
-            continue
-        del free[k]
-        inv = pow(work[r][c], p - 2, p)
-        prow = work[r] = [x * inv % p for x in work[r]]
-        for s, row in enumerate(work):
-            if s != r:
-                f = row[c] % p
-                if f:
-                    work[s] = [(x - f * y) % p for x, y in zip(row, prow)]
-        pivots.append((c, r))
-    return work, pivots
+            work = rest
+    return echelon
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
-    """Canonical reduced row echelon form of the row space (zero rows dropped)."""
-    work, pivots = _eliminate(rows, p)
-    return tuple(tuple(x % p for x in work[r]) for _, r in pivots)
+    """Canonical reduced row echelon form of the row space (zero rows dropped):
+    _eliminate's echelon form, each pivot then cleared from the rows above it."""
+    echelon = _eliminate([[x % p for x in row] for row in rows], p)
+    out = [row for _, row in echelon]
+    for k, (c, prow) in enumerate(echelon):  # row k is still prow: only rows above k have changed
+        for i in range(k):
+            if f := out[i][c]:
+                out[i] = [(x - f * y) % p for x, y in zip(out[i], prow)]
+    return tuple(map(tuple, out))
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +181,11 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> Rows:
 class FlagPoint(NamedTuple):
     """A point of G/P: canonical_matrix is u·dot(cell), cell in W^P, with u
     upper unipotent and zero off the diagonal outside the cell's free
-    positions; inverse is the inverse of canonical_matrix."""
+    positions.  Its inverse, read only by the nu kernels and by an incidence
+    test of a nonzero nu, sits at the point's index in _cell_inverses."""
 
     cell: Perm
     canonical_matrix: FqMatrix
-    inverse: Rows
 
 
 def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
@@ -194,36 +199,51 @@ def cell_free_positions(w: Perm) -> Tuple[Tuple[int, int], ...]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cell_points(w: Perm, p: int) -> Tuple[FlagPoint, ...]:
-    """The points u·dot(w) of the cell B·dot(w)·B/B with their inverses, filled
-    row by row: u^{-1} = (I - A_1)...(I - A_{n-1}) by columns, A_i row i off the diagonal."""
+def _row_choices(w: Perm, p: int) -> List[List[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]]]:
+    """Per row i of the cell of w, each choice of its coordinates in product
+    order: the nonzero ones (j, u[i][j]), and row i of u·dot(w), shared by
+    every point that makes that choice."""
     n = len(w)
-    # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed;
-    # take also picks the inverse's rows, and one index gives no tuple
+    # (u·dot(w))[i][j] = u[i][w(j) - 1], entries in range(p): no checks needed; one index gives no tuple
     take = operator.itemgetter(*(k - 1 for k in w)) if n > 1 else tuple
     free = cell_free_positions(w)
-    rows = []  # per row i, each choice of its coordinates: the nonzero ones, and the shared row of u·dot(w)
+    rows = []
     for i in range(n):
         columns = [j - 1 for r, j in free if r == i + 1]
         choices = [dict(zip(columns, coords)) for coords in itertools.product(range(p), repeat=len(columns))]
         rows.append([(tuple((j, c) for j, c in u.items() if c), take([u.get(j, int(i == j)) for j in range(n)]))
                      for u in choices])
-    points: List[FlagPoint] = []
+    return rows
 
-    # each choice of rows i, i+1, ... under the rows g, v_cols the columns of the factors above row i
-    def extend(i: int, g: Rows, v_cols: List[List[int]]) -> None:
-        for nonzero, row in rows[i]:
+
+@lru_cache(maxsize=None)
+def _cell_points(w: Perm, p: int) -> Tuple[FlagPoint, ...]:
+    """The points u·dot(w) of the cell B·dot(w)·B/B: the product of the rows' choices."""
+    rows = [[row for _, row in choices] for choices in _row_choices(w, p)]
+    return tuple(FlagPoint(w, FqMatrix._make((p, g))) for g in itertools.product(*rows))
+
+
+@lru_cache(maxsize=None)
+def _cell_inverses(w: Perm, p: int) -> Tuple[Rows, ...]:
+    """The inverses dot(w)^{-1}·u^{-1} of _cell_points(w, p), in its order, built
+    only for the readers that need them: u^{-1} = (I - A_1)...(I - A_{n-1})
+    by columns, A_i row i off the diagonal, each prefix of rows shared."""
+    choices = _row_choices(w, p)
+    inverses: List[Rows] = []
+
+    def extend(i: int, v_cols: List[List[int]]) -> None:
+        for nonzero, _ in choices[i]:
             cols = v_cols[:]
             for j, c in nonzero:  # times (I - A_i): column j loses u[i][j] times column i
                 cols[j] = [(x - c * y) % p for x, y in zip(v_cols[j], v_cols[i])]
-            if i + 1 < n:
-                extend(i + 1, g + (row,), cols)
+            if i + 1 < len(w):
+                extend(i + 1, cols)
             else:
-                points.append(FlagPoint(w, FqMatrix._make((p, g + (row,))), take(tuple(zip(*cols)))))
+                rows = tuple(zip(*cols))
+                inverses.append(tuple(rows[k - 1] for k in w))
 
-    extend(0, (), [[int(i == j) for i in range(n)] for j in range(n)])
-    return tuple(points)
+    extend(0, [[int(i == j) for i in range(len(w))] for j in range(len(w))])
+    return tuple(inverses)
 
 
 @lru_cache(maxsize=None)
@@ -325,8 +345,8 @@ def incidence_count(
     answer would depend on the representative of gP.  Each point forms
     only the columns of nu·g that the tested entries read, from nu's
     nonzero columns, and passes the entries of a column that comes out
-    zero; then g^{-1}·(nu·g) at the others, each reduced mod p once, up to
-    the first nonzero."""
+    zero, as all do for nu = 0, which reads no inverse; then g^{-1}·(nu·g)
+    at the others, each reduced mod p once, up to the first nonzero."""
     n = nu.n
     p = nu.p
     check_bounds(n, p)
@@ -347,17 +367,19 @@ def incidence_count(
     tested = [(j, [i for i, c in zeros if c == j]) for j in sorted({j for _, j in zeros})]
     nonzero = [(k, col) for k, col in enumerate(zip(*nu.entries)) if any(col)]
     witnesses = []
-    for point in _flags(n, p, (1,) * n if space == "full_flag" else tuple(blocks)):
-        g, inverse = point.canonical_matrix.entries, point.inverse
-        for j, rows in tested:
-            col = None
-            for k, nu_col in nonzero:
-                if c := g[k][j]:
-                    col = [c * x for x in nu_col] if col is None else [y + c * x for y, x in zip(col, nu_col)]
-            if col and any(sum(map(operator.mul, inverse[i], col)) % p for i in rows):
-                break
-        else:
-            witnesses.append(point)
+    for w in _cells((1,) * n if space == "full_flag" else tuple(blocks)):
+        inverses = _cell_inverses(w, p) if nonzero else itertools.repeat(None)
+        for point, inverse in zip(_cell_points(w, p), inverses):
+            g = point.canonical_matrix.entries
+            for j, rows in tested:
+                col = None
+                for k, nu_col in nonzero:
+                    if c := g[k][j]:
+                        col = [c * x for x in nu_col] if col is None else [y + c * x for y, x in zip(col, nu_col)]
+                if col and any(sum(map(operator.mul, inverse[i], col)) % p for i in rows):
+                    break
+            else:
+                witnesses.append(point)
     by_cell = Counter(point.cell for point in witnesses)  # in the points' order, by (length, cell)
     return IncidenceReport(count=len(witnesses), witnesses=tuple(witnesses), by_cell=tuple(by_cell.items()))
 
@@ -387,12 +409,12 @@ def _nu_kernels(w: Perm, blocks: Tuple[int, ...], p: int, basis: bool):
             [ginv[i][a] * g[c][j] % p for i, j in read] + ([int(a == c == j) for j in range(n)] if basis else [])
             for a, c in itertools.combinations_with_replacement(range(n), 2)
         ]
-        work, pivots = _eliminate(vectors, p)
+        echelon = _eliminate(vectors, p)
         if not basis:
-            return len(vectors) - len(pivots)
-        return [work[r][len(zeros):] for column, r in pivots if column >= len(zeros)]
+            return len(vectors) - len(echelon)
+        return [row[len(zeros):] for column, row in echelon if column >= len(zeros)]
 
-    return (kernel(point.canonical_matrix.entries, point.inverse) for point in _cell_points(w, p))
+    return (kernel(point.canonical_matrix.entries, inverse) for point, inverse in zip(_cell_points(w, p), _cell_inverses(w, p)))
 
 
 class FiberReport(NamedTuple):

@@ -599,12 +599,44 @@ def nu_sweep_rows(n, p, full_flags, partial_flags):
 # entry, whole rows subtracted, every pivot scaled and whole products formed
 
 
+def eliminate_gauss_jordan(rows, p):
+    """Gauss-Jordan elimination mod p in one pass, taking the columns left
+    to right: the reference for fforacle's echelon form and its rref.
+
+    Rows are never swapped.  A column's pivot is the lowest row not yet
+    holding a pivot whose entry there is nonzero; rank and RREF do not
+    depend on that choice.  It is scaled to 1 and cleared from every other
+    row.  Returns the worked rows and the (column, row) pivot pairs in
+    column order, so the pivot rows, read in that order, are the RREF."""
+    work = [list(r) for r in rows]
+    free = list(range(len(work) - 1, -1, -1))  # rows without a pivot, lowest first
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        for k, r in enumerate(free):
+            if work[r][c] % p:
+                break
+        else:
+            if not free:
+                break
+            continue
+        del free[k]
+        inv = pow(work[r][c], p - 2, p)
+        prow = work[r] = [x * inv % p for x in work[r]]
+        for s, row in enumerate(work):
+            if s != r:
+                f = row[c] % p
+                if f:
+                    work[s] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append((c, r))
+    return work, pivots
+
+
 def flag_points_listwise(n, p):
     """(cell, (p, u·dot(w)), inverse) for every Borel coset, in the order of
-    fforacle._flags over G/B: the cells of fforacle._cell_points by
-    (length, w), each in the order of its coordinates.  The point's
-    entries are read one by one through w, and u^{-1} comes by back
-    substitution of whole rows."""
+    fforacle._flags over G/B and of its inverse table: the cells of
+    fforacle._cell_points by (length, w), each in the order of its
+    coordinates.  The point's entries are read one by one through w, and
+    u^{-1} comes by back substitution of whole rows."""
     out = []
     for w in sorted(all_perms(n), key=lambda w: (inversion_count(w), w)):
         wi = inverse(w)
@@ -641,14 +673,14 @@ def cell_normal_form_max_scan(g, p):
     return tuple(r + 1 for r in cell), tuple(zip(*cols))
 
 
-def incidence_full_product(nu, p, points, zeros):
+def incidence_full_product(nu, p, table, zeros):
     """(count, witnesses, by_cell) of fforacle.incidence_count over the
-    given flag points: the whole of nu·g formed mod p at each point, then
-    g^{-1}·(nu·g) at the tested entries zeros."""
+    given (flag point, inverse) pairs: the whole of nu·g formed mod p at
+    each point, then g^{-1}·(nu·g) at the tested entries zeros."""
     witnesses, by_cell = [], {}
-    for point in points:
+    for point, inverse in table:
         cols = tuple(zip(*_mat_mul_mod(nu, point.canonical_matrix.entries, p)))
-        if not any(sum(x * y for x, y in zip(point.inverse[i], cols[j])) % p for i, j in zeros):
+        if not any(sum(x * y for x, y in zip(inverse[i], cols[j])) % p for i, j in zeros):
             witnesses.append(point)
             by_cell[point.cell] = by_cell.get(point.cell, 0) + 1
     return len(witnesses), tuple(witnesses), tuple(by_cell.items())

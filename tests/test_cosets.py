@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import oracles
-from weylflags import cosets, steinberg, weyl
+from weylflags import cosets, roots, steinberg, weyl
 from weylflags.cosets import CosetRep
 
 
@@ -161,6 +161,39 @@ def test_two_label_double_coset_rep_is_per_label():
                 {"a": wa, "b": wb}, {"a": qa, "b": qb}, {"a": pa, "b": pb}
             )
             assert got == {"a": minima[qa, pa][wa], "b": minima[qb, pb][wb]}, (wa, qa, pa, qb, pb)
+    # three labels, and labels given out of sorted order: (Q, P) blocks per
+    # label, every w, both on the exhaustive side of the bound
+    for labelled in (
+        {"a": ((2, 1), (1, 2)), "b": ((2, 2), (1, 3)), "c": ((2,), (1, 1))},
+        {"b": ((1, 1, 1, 1), (2, 1, 1)), "a": ((3,), (2, 1))},
+    ):
+        qspec = {tau: q for tau, (q, _) in labelled.items()}
+        pspec = {tau: p for tau, (_, p) in labelled.items()}
+        assert cosets._levi_order(qspec) * cosets._levi_order(pspec) <= cosets.MAX_EXHAUSTIVE_PAIRS
+        minima = {tau: oracles.double_coset_minima(q, p) for tau, (q, p) in labelled.items()}
+        for parts in itertools.product(*(perms(sum(p)) for _, p in labelled.values())):
+            w = dict(zip(labelled, parts))
+            got = cosets.shortest_double_coset_rep(w, qspec, pspec)
+            assert got == {tau: minima[tau][w[tau]] for tau in labelled}, w
+
+
+def test_exhaustive_double_coset_checks_shapes_a_fixed_number_of_times(monkeypatch):
+    # both specs are fitted to w once; the 120 x 24 pairs at Q = (5),
+    # P = (4, 1) are then composed label by label, with no shape check
+    # per pair (roots imports check_shapes by name)
+    calls = []
+    check = weyl.check_shapes
+
+    def counted(a, b):
+        calls.append(1)
+        return check(a, b)
+
+    monkeypatch.setattr(weyl, "check_shapes", counted)
+    monkeypatch.setattr(roots, "check_shapes", counted)
+    qspec, pspec = {"t": (5,)}, {"t": (4, 1)}
+    assert cosets._levi_order(qspec) * cosets._levi_order(pspec) <= cosets.MAX_EXHAUSTIVE_PAIRS
+    assert cosets.shortest_double_coset_rep({"t": (2, 4, 1, 5, 3)}, qspec, pspec) == {"t": (1, 2, 3, 4, 5)}
+    assert len(calls) == 2
 
 
 def test_length_split_stats_pinned_and_total():

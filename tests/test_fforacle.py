@@ -86,6 +86,33 @@ def test_rref_is_canonical_under_row_operations():
         assert ff.rref(oracles._mat_mul_mod(g, m, p), p) == ff.rref(m, p)
 
 
+def test_row_reduction_matches_the_gauss_jordan_reference():
+    # random matrices up to the nu kernels' 10 x 26 (dim b rows at n = 4),
+    # sparse or of low rank, and unreduced for rref: the echelon form's
+    # rank and pivot columns, the span of its rows whose pivot lies past a
+    # cut (the kernel rows), compared as RREF, and rref agree with
+    # one-pass Gauss-Jordan
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            rows, cols = rng.randint(1, 10), rng.randint(1, 26)
+            if rng.random() < 0.5:
+                density = rng.random()
+                m = [[rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+            else:
+                k = rng.randint(1, 4)
+                left, right = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)], rand_matrix(rng, 26, p)[:k]
+                m = [[sum(x * y[c] for x, y in zip(row, right)) for c in range(cols)] for row in left]
+            work, pivots = oracles.eliminate_gauss_jordan(m, p)
+            echelon = ff._eliminate([[x % p for x in row] for row in m], p)
+            assert [c for c, _ in echelon] == [c for c, _ in pivots], (p, m)
+            assert ff.rref(m, p) == tuple(tuple(x % p for x in work[r]) for _, r in pivots), (p, m)
+            for cut in range(cols + 1):
+                kernel = [row[cut:] for c, row in echelon if c >= cut]
+                reference = [work[r][cut:] for c, r in pivots if c >= cut]
+                assert oracles._rref_mod(kernel, p) == oracles._rref_mod(reference, p), (p, m, cut)
+
+
 def test_perm_matrix_convention_and_homomorphism():
     # entry (i, j) of the matrix of w is 1 iff i = w(j)
     w = (2, 3, 1)
@@ -230,17 +257,41 @@ def test_partial_flag_points_carry_their_cell():
                 assert point.cell == min_rep_perm(point.cell, blocks), (n, p, blocks)
 
 
+def flag_table(n, p, blocks):
+    """(point, inverse) over G/P, cell by cell: each cell's points with its
+    inverse table, the two checked to have one entry per point."""
+    table = []
+    for w in ff._cells(blocks):
+        points, inverses = ff._cell_points(w, p), ff._cell_inverses(w, p)
+        assert len(points) == len(inverses), (w, p)
+        table += zip(points, inverses)
+    return table
+
+
 def test_flag_points_are_cell_points_with_their_inverses():
     # u·dot(w) is u with its columns permuted; the unipotent u is the
-    # point with the permutation undone
+    # point with the permutation undone, and the inverse table holds the
+    # inverse of each point at its index
     for n, p in GRID:
         identity = identity_rows(n)
-        for point in ff.enumerate_flags(n, p):
+        table = flag_table(n, p, (1,) * n)
+        assert [point for point, _ in table] == ff.enumerate_flags(n, p), (n, p)
+        for point, inverse in table:
             g = point.canonical_matrix.entries
             u = oracles._mat_mul_mod(g, oracles._perm_matrix(oracles.inverse(point.cell)), p)
             assert g == oracles._mat_mul_mod(u, oracles._perm_matrix(point.cell), p), (n, p, point)
             assert ff.in_b(u) and all(u[i][i] == 1 for i in range(n)), (n, p, point)
-            assert oracles._mat_mul_mod(g, point.inverse, p) == identity, (n, p, point)
+            assert oracles._mat_mul_mod(g, inverse, p) == identity, (n, p, point)
+
+
+def test_point_count_and_incidence_zero_build_no_inverse(monkeypatch, cold_fforacle):
+    # neither reads an inverse: point_count classifies each point from its
+    # matrix, and the zero nu has no column for g^{-1} to test
+    built = []
+    monkeypatch.setattr(ff, "_cell_inverses", lambda w, p: built.append(w) or ())
+    rows = ff.run_suite(4, 3, ["point_count", "incidence_zero"])
+    assert [row["pass"] for row in rows] == [True, True]
+    assert built == []
 
 
 def test_trusted_flag_points_equal_checked_matrices():
@@ -256,8 +307,10 @@ def test_flag_points_match_the_listwise_reference():
     # cell, matrix and inverse of every point, in order, against the
     # entry-by-entry points and whole-row back substitution
     for n, p in GRID:
-        points = [tuple(point) for point in ff._flags(n, p, (1,) * n)]
-        assert points == oracles.flag_points_listwise(n, p), (n, p)
+        reference = oracles.flag_points_listwise(n, p)
+        points = [tuple(point) + (inverse,) for point, inverse in flag_table(n, p, (1,) * n)]
+        assert points == reference, (n, p)
+        assert [tuple(point) for point in ff._flags(n, p, (1,) * n)] == [row[:2] for row in reference], (n, p)
 
 
 def test_flag_enumeration_and_incidence_refuse_bad_blocks():
@@ -297,10 +350,10 @@ def test_point_count_identity_can_fail(monkeypatch, corruption):
         x = points[7]
         xb = ff.FqMatrix(p, oracles._mat_mul_mod(x.canonical_matrix.entries, ((1, 1, 1), (0, 1, 1), (0, 0, 1)), p))
         assert xb != x.canonical_matrix
-        k, point, changed = 12, ff.FlagPoint(x.cell, xb, x.inverse), {"distinct_cosets": len(points) - 1}
+        k, point, changed = 12, ff.FlagPoint(x.cell, xb), {"distinct_cosets": len(points) - 1}
     else:
         last = points[-1]
-        point = ff.FlagPoint(points[0].cell, last.canonical_matrix, last.inverse)
+        point = ff.FlagPoint(points[0].cell, last.canonical_matrix)
         k, changed = len(points) - 1, {"cells_roundtrip": False}
     broken = tuple(points[:k] + [point] + points[k + 1 :])
     monkeypatch.setattr(ff, "_flags", lambda *args: broken)
@@ -327,16 +380,16 @@ def cold_fforacle(monkeypatch):
 @pytest.mark.parametrize("check", ["fiber_dimension", "weight_map"])
 def test_nu_checks_report_a_corrupted_point_in_the_middle_of_a_cell(monkeypatch, capsys, cold_fforacle, check):
     # the middle point of the 9-point cell of (2, 3, 1) at (3, 3) keeps its
-    # matrix, and its inverse loses its last row: that flag's kernel map
-    # drops rank and its image changes, so the rows of that cell fail in
-    # both partial flag varieties it lies in, and a check that read only
-    # the first flag of each cell would pass them
+    # matrix, and its entry in the inverse table loses its last row: that
+    # flag's kernel map drops rank and its image changes, so the rows of
+    # that cell fail in both partial flag varieties it lies in, and a check
+    # that read only the first flag of each cell would pass them
     n, p, w = 3, 3, (2, 3, 1)
-    clean = ff._cell_points
-    cell = clean(w, p)
-    target = cell[len(cell) // 2]
-    bad = target._replace(inverse=target.inverse[:-1] + ((0,) * n,))
-    monkeypatch.setattr(ff, "_cell_points", lambda v, q: tuple(bad if x is target else x for x in clean(v, q)))
+    clean = ff._cell_inverses
+    inverses = clean(w, p)
+    target = inverses[len(inverses) // 2]
+    bad = target[:-1] + ((0,) * n,)
+    monkeypatch.setattr(ff, "_cell_inverses", lambda v, q: tuple(bad if x is target else x for x in clean(v, q)))
     failed = {(tuple(row["params"]["blocks"]), tuple(row["params"]["w"])) for row in ff.run_suite(n, p, [check])
               if not row["pass"]}
     assert failed == {((1, 1, 1), w), ((2, 1), w)}
@@ -346,24 +399,24 @@ def test_nu_checks_report_a_corrupted_point_in_the_middle_of_a_cell(monkeypatch,
 
 @pytest.mark.parametrize("corruption", ["dropped flag", "repeated flag"])
 def test_incidence_rows_report_a_dropped_or_repeated_flag(monkeypatch, capsys, cold_fforacle, corruption):
-    # the point dot(w) of the cell of w = (2, 3, 1) at (3, 3) is left out of
-    # every enumeration that holds it, or held twice: the zero nu's count
-    # over G/B moves off [n]_p!, and so does the count of diag(0, 1, 2),
-    # whose witnesses are the points dot(w) P, in the two partial flag
-    # varieties whose minimal cells hold w
+    # the point dot(w) of the cell of w = (2, 3, 1) at (3, 3), with its
+    # inverse, is left out of every enumeration that holds it, or held
+    # twice: the zero nu's count over G/B moves off [n]_p!, and so does the
+    # count of diag(0, 1, 2), whose witnesses are the points dot(w) P, in
+    # the two partial flag varieties whose minimal cells hold w
     n, p, w = 3, 3, (2, 3, 1)
-    clean = ff._cell_points
-    target = clean(w, p)[0]
-    assert target.canonical_matrix.entries == tuple(map(tuple, oracles._perm_matrix(w)))
+    assert ff._cell_points(w, p)[0].canonical_matrix.entries == tuple(map(tuple, oracles._perm_matrix(w)))
 
-    def corrupted(v, q):
-        points = list(clean(v, q))
-        if target in points:
-            k = points.index(target)
-            points[k : k + 1] = [target, target] if corruption == "repeated flag" else []
-        return tuple(points)
+    def corrupted(clean):
+        def table(v, q):
+            entries = list(clean(v, q))
+            if (v, q) == (w, p):
+                entries[:1] = entries[:1] * 2 if corruption == "repeated flag" else []
+            return tuple(entries)
+        return table
 
-    monkeypatch.setattr(ff, "_cell_points", corrupted)
+    monkeypatch.setattr(ff, "_cell_points", corrupted(ff._cell_points))
+    monkeypatch.setattr(ff, "_cell_inverses", corrupted(ff._cell_inverses))
     rows = ff.run_suite(n, p, ["incidence_zero", "covering_degree"])
     failed = {(row["check"], tuple(row["params"].get("blocks", ()))) for row in rows if not row["pass"]}
     assert failed == {("incidence_zero", ()), ("covering_degree", (1, 1, 1)), ("covering_degree", (2, 1))}
@@ -523,8 +576,8 @@ def test_charpoly_matches_laplace_expansion():
 
 @pytest.mark.parametrize("n, p", [(2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_cold_run_suite_inverts_each_flag_once(monkeypatch, n, p):
-    # one Borel enumeration builds every point, each with its inverse: the
-    # partial flags are its points, so a cold suite builds |G/B| = [n]_p!
+    # one Borel enumeration builds every point: the partial flags are its
+    # points, so a cold suite builds |G/B| = [n]_p!
     clear_fforacle_caches()
     calls = []
     real = ff.FlagPoint
@@ -583,6 +636,8 @@ def test_projected_weight_map_walk_matches_the_unprojected_walk(monkeypatch):
             for w in oracles.min_reps_brute(blocks):
                 ff._image_agrees.cache_clear()
                 kernels = list(ff._nu_kernels(w, blocks, p, True))
+                # each basis as long as the fiber dimension counted from the same echelon form
+                assert [len(kernel) for kernel in kernels] == list(ff._nu_kernels(w, blocks, p, False)), (n, p, blocks, w)
                 assert ff.weight_map_check(blocks, w, p) == oracles.weight_map_unprojected(kernels, blocks, w, p), (
                     n, p, blocks, w
                 )
@@ -1074,9 +1129,9 @@ def test_incidence_count_matches_the_full_product_reference():
         n, p = nu.n, nu.p
         for condition, space in (("in_b", "full_flag"), ("in_p", "full_flag"), ("in_p", "partial_flag")):
             zeros = ff._zero_positions(blocks if condition == "in_p" else (1,) * n)
-            points = ff._flags(n, p, (1,) * n if space == "full_flag" else blocks)
+            table = flag_table(n, p, (1,) * n if space == "full_flag" else blocks)
             report = ff.incidence_count(nu, condition, space, blocks=blocks)
-            reference = oracles.incidence_full_product(nu.entries, p, points, zeros)
+            reference = oracles.incidence_full_product(nu.entries, p, table, zeros)
             assert report == reference, (n, p, nu, blocks, condition, space)
 
 
