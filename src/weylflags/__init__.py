@@ -34,6 +34,7 @@ _EXPORTS = {
         "CosetRep",
         "decompose",
         "enumerate_quotient",
+        "left_min_rep",
         "length_split_stats",
         "lg_P",
         "min_rep",

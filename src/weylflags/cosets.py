@@ -35,14 +35,21 @@ from .weyl import MultiPerm, Perm, _cap, _cosets, _min_reps_with_length, block_i
 
 DEFAULT_MAX_QUOTIENT = 362_880  # 9!: every quotient of rank 9 and below
 ENV_MAX_QUOTIENT = "WEYLFLAGS_MAX_QUOTIENT"
-# (5!)^2: the largest |W_Q|·|W_P| the exhaustive double-coset route
-# composes; each pair costs two compositions, so past this the normalizing
-# route (microseconds at any size) answers instead.
-MAX_EXHAUSTIVE_PAIRS = 14_400
+# 5!: the largest |W_Q|·|W_P| the exhaustive double-coset route composes, about
+# 1 ms (the route awaits deletion, ROADMAP item 1). Per call, exhaustive / normalizing
+# at 1, 12, 120, 720, 14,400 pairs: 31/13, 114/21 us, 0.97 ms/22, 2.4 ms/21, 35 ms/21 us.
+MAX_EXHAUSTIVE_PAIRS = 120
+# a checked spec's sorted items -> the one dict every coset of that spec holds
+_shared_spec = lru_cache(maxsize=None)(dict)
 
 
 def min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
-    spec = check_spec(spec, shape_of(w))
+    w = weyl.check_multi(w)
+    return _min_rep(w, check_spec(spec, shape_of(w)))
+
+
+def _min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
+    """min_rep for a checked w and a spec fitted to it."""
     return {tau: min_rep_perm(w[tau], spec[tau]) for tau in w}
 
 
@@ -67,18 +74,18 @@ def lg_P(w: MultiPerm, spec: ParabolicSpec) -> int:
 class CosetRep:
     """A coset w·W_P, held as its minimal representative plus its block spec.
 
-    Construction normalizes any representative.  Two cosets are equal when
-    their representatives and specs are equal, and the hash freezes both;
-    cosets refuse order comparison across different specs.  The length lg
-    is computed on first use and kept.
+    Construction normalizes any representative.  Cosets of one spec share
+    one checked spec dict, never the caller's: treat it as read-only.  Equal
+    representatives and specs make equal cosets, and the hash freezes both;
+    order comparison across specs is refused.  lg is computed on first use.
     """
 
     __slots__ = ("rep", "spec", "_lg")
 
     def __init__(self, w: MultiPerm, spec: ParabolicSpec):
         w = weyl.check_multi(w)
-        self.spec = check_spec(spec, shape_of(w))
-        self.rep = {tau: min_rep_perm(w[tau], self.spec[tau]) for tau in w}
+        self.spec = _shared_spec(tuple(sorted(check_spec(spec, shape_of(w)).items())))
+        self.rep = _min_rep(w, self.spec)
         self._lg = None
 
     @classmethod
@@ -156,7 +163,7 @@ def _quotient_parts(spec: ParabolicSpec) -> List[Tuple[int, Tuple[Perm, ...]]]:
 
 def enumerate_quotient(spec: ParabolicSpec) -> List[CosetRep]:
     """All cosets of W/W_P, sorted by (length, one-line notation, label)."""
-    spec = check_spec(spec)
+    spec = _shared_spec(tuple(sorted(check_spec(spec).items())))
     labels = sorted(spec)
     return [CosetRep._of_parts(labels, parts, spec, lg) for lg, parts in _quotient_parts(spec)]
 
@@ -265,18 +272,24 @@ def _levi_longest_perm(blocks: Tuple[int, ...]) -> Perm:
 
 def left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
     """Minimal representative of W_Q·w; w is in ^QW iff w^{-1} is in W^Q."""
-    return weyl.multi_inverse(min_rep(weyl.multi_inverse(w), spec))
+    w = weyl.check_multi(w)
+    return _left_min_rep(w, check_spec(spec, shape_of(w)))
+
+
+def _left_min_rep(w: MultiPerm, spec: ParabolicSpec) -> MultiPerm:
+    return weyl.multi_inverse(_min_rep(weyl.multi_inverse(w), spec))
 
 
 def shortest_double_coset_rep(w: MultiPerm, qspec: ParabolicSpec, pspec: ParabolicSpec) -> MultiPerm:
     """The unique minimal-length element of W_Q · w · W_P.
 
-    Up to rank 6, while |W_Q|·|W_P| is at most MAX_EXHAUSTIVE_PAIRS, the
-    double coset is materialized and its shortest element taken; past
-    that _normalize_double_coset answers.  Both specs are fitted to w
-    once, so each pair a·w·b is composed label by label, with no shape
-    check.  The result lies in W^P intersected with ^QW.
+    w and both specs are checked once, on entry.  Up to rank 6, while
+    |W_Q|·|W_P| is at most MAX_EXHAUSTIVE_PAIRS (about 1 ms of pairs), the
+    double coset is materialized, each a·w·b composed label by label, and
+    its shortest element taken; past that _normalize_double_coset answers
+    in tens of microseconds at any size.  The result is in W^P ∩ ^QW.
     """
+    w = weyl.check_multi(w)
     shape = shape_of(w)
     qspec = check_spec(qspec, shape)
     pspec = check_spec(pspec, shape)
@@ -298,10 +311,10 @@ def shortest_double_coset_rep(w: MultiPerm, qspec: ParabolicSpec, pspec: Parabol
 
 def _normalize_double_coset(w: MultiPerm, qspec: ParabolicSpec, pspec: ParabolicSpec) -> MultiPerm:
     """The shortest element of W_Q · w · W_P, by alternating right and
-    left minimal-representative passes until stable."""
+    left minimal-representative passes, on checked inputs, until stable."""
     cur = w
     while True:
-        nxt = left_min_rep(min_rep(cur, pspec), qspec)
+        nxt = _left_min_rep(_min_rep(cur, pspec), qspec)
         if nxt == cur:
             return cur
         cur = nxt

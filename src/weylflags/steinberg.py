@@ -62,6 +62,7 @@ def z_dimension_defect(w: weyl.MultiPerm, pspec: ParabolicSpec, qspec: Parabolic
     >>> z_dimension_defect({"t": (2, 3, 1)}, {"t": (2, 1)}, {"t": (3,)})
     1
     """
+    w = weyl.check_multi(w)
     shape = shape_of(w)
     return _defect(w, check_spec(pspec, shape), check_spec(qspec, shape))
 

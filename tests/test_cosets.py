@@ -150,8 +150,9 @@ def test_normalising_double_coset_route_matches_oracle():
 
 def test_two_label_double_coset_rep_is_per_label():
     # the double coset is composed from W_Q x W_P only while that is
-    # small; two rank-4 labels with one block each are past the bound and
-    # take the normalizing route, the mixed pairs below stay exhaustive
+    # small (at most 120 pairs): the (1,1,1,1)/(2,1,1) label (2 pairs) with
+    # itself or with (2,2)/(1,3) (24) stays exhaustive, every other mix
+    # takes the normalizing route
     specs = [((4,), (4,)), ((2, 2), (1, 3)), ((1, 1, 1, 1), (2, 1, 1))]
     minima = {spec: oracles.double_coset_minima(*spec) for spec in specs}
     for (qa, pa), (qb, pb) in itertools.product(specs, repeat=2):
@@ -164,7 +165,7 @@ def test_two_label_double_coset_rep_is_per_label():
     # three labels, and labels given out of sorted order: (Q, P) blocks per
     # label, every w, both on the exhaustive side of the bound
     for labelled in (
-        {"a": ((2, 1), (1, 2)), "b": ((2, 2), (1, 3)), "c": ((2,), (1, 1))},
+        {"a": ((2, 1), (1, 2)), "b": ((2, 1, 1), (1, 3)), "c": ((2,), (1, 1))},
         {"b": ((1, 1, 1, 1), (2, 1, 1)), "a": ((3,), (2, 1))},
     ):
         qspec = {tau: q for tau, (q, _) in labelled.items()}
@@ -178,9 +179,9 @@ def test_two_label_double_coset_rep_is_per_label():
 
 
 def test_exhaustive_double_coset_checks_shapes_a_fixed_number_of_times(monkeypatch):
-    # both specs are fitted to w once; the 120 x 24 pairs at Q = (5),
-    # P = (4, 1) are then composed label by label, with no shape check
-    # per pair (roots imports check_shapes by name)
+    # both specs are fitted to w once; the 120 x 1 pairs at Q = (5),
+    # P = (1, 1, 1, 1, 1) are then composed label by label, with no shape
+    # check per pair (roots imports check_shapes by name)
     calls = []
     check = weyl.check_shapes
 
@@ -190,10 +191,37 @@ def test_exhaustive_double_coset_checks_shapes_a_fixed_number_of_times(monkeypat
 
     monkeypatch.setattr(weyl, "check_shapes", counted)
     monkeypatch.setattr(roots, "check_shapes", counted)
-    qspec, pspec = {"t": (5,)}, {"t": (4, 1)}
+    qspec, pspec = {"t": (5,)}, {"t": (1, 1, 1, 1, 1)}
     assert cosets._levi_order(qspec) * cosets._levi_order(pspec) <= cosets.MAX_EXHAUSTIVE_PAIRS
     assert cosets.shortest_double_coset_rep({"t": (2, 4, 1, 5, 3)}, qspec, pspec) == {"t": (1, 2, 3, 4, 5)}
     assert len(calls) == 2
+
+
+def test_double_cosets_past_the_bound_take_the_normalizing_route(monkeypatch):
+    # past MAX_EXHAUSTIVE_PAIRS no pair is composed: one w for every rank-5
+    # (Q, P) over the bound, and two labels of 12 pairs each (144 in all)
+    def refuse(spec):
+        raise AssertionError(f"W_P materialized for {spec}")
+
+    monkeypatch.setattr(cosets, "wp_elements", refuse)
+    rank5 = list(perms(5))
+    past = [
+        (q, p)
+        for q in oracles.compositions(5)
+        for p in oracles.compositions(5)
+        if cosets._levi_order({"t": q}) * cosets._levi_order({"t": p}) > cosets.MAX_EXHAUSTIVE_PAIRS
+    ]
+    assert len(past) == 57
+    for k, (q, p) in enumerate(past):
+        w = rank5[7 * k % 120]
+        got = cosets.shortest_double_coset_rep({"t": w}, {"t": q}, {"t": p})
+        assert got == {"t": oracles.double_coset_minima(q, p)[w]}, (w, q, p)
+    qspec, pspec = {"a": (3,), "b": (1, 2)}, {"a": (2, 1), "b": (3,)}
+    assert cosets._levi_order(qspec) * cosets._levi_order(pspec) == 144
+    minima = {tau: oracles.double_coset_minima(qspec[tau], pspec[tau]) for tau in qspec}
+    for wa, wb in itertools.product(perms(3), repeat=2):
+        got = cosets.shortest_double_coset_rep({"a": wa, "b": wb}, qspec, pspec)
+        assert got == {"a": minima["a"][wa], "b": minima["b"][wb]}, (wa, wb)
 
 
 def test_length_split_stats_pinned_and_total():
@@ -247,6 +275,24 @@ def test_enumerate_quotient_two_labels_matches_filter_oracle():
         expected.sort()
         quo = cosets.enumerate_quotient(spec)
         assert [(c.lg, (c.rep["a"], c.rep["b"])) for c in quo] == expected, spec
+
+
+def test_cosets_of_equal_specs_share_one_checked_spec():
+    # one checked dict per distinct spec, whatever the label order or block
+    # type; never the caller's, so mutating it afterwards changes no coset
+    given = {"t": [2, 1], "s": [1, 1]}
+    a = CosetRep({"t": [3, 1, 2], "s": (2, 1)}, given)
+    b = CosetRep({"s": (1, 2), "t": (1, 3, 2)}, {"s": (1, 1), "t": (2, 1)})
+    quotient = cosets.enumerate_quotient({"t": [2, 1], "s": (1, 1)})
+    assert a.spec is b.spec is quotient[0].spec
+    given["t"][0] = 1
+    given["t"].append(1)
+    given["u"] = (1,)
+    assert a.spec == {"t": (2, 1), "s": (1, 1)}
+    assert a.rep == {"t": (1, 3, 2), "s": (2, 1)}
+    assert a in quotient and b in quotient
+    assert {hash(c) for c in quotient if c == a} == {hash(a)}
+    assert CosetRep({"t": (3, 1, 2)}, {"t": (2, 1)}).spec is not a.spec
 
 
 def test_coset_rep_length_is_cached_and_lazy():

@@ -3,7 +3,10 @@ what the conventions rule out: block sizes below 1, a composition that
 does not sum to the rank, a spec that is empty or not a dict, and a spec
 whose labels or sums differ from the shape of the permutation, coset or
 weight it comes with; a weight is refused when its shape differs from
-the coset's."""
+the coset's.  Every entry that takes a permutation refuses one-line
+notation that is not a permutation of 1..n."""
+
+import itertools
 
 import pytest
 
@@ -84,6 +87,30 @@ def test_entries_refuse_bad_compositions_and_specs(entry, bad):
 def test_entries_accept_the_good_spec_as_tuples_or_lists():
     for _, call in ENTRIES.values():
         assert call(GOOD) == call({"t": [2, 1]})
+
+
+NOT_PERMS = ((1, 1, 3), (0, 1, 2), (2, 1, 4))
+P, Q = {"t": (2, 1)}, {"t": (1, 2)}
+PERM_ENTRIES = {
+    "CosetRep": lambda w: cosets.CosetRep(w, P),
+    "min_rep": lambda w: cosets.min_rep(w, P),
+    "decompose": lambda w: cosets.decompose(w, P),
+    "lg_P": lambda w: cosets.lg_P(w, P),
+    "left_min_rep": lambda w: cosets.left_min_rep(w, P),
+    "shortest_double_coset_rep": lambda w: cosets.shortest_double_coset_rep(w, Q, P),
+    "levi_cap_u_in_nQ": lambda w: steinberg.levi_cap_u_in_nQ(w, P, Q),
+    "z_dimension_defect": lambda w: steinberg.z_dimension_defect(w, P, Q),
+}
+PERM_CASES = list(itertools.product(PERM_ENTRIES, NOT_PERMS))
+
+
+@pytest.mark.parametrize(
+    "entry, perm", PERM_CASES, ids=[f"{e}-{''.join(map(str, p))}" for e, p in PERM_CASES]
+)
+def test_entries_refuse_what_is_not_a_permutation(entry, perm):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3"):
+        PERM_ENTRIES[entry]({"t": perm})
+    PERM_ENTRIES[entry]({"t": [3, 1, 2]})  # lists of a permutation are accepted
 
 
 @pytest.mark.parametrize(
