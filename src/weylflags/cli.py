@@ -5,8 +5,9 @@ prints it as compact JSON on stdout, or with --pretty as a plain-text
 report of the same fields: one line per field in key order, a list as
 its length followed by one indented line per item, values as compact
 JSON.  Exit status: 0 when the command (and every requested check)
-succeeded, 1 when a requested check failed, 2 for usage and validation
-errors, flags that would go unread included.
+succeeded, 1 when a requested check failed (a false "pass" of ff-verify
+or walk, or non-generic companion eigenvalues), 2 for usage and
+validation errors, flags that would go unread included.
 
 Permutations, block compositions and weights are passed as JSON: either
 an object keyed by embedding label ({"t": [3, 1, 2]}) or a bare array,
@@ -240,7 +241,7 @@ def cmd_walk(args) -> int:
     payload = jsonio.certificate_to_json(cert)
     payload["length"] = len(cert.chain)
     _emit(payload, args.pretty)
-    return EXIT_OK
+    return EXIT_OK if cert.passed else EXIT_CHECK_FAILED
 
 
 def cmd_ff_verify(args) -> int:

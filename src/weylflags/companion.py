@@ -9,7 +9,7 @@ over the upper order ideal of w_R in W/W_P.  That ideal, like the lower
 ideals behind Jordan-Holder cosets, is walked by covering steps from its
 end point, so the work follows the size of the answer rather than of the
 quotient.  A certified walk upgrades the enumeration with an explicit
-saturated chain from w_R to the top.
+saturated chain from w_R to the top, and a verdict on it.
 
 Characters are symbolic: the smooth part is an ordered tuple of opaque
 eigenvalue labels, and only weights are computed on.
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from . import weyl
 from .cosets import CosetRep, _interval
-from .roots import IntegralWeight, ParabolicSpec, check_spec, shape_of
+from .roots import IntegralWeight, ParabolicSpec, _act, check_spec, shape_of
 
 if TYPE_CHECKING:  # only certify_walk needs steinberg, and imports it itself
     from .steinberg import InductionStep
@@ -78,11 +78,13 @@ class CharacterSymbol(NamedTuple):
 
 
 class CompanionCertificate(NamedTuple):
-    """A saturated certified chain w_R = u_0 < u_1 < ... < u_k = top."""
+    """A chain of covering steps w_R = u_0 < ... < u_k = end; passed when each
+    step is certified, end is the top and k = lg_P(top) - lg_P(w_R)."""
 
     start: CosetRep
     end: CosetRep
     chain: Tuple[InductionStep, ...]
+    passed: bool
 
 
 def runs_composition(vec: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -210,20 +212,19 @@ def jordan_holder_cosets(w: CosetRep) -> List[CosetRep]:
 
 
 def certify_walk(w_R: CosetRep, h: IntegralWeight) -> CompanionCertificate:
-    """Climb from w_R to the top coset one certified covering step at a
-    time; the chain length is lg_P(top) - lg_P(w_R)."""
-    from .steinberg import find_induction_step
+    """Climb from w_R toward the top coset one covering step at a time.
+    w_R and h are checked once; steinberg._step, which checks nothing, runs
+    at most lg_P(top) - lg_P(w_R) times, so a wrong step can end the walk
+    early but never hang it, and turns passed false instead of raising."""
+    from .steinberg import _step
 
-    spec = _quotient_of(w_R, h)
-    steps: List[InductionStep] = []
-    cur = w_R
-    top = CosetRep(weyl.multi_longest(shape_of(h)), spec)
-    while cur != top:
-        step = find_induction_step(cur, spec, h)
+    top = CosetRep(weyl.multi_longest(shape_of(h)), _quotient_of(w_R, h))
+    steps, cur, wh, passed = [], w_R, _act(w_R.rep, h), True
+    while len(steps) < top.lg - w_R.lg and (found := _step(cur, wh)):
+        step, wh, holds = found
         steps.append(step)
-        cur = step.w_to
-    assert len(steps) == top.lg - w_R.lg
-    return CompanionCertificate(start=w_R, end=top, chain=tuple(steps))
+        passed, cur = passed and holds, step.w_to
+    return CompanionCertificate(w_R, cur, tuple(steps), passed and cur == top and len(steps) == top.lg - w_R.lg)
 
 
 def genericity_check(refinement: RefinementSpec) -> bool:

@@ -79,6 +79,7 @@ def certificate_to_json(cert: CompanionCertificate) -> Dict[str, object]:
         "start": coset_to_json(cert.start),
         "end": coset_to_json(cert.end),
         "chain": [step_to_json(step) for step in cert.chain],
+        "pass": cert.passed,
     }
 
 

@@ -59,10 +59,6 @@ class Root(NamedTuple):
     def positive(self) -> bool:
         return self.i < self.j
 
-    @property
-    def simple(self) -> bool:
-        return self.j == self.i + 1
-
 
 def check_spec(spec: ParabolicSpec, shape: Optional[Dict[str, int]] = None) -> ParabolicSpec:
     """The spec with tuple blocks, refusing an empty or non-dict spec and an
@@ -79,10 +75,6 @@ def check_spec(spec: ParabolicSpec, shape: Optional[Dict[str, int]] = None) -> P
     if shape is not None:
         check_shapes(shape, sums)
     return out
-
-
-def simple_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:
-    return tuple(Root(tau, i, i + 1) for tau in sorted(shape) for i in range(1, shape[tau]))
 
 
 def positive_roots(shape: Dict[str, int]) -> Tuple[Root, ...]:

@@ -7,15 +7,16 @@ dominance and P-regularity of a coweight read the simple roots, split
 into Delta_P and the rest once per spec (roots._delta_split).  The two
 component routes check each input once on entry, P against the coset's
 own spec, and decide through private helpers that check nothing again.
-The walk driver find_induction_step raises a coset one covering step at
-a time, certifying each step with a simple root and the minimal
-parabolic attached to it.
+A covering step of the walk by a simple root alpha is certified by three
+facts about the minimal parabolic B(alpha).  One unchecked body, _step,
+takes it and says whether they hold, for find_induction_step (which
+raises ArithmeticError if not) and companion.certify_walk alike.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import weyl
 from .cosets import (
@@ -26,20 +27,7 @@ from .cosets import (
     quotient_leq,
     shortest_double_coset_rep,
 )
-from .roots import (
-    IntegralWeight,
-    ParabolicSpec,
-    Root,
-    _act,
-    _dominant,
-    _p_regular,
-    act,
-    check_spec,
-    dominance,
-    pairing,
-    shape_of,
-    simple_roots,
-)
+from .roots import IntegralWeight, ParabolicSpec, Root, _act, _dominant, _p_regular, check_spec, shape_of
 from .weyl import block_index, block_slices, check_shapes, min_rep_perm
 
 
@@ -94,16 +82,13 @@ def _check_p_regular(h: IntegralWeight, pspec: ParabolicSpec) -> IntegralWeight:
     return h
 
 
-def _route_specs(
-    w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSpec
-) -> Tuple[ParabolicSpec, ParabolicSpec]:
-    """The entry check of both component routes: pspec and qspec checked
-    against the shape of w, and pspec refused unless it is w's own spec."""
-    shape = shape_of(w.rep)
-    pspec = check_spec(pspec, shape)
+def _own_spec(w: CosetRep, pspec: ParabolicSpec) -> ParabolicSpec:
+    """pspec checked against the shape of w, and refused unless it is w's
+    own spec: the entry check of the component routes and of the step."""
+    pspec = check_spec(pspec, shape_of(w.rep))
     if pspec != w.spec:
         raise ValueError(f"coset {w.rep} lives in W/W_P for blocks {w.spec}, not {pspec}")
-    return pspec, check_spec(qspec, shape)
+    return pspec
 
 
 def component_in_ZQP(
@@ -114,7 +99,7 @@ def component_in_ZQP(
     Decided by strict Q-dominance of w(h) for a P-regular antidominant h;
     the answer does not depend on which such h is supplied.
     """
-    pspec, qspec = _route_specs(w, pspec, qspec)
+    pspec, qspec = _own_spec(w, pspec), check_spec(qspec, shape_of(w.rep))
     check_shapes(shape_of(w.rep), shape_of(h))
     _check_p_regular(h, pspec)
     return _dominant(_act(w.rep, h), qspec)
@@ -128,7 +113,7 @@ def component_in_ZQP_roots(w: CosetRep, pspec: ParabolicSpec, qspec: ParabolicSp
     inside n_Q and wW_P = w_{Q,0}·r·W_P.  Needs no coweight h.  The
     second test compares minimal representatives label by label.
     """
-    pspec, qspec = _route_specs(w, pspec, qspec)
+    pspec, qspec = _own_spec(w, pspec), check_spec(qspec, shape_of(w.rep))
     r = shortest_double_coset_rep(w.rep, qspec, pspec)
     if _defect(r, pspec, qspec):
         return False
@@ -170,8 +155,8 @@ def components_through_point(w_x: CosetRep, w: CosetRep) -> bool:
 
 
 class InductionStep(NamedTuple):
-    """One certified covering step of the walk: s_alpha · w_from = w_to
-    with lg_P going up by one, and Q the minimal parabolic of alpha."""
+    """One covering step of the walk: s_alpha · w_from = w_to, and Q the
+    minimal parabolic B(alpha)."""
 
     alpha: Root
     Q: ParabolicSpec
@@ -180,36 +165,47 @@ class InductionStep(NamedTuple):
 
 
 def minimal_parabolic(shape: Dict[str, int], alpha: Root) -> ParabolicSpec:
-    """B(alpha): the parabolic whose only Levi block merges alpha's pair."""
-    assert alpha.simple
-    spec = {}
-    for tau, n in shape.items():
-        if tau == alpha.tau:
-            spec[tau] = tuple([1] * (alpha.i - 1) + [2] + [1] * (n - alpha.i - 1))
-        else:
-            spec[tau] = (1,) * n
-    return spec
+    """B(alpha): the parabolic whose only Levi block merges alpha's pair,
+    for a simple root alpha of the shape; any other root is refused."""
+    tau, i, j = alpha
+    if not (j == i + 1 and 1 <= i < shape.get(tau, 0)):
+        raise ValueError(f"root {alpha} is not a simple root of the shape {shape}")
+    return {t: (1,) * (i - 1) + (2,) + (1,) * (n - i - 1) if t == tau else (1,) * n for t, n in shape.items()}
+
+
+def _step(w: CosetRep, wh: IntegralWeight) -> Optional[Tuple[InductionStep, IntegralWeight, bool]]:
+    """The step body, checking nothing; wh is w(h), h P-regular antidominant
+    for w's spec P.  The smallest ascent (i, tau) of w(h), <alpha, w(h)> < 0
+    for alpha = e_i - e_{i+1}, gives s_alpha·w: values i and i+1 swap in w_tau,
+    positions i and i+1 in w(h).  Returns the step, s_alpha·w(h) and whether
+    the three certifying facts hold: lg_P goes up by one, and s_alpha·w(h)
+    is strictly B(alpha)-dominant while w(h) is not.  None at the top coset."""
+    i, tau = min(((i, tau) for tau, v in wh.items() for i in range(1, len(v)) if v[i - 1] < v[i]), default=(0, ""))
+    if not i:
+        return None
+    old, v = w.rep[tau], wh[tau]
+    part = tuple(i + 1 if k == i else i if k == i + 1 else k for k in old)
+    moved = {**wh, tau: v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :]}
+    alpha = Root(tau, i, i + 1)
+    qspec = minimal_parabolic({t: len(x) for t, x in wh.items()}, alpha)
+    lg = w.lg + weyl.length(part) - weyl.length(old)
+    target = CosetRep._of_parts(list(w.rep), [part if t == tau else p for t, p in w.rep.items()], w.spec, lg)
+    holds = lg == w.lg + 1 and _dominant(moved, qspec) and not _dominant(wh, qspec)
+    return InductionStep(alpha, qspec, w, target), moved, holds
 
 
 def find_induction_step(w: CosetRep, pspec: ParabolicSpec, h: IntegralWeight) -> InductionStep:
-    """A simple root raising w one covering step in W/W_P.
-
-    Candidates are the simple alpha with <alpha, w(h)> < 0; the smallest
-    (index, label) is chosen.  Returns the step together with Q = B(alpha),
-    for which s_alpha·w(h) is strictly Q-dominant while w(h) is not.
-    Raises when w is already the maximal coset.
-    """
-    check_p_regular(h, pspec)
-    shape = shape_of(h)
-    wh = act(w.rep, h)
-    cands = [a for a in simple_roots(shape) if pairing(a, wh) < 0]
-    if not cands:
+    """The certified covering step from w in W/W_P, for P w's own spec and
+    h P-regular antidominant: alpha is the smallest (index, label) simple
+    root with <alpha, w(h)> < 0, and Q = B(alpha).  Raises ValueError at
+    the top coset, and ArithmeticError when a certifying fact fails."""
+    pspec = _own_spec(w, pspec)
+    check_shapes(shape_of(w.rep), shape_of(h))
+    _check_p_regular(h, pspec)
+    found = _step(w, _act(w.rep, h))
+    if found is None:
         raise ValueError(f"coset {w.rep} is maximal in W/W_P; no step exists")
-    alpha = min(cands, key=lambda a: (a.i, a.tau))
-    qspec = minimal_parabolic(shape, alpha)
-    s_alpha = weyl.multi_simple_reflection(shape, alpha.tau, alpha.i)
-    target = CosetRep(weyl.multi_compose(s_alpha, w.rep), pspec)
-    assert target.lg == w.lg + 1
-    assert dominance(act(target.rep, h), qspec)
-    assert not dominance(wh, qspec)
-    return InductionStep(alpha, qspec, w, target)
+    step, _, holds = found
+    if not holds:
+        raise ArithmeticError(f"the step by {step.alpha} from {w.rep} breaks its certificate")
+    return step

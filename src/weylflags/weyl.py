@@ -90,15 +90,6 @@ def longest_element(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def simple_reflection(n: int, i: int) -> Perm:
-    """s_i as a permutation of rank n (1 <= i <= n-1)."""
-    if not 1 <= i < n:
-        raise ValueError(f"simple index {i} out of range for rank {n}")
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Strong Bruhat order via sorted-prefix dominance.
 
@@ -268,12 +259,6 @@ def multi_bruhat_leq(u: MultiPerm, v: MultiPerm) -> bool:
     """Componentwise Bruhat order on a product of symmetric groups."""
     check_shapes(shape_of(u), shape_of(v))
     return all(bruhat_leq(u[tau], v[tau]) for tau in u)
-
-
-def multi_simple_reflection(ranks: Dict[str, int], tau: str, i: int) -> MultiPerm:
-    out = multi_identity(ranks)
-    out[tau] = simple_reflection(ranks[tau], i)
-    return out
 
 
 def multi_reduced_word(w: MultiPerm) -> Tuple[Tuple[str, int], ...]:

@@ -8,11 +8,12 @@ src/ may import this module.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from weylflags import companion, cosets, fforacle, roots, weyl
+from weylflags import companion, cosets, fforacle, roots, steinberg, weyl
 
 
 def all_perms(n):
@@ -837,6 +838,7 @@ def certificate_to_json(cert):
         "start": coset_to_json(cert.start),
         "end": coset_to_json(cert.end),
         "chain": [step_to_json(step) for step in cert.chain],
+        "pass": cert.passed,
     }
 
 
@@ -869,3 +871,50 @@ def character_for(w, h, refinement):
 def companion_set(refinement, h, w_R):
     companion._quotient_of(w_R, h)
     return [(w, character_for(w, h, refinement)) for w in cosets._interval(w_R, up=True)]
+
+
+# ---------------------------------------------------------------------------
+# the walk as it was stepped before its one unchecked step body: s_alpha
+# composed on the left as a multi-permutation, the target normalized by
+# CosetRep, and the three facts read through the checked roots.dominance
+
+
+def multi_simple_reflection(shape, tau, i):
+    """s_i in the factor labelled tau, the identity in every other factor."""
+    out = {t: tuple(range(1, n + 1)) for t, n in shape.items()}
+    out[tau] = apply_simple_right(out[tau], i)
+    return out
+
+
+def walk(w_R, h):
+    """The steps from w_R up to the top coset: at each coset w the smallest
+    (index, label) simple root alpha with <alpha, w(h)> < 0, and Q = B(alpha)
+    the spec whose only block of size 2 merges alpha's pair."""
+    shape = weyl.shape_of(h)
+    simple = [roots.Root(tau, i, i + 1) for tau in sorted(shape) for i in range(1, shape[tau])]
+    steps, cur = [], w_R
+    while True:
+        wh = roots.act(cur.rep, h)
+        cands = [a for a in simple if roots.pairing(a, wh) < 0]
+        if not cands:
+            return steps
+        alpha = min(cands, key=lambda a: (a.i, a.tau))
+        q = {tau: (1,) * n for tau, n in shape.items()}
+        q[alpha.tau] = q[alpha.tau][: alpha.i - 1] + (2,) + q[alpha.tau][alpha.i + 1 :]
+        s_alpha = multi_simple_reflection(shape, alpha.tau, alpha.i)
+        target = cosets.CosetRep(weyl.multi_compose(s_alpha, cur.rep), cur.spec)
+        assert target.lg == cur.lg + 1
+        assert roots.dominance(roots.act(target.rep, h), q)
+        assert not roots.dominance(wh, q)
+        steps.append(steinberg.InductionStep(alpha, q, cur, target))
+        cur = target
+
+
+def plant(monkeypatch, module, name, old, new):
+    """Replace module.<name> by its source with old, which must occur
+    once, rewritten as new: a planted error that a check must report."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])

@@ -329,12 +329,24 @@ def test_ff_verify_bad_cap_names_the_variable(capsys, monkeypatch):
     assert "WEYLFLAGS_FF_MAX_FLAGS" in err
 
 
-def _cli_subprocess(env, *argv, timeout=120):
+def _cli_subprocess(env, *argv, timeout=120, python_flags=()):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "weylflags.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *python_flags, "-m", "weylflags.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--h", "[0,0,1,1,2,3]"],
+    ["ff-verify", "--suite", "all", "--n", "3", "--p", "3"],
+], ids=["walk", "ff-verify"])
+def test_python_O_prints_the_same(argv):
+    # no verdict rests on an assert, which -O would strip
+    plain, optimized = (_cli_subprocess(os.environ, *argv, python_flags=flags) for flags in ((), ("-O",)))
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+    assert plain.returncode == 0 and json.loads(plain.stdout)["pass"] is True
 
 
 @pytest.mark.parametrize("p, code", [(3, 0), (2, 2)])

@@ -1,10 +1,11 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from weylflags import companion, cosets, roots, weyl
+from weylflags import cli, companion, cosets, fforacle, jsonio, roots, steinberg, weyl
 from weylflags.companion import (
     CharacterSymbol,
     PlaceRefinement,
@@ -152,6 +153,7 @@ def test_certify_walk_reaches_top_with_saturated_chain():
             h = {"t": tuple(x for b, size in enumerate(blocks) for x in [b] * size)}
             for start in cosets.enumerate_quotient(spec):
                 cert = companion.certify_walk(start, h)
+                assert cert.passed
                 assert cert.start == start
                 assert cert.end.rep == cosets.min_rep(
                     weyl.multi_longest({"t": n}), spec
@@ -163,6 +165,48 @@ def test_certify_walk_reaches_top_with_saturated_chain():
                     assert step.w_to.lg == cur.lg + 1
                     cur = step.w_to
                 assert cur == cert.end
+
+
+def walk_specs():
+    """Every spec of rank <= 5 at one label, and every two-label spec whose
+    ranks differ and are at most 3."""
+    specs = [{"t": blocks} for n in range(1, 6) for blocks in oracles.compositions(n)]
+    for m, k in itertools.permutations(range(1, 4), 2):
+        specs += [{"a": a, "b": b} for a in oracles.compositions(m) for b in oracles.compositions(k)]
+    return specs
+
+
+def test_certify_walk_takes_the_reference_steps():
+    for spec in walk_specs():
+        # P-regular antidominant, its gaps differing by block and label
+        h = {tau: tuple(k * k + len(tau) for k in weyl.block_index(blocks)) for tau, blocks in spec.items()}
+        for start in cosets.enumerate_quotient(spec):
+            cert = companion.certify_walk(start, h)
+            reference = oracles.walk(start, h)
+            assert cert.chain == tuple(reference), (spec, start)
+            assert cert.end == (reference[-1].w_to if reference else start)
+            assert cert.passed
+
+
+def test_certify_walk_checks_its_inputs_once(monkeypatch):
+    # this 36-step walk used to make 146 check_spec, 254 check_shapes and
+    # 38 check_multi calls, a few for every step
+    h = {"a": (0, 1, 2, 3, 4, 5, 6), "b": (0, 0, 0, 1, 1, 1, 2)}
+    start = CosetRep(weyl.multi_identity(weyl.shape_of(h)), companion.hodge_spec(h))
+    counts = Counter()
+    for home, name in ((roots, "check_spec"), (weyl, "check_multi"), (weyl, "check_shapes")):
+        fn = getattr(home, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        for module in (weyl, roots, cosets, steinberg, companion, fforacle, jsonio, cli):
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted)
+    cert = companion.certify_walk(start, h)
+    assert len(cert.chain) == 36 and cert.passed
+    assert set(counts) == {"check_spec", "check_multi", "check_shapes"}
+    assert max(counts.values()) <= 2, counts
 
 
 def test_certify_walk_rejects_non_weakly_increasing_h():

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import json
 import math
@@ -424,16 +423,6 @@ def test_incidence_rows_report_a_dropped_or_repeated_flag(monkeypatch, capsys, c
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
-def plant(monkeypatch, name, old, new):
-    """Replace fforacle.<name> by its source with old, which must occur
-    once, rewritten as new."""
-    source = inspect.getsource(getattr(ff, name))
-    assert source.count(old) == 1
-    namespace = dict(vars(ff))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(ff, name, namespace[name])
-
-
 @pytest.mark.parametrize("name, old, new, check, passes", [
     # the nonzero root of 2xt + x^2 y = 0 taken as +2t/y: the solution set
     # of every (t, y) with t, y != 0 then disagrees with its case split
@@ -448,7 +437,7 @@ def plant(monkeypatch, name, old, new):
     ("_weights_match", "for k in w]", "for k in reversed(w)]", "weight_map", [False, False, True]),
 ], ids=["blowup-root-sign", "blowup-lower-left-sign", "good-form-conjugacy", "weight-map-reversed-weights"])
 def test_a_planted_error_fails_its_row(monkeypatch, capsys, name, old, new, check, passes):
-    plant(monkeypatch, name, old, new)
+    oracles.plant(monkeypatch, ff, name, old, new)
     assert [row["pass"] for row in ff.run_suite(2, 3, [check])] == passes
     assert cli.main(["ff-verify", "--n", "2", "--p", "3", "--suite", check]) == 1
     out, err = capsys.readouterr()

@@ -3,7 +3,8 @@ what the conventions rule out: block sizes below 1, a composition that
 does not sum to the rank, a spec that is empty or not a dict, and a spec
 whose labels or sums differ from the shape of the permutation, coset or
 weight it comes with; a weight is refused when its shape differs from
-the coset's.  Every entry that takes a permutation refuses one-line
+the coset's, and a spec other than the coset's own when a coset comes
+with it.  Every entry that takes a permutation refuses one-line
 notation that is not a permutation of 1..n."""
 
 import itertools
@@ -12,7 +13,7 @@ import pytest
 
 from weylflags import cosets, fforacle as ff, roots, steinberg
 
-REFUSAL = "must be positive|do not sum to|shapes differ"
+REFUSAL = "must be positive|do not sum to|shapes differ|lives in W/W_P for blocks"
 W = {"t": (3, 1, 2)}
 GOOD = {"t": (2, 1)}
 NU = ff.FqMatrix(2, ((0, 0, 0),) * 3)
@@ -22,12 +23,15 @@ BAD = {
     "zero": {"t": (0, 3)},
     "wrong rank": {"t": (2, 2)},
     "wrong label": {"s": (2, 1)},
+    "not the coset's": {"t": (1, 2)},
 }
 
 # entry -> (the bad inputs it can tell apart, a call taking a spec); an
 # entry given one composition sees the blocks of the spec's only label,
 # and one given a spec alone has no rank or labels to fit
-POSITIVE, RANK, SHAPE = ("negative", "zero"), ("negative", "zero", "wrong rank"), tuple(BAD)
+POSITIVE, RANK, SHAPE = ("negative", "zero"), ("negative", "zero", "wrong rank"), tuple(BAD)[:4]
+# a P other than the coset's own spec is refused where a coset comes with it
+OWN = SHAPE + ("not the coset's",)
 # a weight made from a spec (its P-regular witness) is refused by shape alone
 FIT = ("wrong rank", "wrong label")
 COSET, H = cosets.CosetRep(W, GOOD), roots.p_regular_witness(GOOD)
@@ -53,13 +57,18 @@ ENTRIES = {
     "dominance": (SHAPE, lambda s: roots.dominance({"t": (1, 0, 0)}, s)),
     "levi_cap_u_in_nQ": (SHAPE, lambda s: steinberg.levi_cap_u_in_nQ(W, GOOD, s)),
     "z_dimension_defect": (SHAPE, lambda s: steinberg.z_dimension_defect(W, GOOD, s)),
-    "component_in_ZQP_roots P": (SHAPE, lambda s: steinberg.component_in_ZQP_roots(COSET, s, GOOD)),
+    "component_in_ZQP_roots P": (OWN, lambda s: steinberg.component_in_ZQP_roots(COSET, s, GOOD)),
     "component_in_ZQP_roots Q": (SHAPE, lambda s: steinberg.component_in_ZQP_roots(COSET, GOOD, s)),
-    "component_in_ZQP P": (SHAPE, lambda s: steinberg.component_in_ZQP(COSET, s, GOOD, H)),
+    "component_in_ZQP P": (OWN, lambda s: steinberg.component_in_ZQP(COSET, s, GOOD, H)),
     "component_in_ZQP Q": (SHAPE, lambda s: steinberg.component_in_ZQP(COSET, GOOD, s, H)),
     "component_in_ZQP h": (
         FIT,
         lambda s: steinberg.component_in_ZQP(COSET, GOOD, GOOD, roots.p_regular_witness(s)),
+    ),
+    "find_induction_step P": (OWN, lambda s: steinberg.find_induction_step(COSET, s, H)),
+    "find_induction_step h": (
+        FIT,
+        lambda s: steinberg.find_induction_step(COSET, GOOD, roots.p_regular_witness(s)),
     ),
     "enumerate_partial_flags": (RANK, lambda s: ff.enumerate_partial_flags(3, 2, _blocks(s))),
     "incidence_count": (

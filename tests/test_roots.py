@@ -49,7 +49,7 @@ def test_root_counts():
     shape = {"a": 3, "b": 2}
     assert len(roots.positive_roots(shape)) == 3 + 1
     assert len(all_roots(shape)) == 2 * 4
-    assert len(roots.simple_roots(shape)) == 2 + 1
+    assert len(roots._simple_roots({"a": (3,), "b": (2,)})) == 2 + 1
 
 
 def test_levi_roots_blocks():

@@ -1,4 +1,8 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +112,15 @@ def test_component_routes_refuse_a_spec_other_than_the_cosets():
         steinberg.component_in_ZQP(coset, pspec, borel, roots.p_regular_witness(pspec))
 
 
+def test_find_induction_step_refuses_a_spec_other_than_the_cosets():
+    # with P = (2, 1), (2, 3, 1) of W/W_B used to be called maximal, and
+    # (1, 2, 3) to step to a coset of W/W_P
+    borel, pspec = {"t": (1, 1, 1)}, {"t": (2, 1)}
+    for w in ((2, 3, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"lives in W/W_P for blocks \{'t': \(1, 1, 1\)\}, not"):
+            steinberg.find_induction_step(CosetRep({"t": w}, borel), pspec, roots.p_regular_witness(pspec))
+
+
 def test_component_in_ZQP_rejects_bad_h():
     pspec = {"t": (2, 1)}
     coset = CosetRep({"t": (1, 2, 3)}, pspec)
@@ -150,6 +163,15 @@ def test_components_through_point_is_interval_membership():
 def test_minimal_parabolic_merges_one_pair():
     spec = steinberg.minimal_parabolic({"a": 4, "b": 2}, roots.Root("a", 2, 3))
     assert spec == {"a": (1, 2, 1), "b": (1, 1)}
+
+
+@pytest.mark.parametrize("alpha", [
+    roots.Root("b", 1, 2), roots.Root("a", 4, 5), roots.Root("a", 0, 1), roots.Root("a", 1, 3),
+], ids=["other-label", "past-the-rank", "index-zero", "not-simple"])
+def test_minimal_parabolic_refuses_what_is_not_a_simple_root_of_the_shape(alpha):
+    # these gave the Borel, (1, 1, 1, 2), (2, 1, 1, 1) and, under -O, (2, 1, 1)
+    with pytest.raises(ValueError, match="is not a simple root of the shape"):
+        steinberg.minimal_parabolic({"a": 4}, alpha)
 
 
 def test_find_induction_step_postconditions():
@@ -235,3 +257,40 @@ def test_routes_check_each_spec_once_and_split_roots_once_per_spec(monkeypatch):
                 assert len(calls) == 2
     # three distinct specs among P and Q, each split into Delta_P and the rest once
     assert roots._delta_split.cache_info().misses == 3
+
+
+# planted wrong steps: the new w(h) left stale, and w left unmoved
+STALE_WH = ("moved = {**wh, tau: v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :]}", "moved = wh")
+W_UNMOVED = ("part = tuple(i + 1 if k == i else i if k == i + 1 else k for k in old)", "part = old")
+WALK_H = "[0,0,1,1,2,3]"
+
+
+@pytest.mark.parametrize("old, new", [STALE_WH, W_UNMOVED], ids=["stale-wh", "w-unmoved"])
+def test_a_planted_wrong_step_fails_its_certificate(monkeypatch, capsys, old, new):
+    oracles.plant(monkeypatch, steinberg, "_step", old, new)
+    h = {"t": tuple(json.loads(WALK_H))}
+    spec = companion.hodge_spec(h)
+    start = CosetRep(weyl.multi_identity({"t": 6}), spec)
+    assert companion.certify_walk(start, h).passed is False
+    with pytest.raises(ArithmeticError, match="breaks its certificate"):
+        steinberg.find_induction_step(start, spec, h)
+    assert cli.main(["walk", "--h", WALK_H]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"] is False and err == ""
+
+
+def test_a_planted_wrong_step_fails_under_python_O():
+    # -O strips asserts, which is how the step used to be certified
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(steinberg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    code = (
+        "import sys, types\n"
+        "import oracles\n"
+        "from weylflags import cli, steinberg\n"
+        f"oracles.plant(types.SimpleNamespace(setattr=setattr), steinberg, '_step', {W_UNMOVED[0]!r}, {W_UNMOVED[1]!r})\n"
+        f"sys.exit(cli.main(['walk', '--h', {WALK_H!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["pass"] is False

@@ -120,7 +120,7 @@ def test_multi_reduced_word_reassembles():
     assert len(word) == weyl.multi_length(w)
     cur = weyl.multi_identity({"a": 3, "b": 2})
     for tau, i in word:
-        cur = weyl.multi_compose(cur, weyl.multi_simple_reflection({"a": 3, "b": 2}, tau, i))
+        cur = weyl.multi_compose(cur, oracles.multi_simple_reflection({"a": 3, "b": 2}, tau, i))
     assert cur == w
 
 
